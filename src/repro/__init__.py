@@ -21,9 +21,9 @@ Compressed-Sparse Features in Deep Graph Convolutional Network Accelerators"
 * ``repro.experiments`` — declarative experiment sweeps: scenario/sweep
   specs, a parallel runner with result caching, paper-figure scenario
   packs, and the ``python -m repro`` CLI.
-* ``repro.bench`` — the ``repro bench`` performance harness comparing the
-  vectorized engine against the legacy path and recording ``BENCH_*.json``
-  trajectory documents.
+* ``repro.bench`` — the ``repro bench`` performance harness timing the
+  scenario packs (and grouped spectrum vs per-knob dispatch) and recording
+  ``BENCH_*.json`` trajectory documents.
 * ``repro.resilience`` — deterministic fault injection, retry/timeout
   execution policies, sweep checkpointing, and graceful degradation for
   long sweeps.
@@ -55,7 +55,6 @@ from repro.core.config import (
 )
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
 from repro.accelerator.registry import get_design, register_design
-from repro.accelerator.simulator import get_replay_backend, set_replay_backend
 from repro.core.runspec import RunSpec, SUPPORTED_OVERRIDES, build_config
 from repro.core.session import Session, default_session, reset_default_session
 from repro.gcn.providers import (
@@ -133,8 +132,6 @@ __all__ = [
     "ReplayEngine",
     "TraceCache",
     "replay_trace",
-    "get_replay_backend",
-    "set_replay_backend",
     "run_benchmarks",
     "simulate",
     "compare_accelerators",

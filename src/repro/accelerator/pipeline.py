@@ -13,8 +13,8 @@ stage.  A full run is an explicit five-stage pipeline
 2. :func:`schedule` — plan the tiling, build the aggregation access trace,
    and select the pinned-vertex partition;
 3. :func:`replay` — sample representative layers, build their per-row
-   transfer tables, and replay every cache access of the run (batched
-   through the vectorized engine when possible, per-layer otherwise);
+   transfer tables, and replay every cache access of the run through the
+   trace's :class:`~repro.memory.replay.ReplayEngine`;
 4. :func:`timing` — convert replay statistics and compute models into
    per-layer cycles and traffic;
 5. :func:`energy` — price the counted events and assemble the
@@ -39,9 +39,7 @@ from repro.accelerator.systolic import SystolicArray
 from repro.accelerator.tiling import (
     TilingPlan,
     aggregation_access_trace,
-    aggregation_access_trace_reference,
     locality_reordering,
-    locality_reordering_reference,
     plan_tiling,
 )
 from repro.core.config import CACHELINE_BYTES, ELEMENT_BYTES, SystemConfig
@@ -53,8 +51,8 @@ from repro.graphs.datasets import Dataset
 from repro.graphs.graph import CSRGraph
 from repro.memory.dram import DRAMModel, TrafficPattern
 from repro.memory.energy import EnergyTable
-from repro.memory.replay import ReplayEngine, TraceCache, array_token
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.replay import ReplayEngine, TraceCache
+from repro.memory.rowcache import RowCacheStats
 from repro.resilience.faults import fault_point
 from repro.resilience.policy import check_deadline
 from repro.telemetry.spans import span
@@ -82,45 +80,6 @@ def _trace_cache_get(
         logger.warning("trace cache unavailable (%s); building uncached", exc)
         return builder()
     return cache.get(key, builder)
-
-
-# --------------------------------------------------------------------------- #
-# Replay backend selection
-# --------------------------------------------------------------------------- #
-#: Supported trace-replay backends: the vectorized engine
-#: (:class:`repro.memory.replay.ReplayEngine`, the default) and the legacy
-#: per-access :class:`repro.memory.rowcache.RowCache` loop.  The two are
-#: bit-identical (pinned by the golden equivalence tests); the legacy backend
-#: exists as the reference implementation and as the baseline the
-#: ``repro bench`` harness measures speedups against.
-REPLAY_BACKENDS = ("vectorized", "legacy")
-
-#: The legacy backend restores the dominant pre-vectorization paths, not
-#: just the cache replay: loop-based trace generation and BFS reordering,
-#: per-row ``row_read_lines`` materialisation, and no cross-run trace
-#: caching.  (Two minor helpers — ``CSRGraph.reorder`` and BEICSR's
-#: ``_split_row_nnz`` — stay vectorized under either backend, so the
-#: ``repro bench`` baseline is slightly *faster* than the true pre-PR
-#: engine; recorded speedups are conservative.)  The golden tests use the
-#: same switch as a whole-pipeline equivalence check.
-_replay_backend = "vectorized"
-
-
-def set_replay_backend(name: str) -> str:
-    """Select the aggregation-trace replay backend; returns the previous one."""
-    global _replay_backend
-    if name not in REPLAY_BACKENDS:
-        raise SimulationError(
-            f"unknown replay backend {name!r}; choose from {REPLAY_BACKENDS}"
-        )
-    previous = _replay_backend
-    _replay_backend = name
-    return previous
-
-
-def get_replay_backend() -> str:
-    """Name of the active trace-replay backend."""
-    return _replay_backend  # repro: identity-exempt[global:_replay_backend] backend selection is identity-neutral: both backends are pinned bit-identical by the golden digests
 
 
 # --------------------------------------------------------------------------- #
@@ -245,8 +204,8 @@ class RunContext:
     #: Key prefix identifying the trace within the cache (None = uncached).
     trace_token: Optional[Tuple] = None
     #: Sweep-provided cache capacities (in bytes) this run's trace will also
-    #: be evaluated at.  The replay stage answers the whole vector through
-    #: :meth:`ReplayEngine.replay_spectrum`, seeding the engine's result memo
+    #: be evaluated at.  The replay stage answers the whole vector in one
+    #: :meth:`ReplayEngine.evaluate` call, seeding the engine's result memo
     #: so the sibling runs of a capacity sweep replay nothing at all.
     capacity_spectrum: Tuple[int, ...] = ()
     #: Cache capacity (in lines) the static schedule is planned for.  ``None``
@@ -254,39 +213,19 @@ class RunContext:
     #: ``schedule_capacity_bytes`` (a capacity-sweep override resizing the
     #: physical cache under the design's nominal schedule).
     schedule_cache_lines: Optional[int] = None
-    #: Lazily-built replay engines (built on first vectorized replay, so the
-    #: legacy backend never pays for a structure it will not use).
+    #: The trace's replay engine, built on first use (see :meth:`engine`).
     replay_engine: Optional[ReplayEngine] = None
-    replay_engine_full: Optional[ReplayEngine] = None
 
     def engine(self) -> ReplayEngine:
-        """Replay engine with the pinned partition folded in."""
+        """Replay engine of the trace, shared through the trace cache."""
         if self.replay_engine is None:
-            builder = lambda: ReplayEngine(self.trace, pinned=self.pinned_vertices)
+            builder = lambda: ReplayEngine(self.trace)
             if self.trace_cache is not None and self.trace_token is not None:
-                pinned_token = (
-                    array_token(self.pinned_vertices) if self.pinned_vertices.size else None
-                )
-                key = ("engine",) + self.trace_token + (pinned_token,)
+                key = ("engine",) + self.trace_token
                 self.replay_engine = _trace_cache_get(self.trace_cache, key, builder)
             else:
                 self.replay_engine = builder()
         return self.replay_engine
-
-    def engine_full(self) -> ReplayEngine:
-        """Replay engine over the full trace (first-layer dense replay)."""
-        if not self.pinned_vertices.size:
-            return self.engine()
-        if self.replay_engine_full is None:
-            builder = lambda: ReplayEngine(self.trace)
-            if self.trace_cache is not None and self.trace_token is not None:
-                key = ("engine",) + self.trace_token + (None,)
-                self.replay_engine_full = _trace_cache_get(
-                    self.trace_cache, key, builder
-                )
-            else:
-                self.replay_engine_full = builder()
-        return self.replay_engine_full
 
 
 def _reordered_for_locality(graph: CSRGraph) -> CSRGraph:
@@ -296,13 +235,7 @@ def _reordered_for_locality(graph: CSRGraph) -> CSRGraph:
     # never degrades locality.
     from repro.graphs.stats import clustering_score
 
-    reorder = (
-        locality_reordering
-        if _replay_backend == "vectorized"  # repro: identity-exempt[global:_replay_backend] backend variants emit identical permutations (golden-pinned)
-        else locality_reordering_reference
-    )
-    permutation = reorder(graph)
-    reordered = graph.reorder(permutation)
+    reordered = graph.reorder(locality_reordering(graph))
     if clustering_score(reordered) >= clustering_score(graph):
         return reordered
     return graph
@@ -343,10 +276,6 @@ def build_context(
     capacity_spectrum: Sequence[int] = (),
 ) -> RunContext:
     """Stage 1: resolve the graph, the scaled cache, and the engine models."""
-    # The legacy backend ignores the trace cache: the pre-vectorization
-    # engine rebuilt every trace per run, and the benchmark measures that.
-    if _replay_backend != "vectorized":  # repro: identity-exempt[global:_replay_backend] only disables trace caching for the legacy benchmark; results are backend-invariant
-        trace_cache = None
     graph = dataset.graph
     if design.reorders_graph:
         if trace_cache is not None:
@@ -509,15 +438,10 @@ def schedule(context: RunContext) -> RunContext:
             design.engine_partition,
             config.sac_strip_height,
         )
-        build_trace = (
-            aggregation_access_trace
-            if _replay_backend == "vectorized"  # repro: identity-exempt[global:_replay_backend] backend variants emit identical traces (golden-pinned)
-            else aggregation_access_trace_reference
-        )
         def build() -> np.ndarray:
             # Timed inside the builder so trace-cache hits cost no span.
             with span("trace_generation"):
-                return build_trace(
+                return aggregation_access_trace(
                     graph,
                     tiling,
                     num_engines=config.engines.num_aggregation_engines,
@@ -617,15 +541,7 @@ def _layer_row_tables(
         graph=context.graph,
     )
     layout = fmt.build_layout(row_nnz, workload.width_in, slice_nnz=slice_nnz)
-    if get_replay_backend() == "vectorized":
-        row_lines = layout.row_read_line_counts()
-    else:
-        row_lines = np.fromiter(
-            (layout.row_read_lines(row).size for row in range(num_vertices)),
-            dtype=np.int64,
-            count=num_vertices,
-        )
-    return row_nnz, row_lines
+    return row_nnz, layout.row_read_line_counts()
 
 
 def _pass_size_tables(
@@ -652,119 +568,46 @@ def _pass_size_tables(
     ]
 
 
-def _layer_replay(
-    context: RunContext,
-    pass_sizes: List[np.ndarray],
-    batched: Optional[List[RowCacheStats]],
-) -> AggregateReplay:
-    """Replay one intermediate layer's feature passes (all backends)."""
-    aggregate = AggregateReplay()
+def _capacity_lines(context: RunContext) -> List[int]:
+    """Capacity vector (in lines) every replay of the run is evaluated at.
 
-    # The pinned rows live in a dedicated partition: their accesses always
-    # hit and the capacity they use is removed from the shared pool.
-    shared_capacity = context.cache_lines
-    if context.pinned_vertices.size:
-        pinned_lines = int(pass_sizes[0][context.pinned_vertices].sum())
-        shared_capacity = max(1, context.cache_lines - pinned_lines)
-
-    if get_replay_backend() == "vectorized":
-        stats_list = batched
-        if stats_list is None:
-            # Pinned designs replay per layer (their shared capacity depends
-            # on the pinned rows' sizes in this very table).  The pinned set
-            # is planned at the schedule capacity, so within a capacity sweep
-            # the subtraction maps the spectrum point-for-point and the
-            # sibling runs still share one evaluation per weight group.
-            spectrum = _spectrum_lines(context)
-            if spectrum and context.trace.size:
-                offset = shared_capacity - context.cache_lines
-                shared_spectrum = [max(1, lines + offset) for lines in spectrum]
-                stats_list = [
-                    per_table[0]
-                    for per_table in context.engine().replay_spectrum_many(
-                        pass_sizes, shared_spectrum
-                    )
-                ]
-            else:
-                stats_list = context.engine().replay_many(pass_sizes, shared_capacity)
-        for stats in stats_list:
-            aggregate.accesses += stats.accesses
-            aggregate.hits += stats.hits
-            aggregate.hit_lines += stats.hit_lines
-            aggregate.miss_lines += stats.miss_lines
-    else:
-        cache = RowCache(shared_capacity)
-        pinned_set = set(context.pinned_vertices.tolist())
-        trace = context.trace
-        for pass_index in range(len(pass_sizes)):
-            per_pass_lines = pass_sizes[pass_index]
-            cache.flush()
-            if pinned_set:
-                sizes = per_pass_lines.tolist()
-                for row in trace.tolist():
-                    size = sizes[row]
-                    aggregate.accesses += 1
-                    if row in pinned_set:
-                        aggregate.hits += 1
-                        aggregate.hit_lines += size
-                    elif cache.access(row, size):
-                        aggregate.hits += 1
-                        aggregate.hit_lines += size
-                    else:
-                        aggregate.miss_lines += size
-            else:
-                cache.access_trace(trace, per_pass_lines)
-                aggregate.accesses += cache.stats.accesses
-                aggregate.hits += cache.stats.hits
-                aggregate.hit_lines += cache.stats.hit_lines
-                aggregate.miss_lines += cache.stats.miss_lines
-                cache.reset_stats()
-    return aggregate
-
-
-def _first_layer_replay(
-    context: RunContext,
-    first_workload: LayerWorkload,
-    batched: Optional[RowCacheStats],
-) -> RowCacheStats:
-    """Replay the first layer's dense intermediate (all backends).
-
-    The dense intermediate is re-read per edge with the same hit rate a
-    dense-format run of this schedule achieves; approximate it with a single
-    cache replay using dense rows.  The full (unpinned) trace is replayed at
-    full capacity here, matching the reference path.
+    Leads with this run's own capacity, followed by each swept capacity
+    (bytes) mapped through the same dataset scaling the real configs use,
+    without duplicates.  Only element 0 feeds this run's result; the others
+    seed the engine memo for the sibling runs of a capacity sweep.
     """
-    if batched is not None:
-        return batched
-    num_vertices = context.graph.num_vertices
-    dense_row_lines = bytes_to_lines(first_workload.width_out * ELEMENT_BYTES)
-    sizes = np.full(num_vertices, dense_row_lines, dtype=np.int64)
-    if get_replay_backend() == "vectorized":
-        spectrum = _spectrum_lines(context)
-        if spectrum and context.trace.size:
-            return context.engine_full().replay_spectrum(sizes, spectrum)[0]
-        return context.engine_full().replay(sizes, context.cache_lines)
-    cache = RowCache(context.cache_lines)
-    return cache.access_trace(context.trace, sizes)
-
-
-def _spectrum_lines(context: RunContext) -> List[int]:
-    """Capacity vector (in lines) for the batched spectrum replay.
-
-    Maps each swept capacity (bytes) through the same dataset scaling the
-    real configs use, leads with this run's own capacity, and drops
-    duplicates.  Empty — meaning "plain single-capacity replay" — when no
-    spectrum was provided or every entry collapses onto the run's capacity.
-    """
-    if not context.capacity_spectrum:
-        return []
     lines = [context.cache_lines]
     for capacity_bytes in context.capacity_spectrum:
         lines.append(
             effective_cache_lines(context.dataset, context.config, capacity_bytes)
         )
-    deduped = list(dict.fromkeys(lines))
-    return deduped if len(deduped) > 1 else []
+    return list(dict.fromkeys(lines))
+
+
+def _layer_replay(
+    context: RunContext, pass_sizes: List[np.ndarray], capacities: List[int]
+) -> AggregateReplay:
+    """Replay one intermediate layer's feature passes, summed over passes.
+
+    The pinned rows live in a dedicated partition: their accesses always
+    hit, and the lines they occupy (sized by the first pass) come out of
+    the shared capacity.  The pinned set is planned at the schedule
+    capacity, so within a capacity sweep the subtraction shifts the whole
+    vector point for point.
+    """
+    pinned = context.pinned_vertices
+    if pinned.size:
+        pinned_lines = int(pass_sizes[0][pinned].sum())
+        offset = max(1, context.cache_lines - pinned_lines) - context.cache_lines
+        capacities = [max(1, lines + offset) for lines in capacities]
+    aggregate = AggregateReplay()
+    for per_capacity in context.engine().evaluate(pass_sizes, capacities, pinned):
+        stats = per_capacity[0]
+        aggregate.accesses += stats.accesses
+        aggregate.hits += stats.hits
+        aggregate.hit_lines += stats.hit_lines
+        aggregate.miss_lines += stats.miss_lines
+    return aggregate
 
 
 def replay(
@@ -776,12 +619,10 @@ def replay(
     """Stage 3: evaluate every cache replay of the run.
 
     The sampled intermediate layers (one size table per feature pass) and the
-    first layer's dense replay all share the trace structure and — without a
-    pinned partition — the capacity, so one batched ``replay_many`` call
-    amortises the per-evaluation overhead across the whole run.  Designs that
-    need per-layer capacities (pinned partitions) and the legacy backend
-    replay each layer individually instead; column-product designs replay
-    nothing (their feature reads stream once per pass).
+    first layer's dense replay all evaluate through the trace's one
+    :class:`ReplayEngine`, whose memo collapses the repeated tables of a run
+    and of its sweep siblings.  Column-product designs replay nothing (their
+    feature reads stream once per pass).
     """
     fmt = context.feature_format
     first, *intermediate = workloads
@@ -830,54 +671,20 @@ def replay(
     if design.column_product:
         return ReplayOutcome(first_workload=first, layers=prepared, first_stats=None)
 
-    # Precompute every layer's tables, then evaluate every cache replay of
-    # the run (first layer + all layers x passes) in one batched engine call
-    # when the capacities agree: the replay structure is shared, so stacking
-    # the size tables amortises the per-evaluation array overhead.
-    batched_first: Optional[RowCacheStats] = None
-    batched_layers: List[Optional[List[RowCacheStats]]] = [None] * len(prepared)
-    if (
-        get_replay_backend() == "vectorized"
-        and context.trace.size != 0
-        and not context.pinned_vertices.size
-    ):
-        tables: List[np.ndarray] = []
-        for layer in prepared:
-            tables.extend(layer.pass_sizes)
-        dense_row_lines = bytes_to_lines(first.width_out * ELEMENT_BYTES)
-        tables.append(
-            np.full(context.graph.num_vertices, dense_row_lines, dtype=np.int64)
-        )
-        spectrum = _spectrum_lines(context)
-        if spectrum:
-            # This run's capacity leads the vector, so element 0 of each
-            # spectrum is the stats replay_many would have returned; the
-            # other capacities land in the engine memo for the sibling runs
-            # of the sweep (same trace, different cache knob).
-            stats = [
-                per_table[0]
-                for per_table in context.engine().replay_spectrum_many(
-                    tables, spectrum
-                )
-            ]
-        else:
-            stats = context.engine().replay_many(tables, context.cache_lines)
-        cursor = 0
-        for index, layer in enumerate(prepared):
-            batched_layers[index] = stats[cursor : cursor + len(layer.pass_sizes)]
-            cursor += len(layer.pass_sizes)
-        batched_first = stats[-1]
-
-    for layer, batched in zip(prepared, batched_layers):
-        layer.replay = _layer_replay(context, layer.pass_sizes, batched)
+    capacities = _capacity_lines(context)
+    for layer in prepared:
+        layer.replay = _layer_replay(context, layer.pass_sizes, capacities)
     # An edgeless graph yields an empty trace: the intermediate layers above
-    # replay it (to zero counters, as the reference path did), but the first
-    # layer's dense re-read falls back to the analytic streaming estimate.
-    first_stats = (
-        None
-        if context.trace.size == 0
-        else _first_layer_replay(context, first, batched_first)
-    )
+    # replay it to zero counters, but the first layer's dense re-read falls
+    # back to the analytic streaming estimate.  Otherwise the dense
+    # intermediate is re-read per edge with the hit rate a dense-format run
+    # of this schedule achieves: one replay of the full (unpinned) trace with
+    # dense rows at the full capacity.
+    first_stats: Optional[RowCacheStats] = None
+    if context.trace.size:
+        dense_row_lines = bytes_to_lines(first.width_out * ELEMENT_BYTES)
+        dense = np.full(context.graph.num_vertices, dense_row_lines, dtype=np.int64)
+        first_stats = context.engine().evaluate([dense], capacities)[0][0]
     return ReplayOutcome(first_workload=first, layers=prepared, first_stats=first_stats)
 
 
@@ -1343,7 +1150,6 @@ __all__ = [
     "GCN_VARIANTS",
     "LayerWorkload",
     "PhaseResult",
-    "REPLAY_BACKENDS",
     "ReplayOutcome",
     "ReplayedLayer",
     "RunContext",
@@ -1354,11 +1160,9 @@ __all__ = [
     "complete_run",
     "effective_cache_lines",
     "energy",
-    "get_replay_backend",
     "replay",
     "resolve_sparsity_dataset",
     "schedule",
-    "set_replay_backend",
     "simulate_design",
     "timing",
 ]

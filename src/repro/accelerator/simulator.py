@@ -20,8 +20,8 @@ subclasses behave exactly as before.  New code should construct models from
 design points directly (``AcceleratorModel(design)`` or
 ``register_design``).
 
-The workload/backend helpers (``build_workloads``, ``set_replay_backend``,
-…) are re-exported from :mod:`repro.accelerator.pipeline` for backward
+The workload helpers (``build_workloads``, ``GCN_VARIANTS``, …) are
+re-exported from :mod:`repro.accelerator.pipeline` for backward
 compatibility.
 """
 
@@ -33,7 +33,6 @@ from typing import Dict, Optional, Sequence
 from repro.accelerator.design import DesignPoint
 from repro.accelerator.pipeline import (  # noqa: F401  (compat re-exports)
     GCN_VARIANTS,
-    REPLAY_BACKENDS,
     SAGE_EDGE_FRACTION,
     LayerWorkload,
     PhaseResult,
@@ -41,10 +40,8 @@ from repro.accelerator.pipeline import (  # noqa: F401  (compat re-exports)
     build_context,
     build_workloads,
     complete_run,
-    get_replay_backend,
     resolve_sparsity_dataset,
     schedule,
-    set_replay_backend,
     simulate_design,
 )
 from repro.core.config import SystemConfig
@@ -327,11 +324,8 @@ __all__ = [
     "GCN_VARIANTS",
     "LayerWorkload",
     "PhaseResult",
-    "REPLAY_BACKENDS",
     "RunContext",
     "SAGE_EDGE_FRACTION",
     "build_workloads",
-    "get_replay_backend",
-    "set_replay_backend",
     "simulate_design",
 ]

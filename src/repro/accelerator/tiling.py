@@ -318,131 +318,6 @@ def aggregation_access_trace(
     return dests[np.argsort(key, kind="stable")].astype(np.int64)
 
 
-# --------------------------------------------------------------------------- #
-# Reference implementations
-# --------------------------------------------------------------------------- #
-# The pre-vectorization loop bodies, kept as the executable specification of
-# the vectorized builders above: the equivalence tests pin the two against
-# each other on randomized graphs/plans, and the legacy replay backend
-# (``repro.accelerator.simulator.set_replay_backend("legacy")``) runs them so
-# that ``repro bench`` measures the true before/after of the trace engine.
-
-
-def source_processing_order_reference(
-    num_vertices: int,
-    num_engines: int,
-    mode: str = "contiguous",
-    strip_height: int = 32,
-) -> np.ndarray:
-    """Loop-based reference of :func:`source_processing_order`."""
-    if num_vertices <= 0:
-        raise SimulationError("need at least one source vertex")
-    if num_engines <= 0:
-        raise SimulationError("need at least one engine")
-    if mode not in ("contiguous", "sac"):
-        raise SimulationError(f"unknown engine partitioning mode {mode!r}")
-
-    if num_engines == 1:
-        return np.arange(num_vertices, dtype=np.int64)
-
-    if mode == "contiguous":
-        block = ceil(num_vertices / num_engines)
-        order = []
-        for offset in range(block):
-            for engine in range(num_engines):
-                vertex = engine * block + offset
-                if vertex < num_vertices:
-                    order.append(vertex)
-        return np.asarray(order, dtype=np.int64)
-
-    if strip_height <= 0:
-        raise SimulationError("strip height must be positive")
-    num_strips = ceil(num_vertices / strip_height)
-    order = []
-    for group_start in range(0, num_strips, num_engines):
-        group = list(range(group_start, min(group_start + num_engines, num_strips)))
-        for offset in range(strip_height):
-            for strip in group:
-                vertex = strip * strip_height + offset
-                if vertex < num_vertices:
-                    order.append(vertex)
-    return np.asarray(order, dtype=np.int64)
-
-
-def aggregation_access_trace_reference(
-    graph: CSRGraph,
-    plan: TilingPlan,
-    num_engines: int,
-    engine_partition: str = "contiguous",
-    strip_height: int = 32,
-) -> np.ndarray:
-    """Loop-based reference of :func:`aggregation_access_trace`."""
-    num_vertices = graph.num_vertices
-    indptr = graph.indptr
-    indices = graph.indices
-
-    source_tile = plan.source_tile_vertices or num_vertices
-    dest_tile = plan.dest_tile_vertices or num_vertices
-
-    trace_chunks: List[np.ndarray] = []
-    for src_start in range(0, num_vertices, source_tile):
-        src_stop = min(num_vertices, src_start + source_tile)
-        local_order = source_processing_order_reference(
-            num_vertices=src_stop - src_start,
-            num_engines=num_engines,
-            mode=engine_partition,
-            strip_height=strip_height,
-        )
-        tile_sources = (local_order + src_start).tolist()
-        for dst_start in range(0, num_vertices, dest_tile):
-            dst_stop = min(num_vertices, dst_start + dest_tile)
-            for src in tile_sources:
-                start, stop = indptr[src], indptr[src + 1]
-                if stop == start:
-                    continue
-                neighbors = indices[start:stop]
-                if dest_tile >= num_vertices:
-                    trace_chunks.append(neighbors)
-                    continue
-                # CSR neighbours are sorted, so the in-tile range is contiguous.
-                lo = np.searchsorted(neighbors, dst_start, side="left")
-                hi = np.searchsorted(neighbors, dst_stop, side="left")
-                if hi > lo:
-                    trace_chunks.append(neighbors[lo:hi])
-    if not trace_chunks:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(trace_chunks).astype(np.int64)
-
-
-def locality_reordering_reference(graph: CSRGraph) -> np.ndarray:
-    """Loop-based (FIFO-queue BFS) reference of :func:`locality_reordering`."""
-    from collections import deque
-
-    undirected = graph.symmetrized()
-    num_vertices = undirected.num_vertices
-    visited = np.zeros(num_vertices, dtype=bool)
-    new_ids = np.full(num_vertices, -1, dtype=np.int64)
-    next_id = 0
-
-    order_seed = np.argsort(-undirected.degrees, kind="stable")
-    for seed in order_seed.tolist():
-        if visited[seed]:
-            continue
-        queue = deque([seed])
-        visited[seed] = True
-        while queue:
-            vertex = queue.popleft()
-            new_ids[vertex] = next_id
-            next_id += 1
-            for neighbor in undirected.neighbors(vertex).tolist():
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    queue.append(neighbor)
-    if next_id != num_vertices:
-        raise SimulationError("reordering failed to cover every vertex")
-    return new_ids
-
-
 def locality_reordering(graph: CSRGraph) -> np.ndarray:
     """Locality-improving vertex permutation (I-GCN "islandization" stand-in).
 

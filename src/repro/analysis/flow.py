@@ -184,7 +184,7 @@ class GlobalRead:
     """One F3-relevant impure read inside a function body."""
 
     kind: str  # "global" | "env" | "self"
-    subject: str  # "global:_replay_backend" | "env:os.environ" | "Cls.attr"
+    subject: str  # "global:_DEFAULT_SESSION" | "env:os.environ" | "Cls.attr"
     line: int
     col: int
 

@@ -3,8 +3,8 @@
 Pool workers are long-lived processes that execute many scenarios.  State
 they mutate outside the session object leaks into every later scenario on
 that worker — and *differs* from what a serial run of the same sweep sees.
-The repo's convention is that module-level mutables (``_replay_backend``,
-``_DEFAULT_SESSION``, registries) are written only through a small set of
+The repo's convention is that module-level mutables (``_DEFAULT_SESSION``,
+``_WORKER_SESSION``, registries) are written only through a small set of
 explicit setter/reset functions, which callers use symmetrically
 (set/restore) and tests patch knowingly.
 
@@ -12,9 +12,9 @@ explicit setter/reset functions, which callers use symmetrically
 
 * rebinding a module global (``global name`` + assignment) from a function
   that is not a blessed setter;
-* assigning attributes on an *imported* name (``pipeline._replay_backend =
-  "legacy"``) — cross-module monkeypatching that bypasses the setter and
-  its validation entirely.
+* assigning attributes on an *imported* name (``session._DEFAULT_SESSION =
+  None``) — cross-module monkeypatching that bypasses the setter and its
+  validation entirely.
 """
 
 from __future__ import annotations

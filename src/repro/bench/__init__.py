@@ -1,9 +1,9 @@
 """Performance benchmarks for the simulation engine (``repro bench``).
 
 The :mod:`repro.bench.harness` module times the built-in scenario packs
-under the vectorized replay engine and the legacy (pre-vectorization)
-execution path, and emits the ``BENCH_*.json`` documents that record the
-repository's performance trajectory.
+(and grouped spectrum against per-knob dispatch on replay-knob sweeps), and
+emits the ``BENCH_*.json`` documents that record the repository's
+performance trajectory.
 """
 
 from __future__ import annotations

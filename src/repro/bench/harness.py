@@ -1,21 +1,15 @@
 """Benchmark harness for the trace-replay engine.
 
 Times the built-in scenario packs through a :class:`~repro.core.session.Session`
-under both replay backends — the vectorized engine
-(:mod:`repro.memory.replay`) and the ``legacy`` backend, which restores the
-dominant pre-vectorization paths (per-access ``RowCache`` replay, loop-based
-trace generation and BFS reordering, per-row line tables, no cross-run trace
-caching; two minor helpers stay vectorized either way, so the baseline is if
-anything slightly fast).  The ratio of the two is the before/after of the
-engine, measured conservatively with the repository's own code.
+(the vectorized engine of :mod:`repro.memory.replay`, the only replay path).
 
-Sensitivity cases (schema v3) measure a second before/after on the
-vectorized engine alone: replay-knob sweep packs (cache-size,
-hbm-generation) timed under per-knob dispatch — every scenario in its own
-fresh session, the unit cost an ungrouped worker pool pays — versus grouped
-spectrum dispatch, where one session partitions the pack into replay-knob
-equivalence classes and answers each class's capacity vector in a single
-replay evaluation (:meth:`ReplayEngine.replay_spectrum`).
+Sensitivity cases measure a before/after of sweep dispatch: replay-knob
+sweep packs (cache-size, hbm-generation) timed under per-knob dispatch —
+every scenario in its own fresh session, the unit cost of a worker that
+sees one scenario of a class at a time — versus grouped spectrum dispatch,
+where one session partitions the pack into replay-knob equivalence classes
+and answers each class's capacity vector in a single replay evaluation
+(:meth:`ReplayEngine.evaluate`).
 
 Methodology:
 
@@ -23,16 +17,14 @@ Methodology:
   structures — everything the engine amortises is paid inside the timed
   region);
 * dataset synthesis is **pre-warmed** before the clock starts: generating a
-  synthetic topology costs the same under either backend and is not what
-  this benchmark measures;
-* the wall-clock per backend is the **best of** ``repeats`` runs, the
-  conventional way to suppress scheduler noise on shared machines.
+  synthetic topology is not what this benchmark measures;
+* each wall-clock is the **best of** ``repeats`` runs, the conventional way
+  to suppress scheduler noise on shared machines.
 
 ``run_benchmarks`` produces (and optionally writes) the ``BENCH_*.json``
-document whose schema is documented in the README's Performance section;
-``BENCH_trace_engine.json`` at the repository root is a committed run of the
-default configuration and seeds the repo's performance trajectory: future
-PRs can be compared against it.
+document whose schema is documented in the README's Performance section.
+``BENCH_trace_engine.json`` at the repository root is the last schema-v3 run,
+which still timed the since-removed legacy replay path as its baseline.
 """
 
 from __future__ import annotations
@@ -47,8 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.accelerator.simulator import get_replay_backend, set_replay_backend
-from repro.core.session import Session
+from repro.core.session import Session, replay_classes
 from repro.experiments.scenarios import get_pack
 from repro.telemetry.spans import reset_spans, set_enabled, span_snapshot
 
@@ -57,12 +48,14 @@ from repro.telemetry.spans import reset_spans, set_enabled, span_snapshot
 #: best-of repeats).  v3 added *sensitivity* cases: packs sweeping replay
 #: knobs (cache capacity, HBM generation) timed under per-knob dispatch
 #: (``vectorized_s`` — every scenario simulated independently in its own
-#: fresh session, the unit cost an ungrouped worker pool pays per scenario)
-#: versus grouped spectrum dispatch (``spectrum_s`` — one fresh session,
-#: :meth:`Session.run_many` partitioning the pack into replay-knob
-#: equivalence classes and answering each class's capacity vector in a
-#: single replay evaluation).
-BENCH_SCHEMA_VERSION = 3
+#: fresh session) versus grouped spectrum dispatch (``spectrum_s`` — one
+#: fresh session, :meth:`Session.run_many` partitioning the pack into
+#: replay-knob equivalence classes and answering each class's capacity
+#: vector in a single replay evaluation).  v4 dropped the legacy replay
+#: baseline with the legacy path itself: no ``legacy_s``/``speedup`` per
+#: entry, no ``total_legacy_s``/``overall_speedup``/``min_speedup`` in the
+#: summary, and no ``baseline`` field.
+BENCH_SCHEMA_VERSION = 4
 
 #: Default benchmark cases: ``(pack name, max_vertices)`` — ``None`` keeps
 #: the pack's default scale — with an optional third ``quick`` element
@@ -90,41 +83,33 @@ DEFAULT_CASES: Tuple[Tuple, ...] = (
 #: pack (18 runs) at a reduced scale.
 QUICK_CASE: Tuple[str, Optional[int]] = ("hbm-generation", 256)
 
-#: Default number of timed repeats per backend (best-of).
+#: Default number of timed repeats per case (best-of).
 DEFAULT_REPEATS = 3
 
 
 @dataclass
 class PackBenchResult:
-    """Timing of one scenario pack under both replay backends."""
+    """Timing of one scenario pack."""
 
     pack: str
     runs: int
     max_vertices: Optional[int]
     repeats: int
     vectorized_s: float
-    legacy_s: Optional[float] = None
     trace_cache: Dict[str, int] = field(default_factory=dict)
     quick_pack: bool = False
     #: Sensitivity protocol: ``vectorized_s`` is per-knob dispatch (every
     #: scenario in its own fresh session) and ``spectrum_s`` is grouped
-    #: spectrum dispatch (one fresh session, ``run_many(grouped=True)``).
+    #: spectrum dispatch (one fresh session, ``run_many``).
     sensitivity: bool = False
     spectrum_s: Optional[float] = None
     #: Number of replay-knob equivalence classes the pack partitions into
     #: (sensitivity cases only).
     replay_classes: Optional[int] = None
-    #: Span tree of one telemetry-profiled vectorized sweep (where the
+    #: Span tree of one telemetry-profiled sweep (where the
     #: pack's wall-clock goes, stage by stage).  Profiled in a separate,
     #: untimed pass so instrumentation never perturbs the best-of numbers.
     phases: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Legacy wall-clock divided by vectorized wall-clock."""
-        if self.legacy_s is None or self.vectorized_s <= 0:
-            return None
-        return self.legacy_s / self.vectorized_s
 
     @property
     def spectrum_speedup(self) -> Optional[float]:
@@ -143,8 +128,6 @@ class PackBenchResult:
             "sensitivity": self.sensitivity,
             "repeats": self.repeats,
             "vectorized_s": round(self.vectorized_s, 4),
-            "legacy_s": None if self.legacy_s is None else round(self.legacy_s, 4),
-            "speedup": None if self.speedup is None else round(self.speedup, 2),
             "spectrum_s": (
                 None if self.spectrum_s is None else round(self.spectrum_s, 4)
             ),
@@ -171,7 +154,7 @@ def _prewarm_datasets(session: Session, specs: Sequence) -> None:
 
 
 def _time_sweep(specs: Sequence, repeats: int) -> Tuple[float, Session]:
-    """Best-of-``repeats`` wall-clock of one pack sweep under the active backend."""
+    """Best-of-``repeats`` wall-clock of one pack sweep in a fresh session."""
     best = float("inf")
     session: Optional[Session] = None
     for _ in range(max(1, repeats)):
@@ -188,10 +171,8 @@ def _time_isolated(specs: Sequence, repeats: int) -> float:
     """Best-of-``repeats`` wall-clock of per-knob dispatch.
 
     Every scenario is simulated in its own fresh session — nothing is
-    shared between knob settings, which is exactly the unit cost an
-    ungrouped worker pool pays per scenario (each worker session sees one
-    scenario of the class at a time, so sibling knob settings rebuild the
-    trace, the replay structure, and the per-layer tables from scratch).
+    shared between knob settings, so sibling knob settings rebuild the
+    trace, the replay structure, and the per-layer tables from scratch.
     Dataset synthesis is pre-warmed per session, as in :func:`_time_sweep`.
     """
     best = float("inf")
@@ -239,59 +220,43 @@ def bench_pack(
     name: str,
     max_vertices: Optional[int] = None,
     repeats: int = DEFAULT_REPEATS,
-    include_legacy: bool = True,
     quick_pack: bool = False,
     sensitivity: bool = False,
 ) -> PackBenchResult:
-    """Benchmark one scenario pack; restores the active backend afterwards.
+    """Benchmark one scenario pack.
 
     ``quick_pack`` times the pack's CI-smoke variant (reduced scale and
     grid) instead of the full grid — used for packs whose full grid is too
-    expensive to time per backend (the measured-sparsity grid trains a
-    model per cell).
+    expensive to time (the measured-sparsity grid trains a model per cell).
 
-    ``sensitivity`` switches to the replay-knob sweep protocol: both
-    numbers use the vectorized backend, ``vectorized_s`` timing per-knob
-    dispatch (every scenario simulated independently in its own fresh
-    session) and ``spectrum_s`` timing grouped dispatch (one fresh session,
-    ``run_many`` partitioning the pack into replay-knob equivalence classes
-    and answering each class's capacity spectrum in one replay
-    evaluation).  The legacy backend is not timed for sensitivity cases —
-    the before/after of interest is grouping, not vectorization.
+    ``sensitivity`` switches to the replay-knob sweep protocol:
+    ``vectorized_s`` times per-knob dispatch (every scenario simulated
+    independently in its own fresh session) and ``spectrum_s`` times
+    grouped dispatch (one fresh session, ``run_many`` partitioning the pack
+    into replay-knob equivalence classes and answering each class's
+    capacity spectrum in one replay evaluation).
     """
     specs = get_pack(name, max_vertices=max_vertices, quick=quick_pack).expand()
-    previous = get_replay_backend()
     spectrum_s = None
-    replay_classes = None
-    try:
-        set_replay_backend("vectorized")
-        if sensitivity:
-            vectorized_s = _time_isolated(specs, repeats)
-            spectrum_s, session = _time_sweep(specs, repeats)
-            replay_classes = len(session.replay_groups(specs))
-        else:
-            vectorized_s, session = _time_sweep(specs, repeats)
-        trace_cache = session.trace_cache.stats()
-        phases = _profile_sweep(specs)
-        legacy_s = None
-        if include_legacy and not sensitivity:
-            set_replay_backend("legacy")
-            legacy_s, _ = _time_sweep(specs, repeats)
-    finally:
-        set_replay_backend(previous)
+    num_classes = None
+    if sensitivity:
+        vectorized_s = _time_isolated(specs, repeats)
+        spectrum_s, session = _time_sweep(specs, repeats)
+        num_classes = len(replay_classes(specs))
+    else:
+        vectorized_s, session = _time_sweep(specs, repeats)
     return PackBenchResult(
         pack=name,
         runs=len(specs),
         max_vertices=max_vertices,
         repeats=repeats,
         vectorized_s=vectorized_s,
-        legacy_s=legacy_s,
-        trace_cache=trace_cache,
+        trace_cache=session.trace_cache.stats(),
         quick_pack=quick_pack,
         sensitivity=sensitivity,
         spectrum_s=spectrum_s,
-        replay_classes=replay_classes,
-        phases=phases,
+        replay_classes=num_classes,
+        phases=_profile_sweep(specs),
     )
 
 
@@ -299,7 +264,6 @@ def run_benchmarks(
     cases: Optional[Sequence[Tuple[str, Optional[int]]]] = None,
     repeats: int = DEFAULT_REPEATS,
     quick: bool = False,
-    include_legacy: bool = True,
     out: Optional[Union[str, Path]] = None,
 ) -> Dict[str, object]:
     """Run the benchmark suite and return (optionally write) the BENCH document.
@@ -309,11 +273,9 @@ def run_benchmarks(
             ``quick`` element selecting the pack's CI-smoke variant and a
             fourth ``sensitivity`` element selecting the per-knob-vs-spectrum
             protocol; :data:`DEFAULT_CASES` when omitted.
-        repeats: Timed repeats per backend (best-of).
+        repeats: Timed repeats per case (best-of).
         quick: CI smoke mode — the smallest pack at reduced scale, one
             repeat; overrides ``cases``/``repeats``.
-        include_legacy: Also time the legacy (pre-vectorization) path and
-            report speedups; disable for a vectorized-only trend point.
         out: Path of the ``BENCH_*.json`` to write (skipped when ``None``).
     """
     if quick:
@@ -332,20 +294,17 @@ def run_benchmarks(
                 pack_name,
                 max_vertices=max_vertices,
                 repeats=repeats,
-                include_legacy=include_legacy,
                 quick_pack=quick_pack,
                 sensitivity=sensitivity,
             )
         )
 
-    # The summary aggregates are regression tripwires for the *engine*:
-    # quick-pack cases (the measured-sparsity grid) are dominated by
-    # backend-invariant work (DeepGCN training), so their ~1x speedup would
-    # pin min/overall regardless of engine health — they are reported
-    # per-entry but excluded from the aggregates (unless they are all there
-    # is, e.g. a custom quick-only invocation).  Sensitivity cases measure a
-    # different before/after (per-knob vs grouped dispatch, both on the
-    # vectorized engine) and feed their own aggregate instead.
+    # The total is a regression tripwire for the *engine*: quick-pack cases
+    # (the measured-sparsity grid) are dominated by DeepGCN training, so
+    # they are reported per-entry but left out of the total (unless they are
+    # all there is, e.g. a custom quick-only invocation).  Sensitivity cases
+    # measure a different before/after (per-knob vs grouped dispatch) and
+    # feed their own aggregate instead.
     engine_results = [
         result
         for result in results
@@ -356,12 +315,6 @@ def run_benchmarks(
     if not engine_results:
         engine_results = results
     total_vectorized = sum(result.vectorized_s for result in engine_results)
-    legacy_times = [
-        result.legacy_s for result in engine_results if result.legacy_s is not None
-    ]
-    speedups = [
-        result.speedup for result in engine_results if result.speedup is not None
-    ]
     spectrum_speedups = [
         result.spectrum_speedup
         for result in results
@@ -372,18 +325,12 @@ def run_benchmarks(
         "schema_version": BENCH_SCHEMA_VERSION,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "quick": bool(quick),
-        "baseline": (
-            "legacy replay backend: pre-vectorization engine "
-            "(per-access RowCache replay, loop-based trace generation, "
-            "no trace caching)"
-        ),
         "sensitivity_baseline": (
             "per-knob dispatch: every scenario of a replay-knob sweep "
-            "simulated independently in its own fresh session (the unit "
-            "cost ungrouped pool dispatch pays); spectrum_s instead runs "
-            "the pack grouped into replay-knob equivalence classes in one "
-            "fresh session, answering each class's capacity spectrum in a "
-            "single replay evaluation"
+            "simulated independently in its own fresh session; spectrum_s "
+            "instead runs the pack grouped into replay-knob equivalence "
+            "classes in one fresh session, answering each class's capacity "
+            "spectrum in a single replay evaluation"
         ),
         "platform": {
             "python": sys.version.split()[0],
@@ -394,15 +341,6 @@ def run_benchmarks(
         "results": [result.to_dict() for result in results],
         "summary": {
             "total_vectorized_s": round(total_vectorized, 4),
-            "total_legacy_s": (
-                round(sum(legacy_times), 4) if legacy_times else None
-            ),
-            "overall_speedup": (
-                round(sum(legacy_times) / total_vectorized, 2)
-                if legacy_times and total_vectorized > 0
-                else None
-            ),
-            "min_speedup": round(min(speedups), 2) if speedups else None,
             "min_spectrum_speedup": (
                 round(min(spectrum_speedups), 2) if spectrum_speedups else None
             ),

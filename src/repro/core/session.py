@@ -131,6 +131,38 @@ def replay_class_key(spec: RunSpec) -> Tuple:
     )
 
 
+def replay_classes(
+    specs: Sequence[RunSpec], base_config: Optional[SystemConfig] = None
+) -> List[Tuple[List[int], Tuple[int, ...]]]:
+    """Partition ``specs`` into replay-knob equivalence classes.
+
+    Returns one ``(member indices, capacity spectrum)`` pair per class of
+    :func:`replay_class_key`, in order of each class's first member; members
+    keep their relative order.  The spectrum is the class's distinct
+    effective cache capacities in bytes (``base_config``'s capacity, or the
+    Table III default, unless a spec overrides it) — empty unless the class
+    actually sweeps the capacity knob.
+    """
+    base = base_config if base_config is not None else SystemConfig()
+    base_capacity = int(base.cache.capacity_bytes)
+    groups: "OrderedDict[Tuple, List[int]]" = OrderedDict()
+    for index, spec in enumerate(specs):
+        groups.setdefault(replay_class_key(spec), []).append(index)
+    classes: List[Tuple[List[int], Tuple[int, ...]]] = []
+    for members in groups.values():
+        overrides = [
+            specs[index].overrides.get("cache_capacity_bytes") for index in members
+        ]
+        capacities = tuple(
+            dict.fromkeys(
+                base_capacity if override is None else int(override)  # type: ignore[call-overload]
+                for override in overrides
+            )
+        )
+        classes.append((members, capacities if len(capacities) > 1 else ()))
+    return classes
+
+
 class Session:
     """Executes :class:`RunSpec` runs with memoized registry resolution.
 
@@ -533,25 +565,6 @@ class Session:
             result.metadata["scenario"] = spec.to_dict()
         return result
 
-    def _spec_capacity_bytes(self, spec: RunSpec) -> int:
-        """Effective cache capacity (bytes) a run of ``spec`` would use."""
-        override = spec.overrides.get("cache_capacity_bytes")
-        if override is not None:
-            return int(override)  # type: ignore[call-overload]
-        base = self.base_config if self.base_config is not None else SystemConfig()
-        return int(base.cache.capacity_bytes)
-
-    def replay_groups(self, specs: Sequence[RunSpec]) -> List[List[int]]:
-        """Partition spec indices into replay-knob equivalence classes.
-
-        Classes appear in order of their first member; members keep their
-        original relative order.  See :func:`replay_class_key`.
-        """
-        groups: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for index, spec in enumerate(specs):
-            groups.setdefault(replay_class_key(spec), []).append(index)
-        return list(groups.values())
-
     def run_many(
         self,
         specs: Sequence[RunSpec],
@@ -559,20 +572,18 @@ class Session:
         annotate: bool = True,
         progress: Optional[ProgressCallback] = None,
         on_error: Optional[ErrorCallback] = None,
-        grouped: bool = True,
     ) -> List[Optional[SimulationResult]]:
         """Execute a batch of specs, reusing memoized datasets/accelerators.
 
-        With ``grouped`` (the default) the batch is partitioned into
-        replay-knob equivalence classes (:func:`replay_class_key`) and
-        executed class by class: same-class runs share every trace-cache
-        entry while it is hottest, and a class sweeping the cache capacity
-        passes the whole capacity vector to its runs so the first one
-        answers the spectrum in a single replay evaluation
-        (:meth:`ReplayEngine.replay_spectrum`).  Results are byte-identical
-        to the ungrouped order and are returned in input order; only the
-        execution (and therefore ``progress``) order changes, with original
-        indices reported.
+        The batch is partitioned into replay-knob equivalence classes
+        (:func:`replay_classes`) and executed class by class: same-class runs
+        share every trace-cache entry while it is hottest, and a class
+        sweeping the cache capacity passes the whole capacity vector to its
+        runs so the first one answers the spectrum in a single replay
+        evaluation (:meth:`ReplayEngine.evaluate`).  Results are
+        byte-identical to input-order execution and are returned in input
+        order; only the execution (and therefore ``progress``) order
+        follows the classes, with original indices reported.
 
         Args:
             specs: Run descriptions.
@@ -582,27 +593,15 @@ class Session:
             on_error: Called as ``(index, spec, exception)`` when a run fails;
                 the failed slot becomes ``None`` and the batch continues.
                 Without it the first failure propagates.
-            grouped: Group specs by replay-knob equivalence class before
-                executing (``False`` restores strict input-order execution).
 
         Returns:
             One result per spec (``None`` for isolated failures), in input
             order.
         """
         specs = list(specs)
-        if grouped and len(specs) > 1:
-            groups = self.replay_groups(specs)
-        else:
-            groups = [[index] for index in range(len(specs))]
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        for group in groups:
-            capacities = list(
-                dict.fromkeys(self._spec_capacity_bytes(specs[i]) for i in group)
-            )
-            spectrum: Tuple[int, ...] = (
-                tuple(capacities) if len(capacities) > 1 else ()
-            )
-            for index in group:
+        for members, spectrum in replay_classes(specs, self.base_config):
+            for index in members:
                 spec = specs[index]
                 try:
                     result = self.run(
@@ -650,7 +649,7 @@ class Session:
             overrides = dict(spec.overrides)
             overrides["cache_capacity_bytes"] = int(capacity)
             siblings.append(_dc_replace(spec, overrides=overrides))
-        results = self.run_many(siblings, annotate=annotate, grouped=True)
+        results = self.run_many(siblings, annotate=annotate)
         return [result for result in results if result is not None]
 
     def compare(
@@ -738,5 +737,6 @@ __all__ = [
     "Session",
     "default_session",
     "replay_class_key",
+    "replay_classes",
     "reset_default_session",
 ]

@@ -15,9 +15,9 @@ Subcommands:
   :class:`repro.core.session.Session`, reusing datasets across scenarios);
 * ``export`` — merge a directory of per-scenario JSON documents (sweep
   output or the cache store) into one CSV/JSON summary table;
-* ``bench`` — time the built-in scenario packs under the vectorized
-  trace-replay engine and the legacy (pre-vectorization) path, and write a
-  ``BENCH_*.json`` performance-trajectory document;
+* ``bench`` — time the built-in scenario packs through the trace-replay
+  engine (and grouped spectrum against per-knob dispatch on replay-knob
+  sweeps), and write a ``BENCH_*.json`` performance-trajectory document;
 * ``stats`` — pretty-print a ``metrics.json`` telemetry document;
 * ``lint`` — run the AST invariant battery (``--changed`` lints only
   git-modified files for pre-commit use);
@@ -271,16 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI smoke mode: the pack's reduced-scale, tiny-grid variant",
     )
     sweep_parser.add_argument(
-        "--no-group",
-        action="store_true",
-        help=(
-            "dispatch scenarios strictly in input order instead of grouping "
-            "them into replay-knob equivalence classes (results are "
-            "byte-identical either way; grouping only changes execution "
-            "order and wall-clock)"
-        ),
-    )
-    sweep_parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -393,18 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="timed repeats per backend, best-of (default: 3)",
+        help="timed repeats per case, best-of (default: 3)",
     )
     bench_parser.add_argument(
         "--max-vertices",
         type=int,
         default=None,
         help="scale cap applied to the packs named on the command line",
-    )
-    bench_parser.add_argument(
-        "--skip-legacy",
-        action="store_true",
-        help="time only the vectorized engine (no baseline, no speedups)",
     )
     bench_parser.add_argument(
         "--out",
@@ -700,7 +685,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint_path=str(pack_dir / CHECKPOINT_FILENAME),
             checkpoint_interval=args.checkpoint_interval,
             resume=args.resume,
-            grouped=not args.no_group,
         )
         OUT.info(
             f"sweep {spec.name}: {len(scenarios)} scenarios, "
@@ -784,7 +768,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cases=cases,
         repeats=args.repeats if args.repeats is not None else DEFAULT_REPEATS,
         quick=args.quick,
-        include_legacy=not args.skip_legacy,
         out=args.out,
     )
     for entry in document["results"]:
@@ -804,20 +787,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
             OUT.data(line)
             continue
-        line = (
+        OUT.data(
             f"{pack_label:<18} scale={scale:<8} runs={entry['runs']:<4} "
             f"vectorized={entry['vectorized_s']:.3f}s"
         )
-        if entry["legacy_s"] is not None:
-            line += f"  legacy={entry['legacy_s']:.3f}s  speedup={entry['speedup']:.2f}x"
-        OUT.data(line)
     summary = document["summary"]
-    if summary["overall_speedup"] is not None:
-        OUT.data(
-            f"overall: {summary['total_legacy_s']:.3f}s -> "
-            f"{summary['total_vectorized_s']:.3f}s "
-            f"({summary['overall_speedup']:.2f}x)"
-        )
+    OUT.data(f"overall: {summary['total_vectorized_s']:.3f}s")
     if summary.get("min_spectrum_speedup") is not None:
         OUT.data(
             f"spectrum dispatch: min {summary['min_spectrum_speedup']:.2f}x "

@@ -45,9 +45,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
-from repro.core.session import Session, default_session, replay_class_key
+from repro.core.session import Session, default_session, replay_classes
 from repro.errors import ConfigurationError, RunTimeoutError
 from repro.experiments.spec import Scenario
 from repro.experiments.store import ResultStore
@@ -304,34 +303,6 @@ def _worker_execute_group(
     return results
 
 
-def _replay_knob_groups(
-    pending: Sequence[Tuple[int, Scenario]],
-) -> List[Tuple[List[Tuple[int, Scenario]], Tuple[int, ...]]]:
-    """Partition pending scenarios into dispatch units.
-
-    Returns one ``(members, capacity_spectrum)`` task per replay-knob
-    equivalence class (:func:`repro.core.session.replay_class_key`), in order
-    of first appearance; members keep their relative order.  The spectrum is
-    the class's distinct cache capacities — empty unless the class actually
-    sweeps the capacity knob.
-    """
-    base_capacity = int(SystemConfig().cache.capacity_bytes)
-    groups: "OrderedDict[Tuple, List[Tuple[int, Scenario]]]" = OrderedDict()
-    for index, scenario in pending:
-        groups.setdefault(replay_class_key(scenario), []).append((index, scenario))
-    tasks: List[Tuple[List[Tuple[int, Scenario]], Tuple[int, ...]]] = []
-    for members in groups.values():
-        capacities = list(
-            dict.fromkeys(
-                int(scenario.overrides.get("cache_capacity_bytes", base_capacity))  # type: ignore[call-overload]
-                for _, scenario in members
-            )
-        )
-        spectrum = tuple(capacities) if len(capacities) > 1 else ()
-        tasks.append((members, spectrum))
-    return tasks
-
-
 @dataclass
 class RunOutcome:
     """What happened to one scenario of a sweep.
@@ -520,9 +491,6 @@ class SweepRunner:
             and fresh results are written back.
         workers: Worker processes; ``1`` runs everything in-process (no pool
             unless ``force_pool``).
-        chunk_size: Accepted for API compatibility (validated, otherwise
-            unused): windowed ``apply_async`` dispatch replaced chunked
-            ``imap`` so hung tasks can be reclaimed individually.
         mp_context: ``multiprocessing`` start method (``"fork"``/``"spawn"``);
             platform default when omitted.
         profile: Record per-run telemetry (phase spans + cache-counter
@@ -548,20 +516,20 @@ class SweepRunner:
         worker_grace_s: After a worker death is detected, how long still
             in-flight tasks may finish before they are presumed lost and
             re-dispatched serially.
-        grouped: Partition scenarios into replay-knob equivalence classes
-            before dispatch (:func:`_replay_knob_groups`).  A class executes
-            back-to-back on one session — the whole class on one pool worker
-            — so trace/schedule/replay structures build once per class and a
-            capacity-sweep class answers its spectrum in a single replay
-            evaluation.  Results, checkpointing, and per-scenario telemetry
-            are identical either way; only the execution order changes.
+
+    Pending scenarios are dispatched by replay-knob equivalence class
+    (:func:`repro.core.session.replay_classes`).  A class executes
+    back-to-back on one session — the whole class on one pool worker — so
+    trace/schedule/replay structures build once per class and a
+    capacity-sweep class answers its spectrum in a single replay
+    evaluation.  Results, checkpointing, and per-scenario telemetry do not
+    depend on the classes; only the execution order does.
     """
 
     def __init__(
         self,
         store: Optional[ResultStore] = None,
         workers: int = 1,
-        chunk_size: Optional[int] = None,
         mp_context: Optional[str] = None,
         profile: bool = False,
         policy: Optional[ExecutionPolicy] = None,
@@ -571,19 +539,15 @@ class SweepRunner:
         resume: bool = False,
         force_pool: bool = False,
         worker_grace_s: float = 5.0,
-        grouped: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk_size must be at least 1")
         if checkpoint_interval < 1:
             raise ConfigurationError("checkpoint_interval must be at least 1")
         if worker_grace_s < 0:
             raise ConfigurationError("worker_grace_s must be >= 0")
         self.store = store
         self.workers = workers
-        self.chunk_size = chunk_size
         self.mp_context = mp_context
         self.profile = profile
         self.policy = policy if policy is not None else ExecutionPolicy()
@@ -593,7 +557,6 @@ class SweepRunner:
         self.resume = resume
         self.force_pool = force_pool
         self.worker_grace_s = worker_grace_s
-        self.grouped = grouped
 
     # ------------------------------------------------------------------ #
     def run(
@@ -654,10 +617,12 @@ class SweepRunner:
                 pending.append((index, scenario))
 
         if pending:
-            if self.grouped:
-                tasks = _replay_knob_groups(pending)
-            else:
-                tasks = [([item], ()) for item in pending]
+            tasks = [
+                ([pending[position] for position in members], spectrum)
+                for members, spectrum in replay_classes(
+                    [scenario for _, scenario in pending]
+                )
+            ]
             if self.workers == 1 and not self.force_pool:
                 self._run_serial(tasks, record)
             else:
@@ -829,8 +794,7 @@ class SweepRunner:
         """Windowed ``apply_async`` dispatch with reclamation and death watch.
 
         At most ``workers`` tasks are in flight at a time; a task is one
-        replay-knob class (a single scenario when grouping is off), so a
-        class's scenarios share one worker session.  Three things can happen
+        replay-knob class, so a class's scenarios share one worker session.  Three things can happen
         to a task: it completes (normal path); it exceeds the policy's
         reclamation budget, scaled by the class size (every member recorded
         as a timed-out failure, the pool is terminated at the end rather

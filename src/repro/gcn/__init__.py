@@ -20,7 +20,6 @@ from repro.gcn.sparsity import (
     measure_sparsity,
     per_row_nonzeros,
     per_slice_nonzeros,
-    per_slice_nonzeros_reference,
     layer_sparsity_profile,
     sparsity_vs_depth,
     synthetic_feature_matrix,
@@ -43,7 +42,6 @@ __all__ = [
     "measure_sparsity",
     "per_row_nonzeros",
     "per_slice_nonzeros",
-    "per_slice_nonzeros_reference",
     "layer_sparsity_profile",
     "sparsity_vs_depth",
     "synthetic_feature_matrix",

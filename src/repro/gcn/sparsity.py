@@ -47,9 +47,8 @@ def per_slice_nonzeros(matrix: np.ndarray, slice_size: int) -> np.ndarray:
     Returns an array of shape ``(rows, num_slices)`` where the last slice may
     cover fewer than ``slice_size`` columns.
 
-    Implemented as a single pad-and-reshape ``count_nonzero`` (the Python
-    loop over slices is kept as :func:`per_slice_nonzeros_reference`, pinned
-    equal by a randomized test); this sits on the
+    Implemented as a single pad-and-reshape ``count_nonzero`` (pinned equal
+    to a loop-over-slices oracle by a randomized test); this sits on the
     ``FeatureLayout.layout_for_matrix`` path that every measured-sparsity run
     hits once per layer.
     """
@@ -69,27 +68,6 @@ def per_slice_nonzeros(matrix: np.ndarray, slice_size: int) -> np.ndarray:
     return np.count_nonzero(
         nonzero.reshape(rows, num_slices, slice_size), axis=2
     ).astype(np.int64)
-
-
-def per_slice_nonzeros_reference(matrix: np.ndarray, slice_size: int) -> np.ndarray:
-    """Loop-over-slices reference implementation of :func:`per_slice_nonzeros`.
-
-    Kept (like the ``*_reference`` twins of the trace engine) as the ground
-    truth the vectorized version is pinned against.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise SimulationError("feature matrix must be two-dimensional")
-    if slice_size <= 0:
-        raise SimulationError("slice size must be positive")
-    rows, width = matrix.shape
-    num_slices = (width + slice_size - 1) // slice_size
-    counts = np.zeros((rows, num_slices), dtype=np.int64)
-    for index in range(num_slices):
-        start = index * slice_size
-        stop = min(width, start + slice_size)
-        counts[:, index] = np.count_nonzero(matrix[:, start:stop], axis=1)
-    return counts
 
 
 # --------------------------------------------------------------------------- #

@@ -5,23 +5,16 @@ from __future__ import annotations
 from repro.memory.cache import CacheSimulator, CacheStats
 from repro.memory.dram import DRAMModel, TrafficPattern
 from repro.memory.hierarchy import MemoryHierarchy, AccessStats
-from repro.memory.rowcache import RowCache, RowCacheStats
-from repro.memory.replay import (
-    ReplayEngine,
-    TraceCache,
-    replay_accesses,
-    replay_trace,
-)
+from repro.memory.rowcache import RowCacheStats
+from repro.memory.replay import ReplayEngine, TraceCache, replay_trace
 from repro.memory.energy import EnergyTable, EnergyBreakdown
 
 __all__ = [
     "CacheSimulator",
     "CacheStats",
-    "RowCache",
     "RowCacheStats",
     "ReplayEngine",
     "TraceCache",
-    "replay_accesses",
     "replay_trace",
     "DRAMModel",
     "TrafficPattern",

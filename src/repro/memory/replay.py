@@ -1,11 +1,12 @@
 """Vectorized trace replay through the row-granularity LRU cache model.
 
-:class:`~repro.memory.rowcache.RowCache` replays a feature-access trace one
-access at a time through an ``OrderedDict`` — exact, but pure Python, and the
-single hottest loop of every simulation (one replay per feature pass per
-layer per run).  This module computes the *same statistics* for a whole trace
-with numpy, using a classical property of fully-associative evict-until-fit
-LRU caches:
+The cache model is a fully-associative LRU cache whose entries are feature
+rows and whose capacity is measured in cachelines (see
+:mod:`repro.memory.rowcache`).  Replaying a feature-access trace through it
+is the single hottest computation of every simulation (one replay per
+feature pass per layer per run), so this module computes the replay
+statistics for a whole trace with numpy, using a classical property of
+fully-associative evict-until-fit LRU caches:
 
     An access to row ``r`` hits iff ``r`` was accessed before and
     ``size[r] + U <= capacity``, where ``U`` is the total size of the
@@ -19,8 +20,8 @@ every row accessed since ``r``'s previous access is either still resident
 above ``r`` or was never installed — if it had been evicted, ``r`` (older)
 would have been evicted first.  With one fixed size per row — which is how
 every replay in this repository works, the per-pass size table — the
-condition is exact, and matches ``RowCache.access_trace`` bit for bit (the
-golden equivalence tests pin this).
+condition is exact.  The test suite pins it bit for bit against a
+per-access ``OrderedDict`` cache (``tests/oracles.py``).
 
 The distinct-footprint sums are reuse-interval computations.  We evaluate
 them with an offline mergesort tree: for every access ``i`` with previous
@@ -29,9 +30,9 @@ whose own previous occurrence lies at or before ``p`` (i.e. the first
 in-window occurrence of each distinct row).  The tree's permutations and
 query positions depend only on the *trace*, not on the sizes, so the
 structure is built once per trace (:class:`ReplayEngine`) and each
-evaluation — per feature pass, per layer, per accelerator configuration —
-is a handful of gathers and cumulative sums.  :class:`TraceCache` memoizes
-the engines (and the traces they replay) across runs; a sweep over N
+evaluation — per feature pass, per layer, per capacity, per pinned set — is
+a handful of gathers and cumulative sums.  :class:`TraceCache` memoizes the
+engines (and the traces they replay) across runs; a sweep over N
 accelerators x M cache sizes builds each trace structure once instead of
 N x M times.
 """
@@ -46,7 +47,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.rowcache import RowCacheStats
 from repro.telemetry.spans import span
 
 #: Index dtype of the precomputed tree structure.  Traces are bounded far
@@ -73,56 +74,42 @@ class ReplayEngine:
 
     The engine precomputes everything that depends only on the trace — the
     previous-occurrence links and the mergesort-tree used for the
-    distinct-footprint sums — so that :meth:`replay` / :meth:`replay_many`
-    evaluate a new per-row size table (a new feature pass or layer) without
-    touching a Python loop.
+    distinct-footprint sums — so that :meth:`evaluate` replays new per-row
+    size tables (a new feature pass or layer), capacities, and pinned sets
+    without touching a Python loop.
 
     Args:
         trace: ``int64`` row ids in access order (one entry per feature-row
             access), as produced by
             :func:`repro.accelerator.tiling.aggregation_access_trace`.
-        pinned: Optional row ids held in a dedicated cache partition (EnGN's
-            DAVC).  Their accesses always hit and never compete for the
-            shared capacity; the engine filters them out of the replayed
-            trace and accounts for them analytically, reproducing the
-            pinned-partition semantics of the simulator in one place.
     """
 
-    def __init__(self, trace: np.ndarray, pinned: Optional[np.ndarray] = None) -> None:
+    def __init__(self, trace: np.ndarray) -> None:
         with span("engine_build"):
             trace = np.ascontiguousarray(trace, dtype=np.int64)
             if trace.ndim != 1:
                 raise ConfigurationError("trace must be a one-dimensional array")
-            self.total_accesses = int(trace.size)
-
-            if pinned is not None and len(pinned) and trace.size:
-                pinned = np.asarray(pinned, dtype=np.int64)
-                lookup = np.zeros(int(trace.max()) + 1, dtype=bool)
-                lookup[pinned[pinned <= trace.max()]] = True
-                pinned_mask = lookup[trace]
-                self.pinned_rows = trace[pinned_mask]
-                self.trace = trace[~pinned_mask]
-            else:
-                self.pinned_rows = np.zeros(0, dtype=np.int64)
-                self.trace = trace
-
-            self.prev = _previous_occurrences(self.trace)
+            self.trace = trace
+            self.prev = _previous_occurrences(trace)
             # Eval-loop constants: clipped previous-occurrence index (+1, for
             # the exclusive prefix-sum lookup) and the repeat-access mask.
             self._prev_plus1 = np.where(self.prev >= 0, self.prev, 0) + 1
             self._seen_before = self.prev >= 0
-            self._build_structure(self.trace.size, self.prev)
-        # Result memo keyed by (size-table digest, capacity).  Dense-style
-        # formats feed the same constant table for every layer and pass of a
-        # run, so most evaluations of an engine repeat a previous one.
-        self._memo: "OrderedDict[Tuple[str, int], RowCacheStats]" = OrderedDict()
+            self._build_structure(trace.size, self.prev)
+        # Result memo keyed by (size-table digest, capacity, pinned-set
+        # digest).  Dense-style formats feed the same constant table for
+        # every layer and pass of a run, so most evaluations of an engine
+        # repeat a previous one.
+        self._memo: "OrderedDict[Tuple[str, int, Optional[str]], RowCacheStats]" = (
+            OrderedDict()
+        )
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
-        # Size-table digest memo keyed by object identity.  The strong
-        # reference to the table keeps its id() from being recycled; tables
-        # are never mutated in place by the simulator, so identity implies
-        # content equality.
+        # Array digest memo keyed by object identity.  The strong reference
+        # to the array keeps its id() from being recycled; tables are never
+        # mutated in place by the simulator, so identity implies content
+        # equality.
         self._token_cache: "OrderedDict[int, Tuple[np.ndarray, str]]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
@@ -219,7 +206,6 @@ class ReplayEngine:
         return int(
             self.prev.nbytes
             + self.trace.nbytes
-            + self.pinned_rows.nbytes
             + self._gather.nbytes
             + self._reduce_starts.nbytes
             + self._query_rows.nbytes
@@ -230,25 +216,6 @@ class ReplayEngine:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def replay_many(
-        self, size_tables: Sequence[np.ndarray], capacity_lines: int
-    ) -> List[RowCacheStats]:
-        """Replay the trace once per size table (one table per feature pass).
-
-        Args:
-            size_tables: Per-row size lookup tables (indexed by row id), one
-                per pass; each pass starts from an empty cache, matching the
-                per-pass ``flush()`` of the reference path.
-            capacity_lines: Shared-cache capacity in cachelines.
-
-        Returns:
-            One :class:`RowCacheStats` per table, bit-identical to replaying
-            the same trace through :meth:`RowCache.access_trace`.
-        """
-        if capacity_lines <= 0:
-            raise ConfigurationError("cache capacity must be positive")
-        return [self._replay_one(table, capacity_lines) for table in size_tables]
-
     #: Result-memo capacity.  A single run touches at most a few distinct
     #: tables, but a capacity sweep seeds tables x capacities entries (a
     #: sliced format's per-pass tables are all distinct: ~13 tables x 5
@@ -259,8 +226,91 @@ class ReplayEngine:
     #: Table-digest memo capacity; a run feeds a handful of distinct tables.
     TOKEN_ENTRIES = 16
 
+    def evaluate(
+        self,
+        size_tables: Sequence[np.ndarray],
+        capacities: Sequence[int],
+        pinned: Optional[np.ndarray] = None,
+    ) -> List[List[RowCacheStats]]:
+        """Replay the trace once per size table, at every capacity.
+
+        Tables with equal content (dense formats feed dozens of identical
+        pass tables per run) collapse to one evaluation per distinct digest,
+        and every result lands in the ``(table digest, capacity, pinned
+        digest)`` memo, so the sibling runs of a sweep class answer from
+        cache.  Per table, the capacities are grouped by shared weight
+        vector (:meth:`_evaluate_spectrum`), so a whole capacity vector
+        usually costs one footprint computation.
+
+        Args:
+            size_tables: Per-row size lookup tables (indexed by row id), one
+                per feature pass; each replay starts from an empty cache.
+            capacities: Shared-cache capacities in cachelines; duplicates
+                allowed (a single capacity is a vector of length 1).
+            pinned: Optional row ids held in a dedicated cache partition
+                (EnGN's DAVC).  Their accesses always hit and never compete
+                for the shared capacity: they get footprint weight 0 and a
+                forced hit, which gives exactly the statistics of replaying
+                the trace with those accesses filtered out, plus one hit per
+                pinned access.
+
+        Returns:
+            One list per table, each with one :class:`RowCacheStats` per
+            requested capacity, in order.
+        """
+        caps = [int(capacity) for capacity in capacities]
+        if any(capacity <= 0 for capacity in caps):
+            raise ConfigurationError("cache capacity must be positive")
+        tables = [
+            np.ascontiguousarray(table, dtype=np.int64) for table in size_tables
+        ]
+        tokens = [self._table_token(table) for table in tables]
+        pinned_token: Optional[str] = None
+        pinned_mask: Optional[np.ndarray] = None
+        if pinned is not None and len(pinned):
+            pinned = np.ascontiguousarray(pinned, dtype=np.int64)
+            pinned_token = self._table_token(pinned)
+        unique_caps = list(dict.fromkeys(caps))
+
+        # Resolve per distinct table *content*: equal-content tables
+        # evaluate once and share the result, exactly as a sequential
+        # memo-checking loop would.
+        resolved: Dict[str, Dict[int, RowCacheStats]] = {}
+        for table, token in zip(tables, tokens):
+            if token in resolved:
+                self.memo_hits += len(unique_caps)
+                continue
+            results: Dict[int, RowCacheStats] = {}
+            resolved[token] = results
+            for capacity in unique_caps:
+                key = (token, capacity, pinned_token)
+                cached = self._memo.get(key)
+                if cached is not None:
+                    self._memo.move_to_end(key)
+                    self.memo_hits += 1
+                    results[capacity] = cached
+            if len(results) == len(unique_caps):
+                continue
+            if pinned_token is not None and pinned_mask is None:
+                pinned_mask = np.isin(self.trace, pinned)
+            with span("replay_evaluate"):
+                computed = self._evaluate_spectrum(
+                    table, sorted(set(unique_caps) - set(results)), pinned_mask
+                )
+            for capacity, stats in computed.items():
+                self.memo_misses += 1
+                self._memo[(token, capacity, pinned_token)] = replace(stats)
+                while len(self._memo) > self.MEMO_ENTRIES:
+                    self._memo.popitem(last=False)
+                    self.memo_evictions += 1
+                results[capacity] = stats
+        return [
+            [replace(resolved[token][capacity]) for capacity in caps]
+            for token in tokens
+        ]
+
     def _table_token(self, table: np.ndarray) -> str:
-        """Digest of a size table, memoized on object identity.
+        """Digest of a size table (or pinned set), memoized on object identity.
 
         Dense formats feed the *same* constant table object for every pass
         of every layer; hashing its full contents on each memo lookup costs
@@ -279,36 +329,8 @@ class ReplayEngine:
             self._token_cache.popitem(last=False)
         return token
 
-    def _replay_one(
-        self,
-        table: np.ndarray,
-        capacity_lines: int,
-        token: Optional[str] = None,
-    ) -> RowCacheStats:
-        """Evaluate one size table; every operation is a flat 1-D array op."""
-        table = np.ascontiguousarray(table, dtype=np.int64)
-        if token is None:
-            token = self._table_token(table)
-        memo_key = (token, int(capacity_lines))
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            self._memo.move_to_end(memo_key)
-            self.memo_hits += 1
-            return replace(cached)
-        self.memo_misses += 1
-        with span("replay_evaluate"):
-            stats = self._evaluate(table, capacity_lines)
-        self._memo_store(memo_key, stats)
-        return stats
-
-    def _memo_store(self, memo_key: Tuple[str, int], stats: RowCacheStats) -> None:
-        self._memo[memo_key] = replace(stats)
-        while len(self._memo) > self.MEMO_ENTRIES:
-            self._memo.popitem(last=False)
-            self.memo_evictions += 1
-
     def memo_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the per-(table, capacity) memo."""
+        """Hit/miss/eviction counters of the result memo."""
         return {
             "hits": self.memo_hits,
             "misses": self.memo_misses,
@@ -321,7 +343,7 @@ class ReplayEngine:
 
         Depends on the capacity only through ``weights`` (the streaming
         threshold ``sizes <= cap``), so every capacity with the same weight
-        vector shares one call — the basis of :meth:`replay_spectrum`.
+        vector shares one call.
         """
         n = self.trace.size
         cumulative = np.zeros(n + 1, dtype=np.int64)
@@ -343,238 +365,58 @@ class ReplayEngine:
             )
         return footprint
 
-    def _hit_stats(
-        self,
-        sizes: np.ndarray,
-        footprint: np.ndarray,
-        capacity_lines: int,
-        pinned_lines: int,
-    ) -> RowCacheStats:
-        """Fold one capacity's hit test over a precomputed footprint array."""
-        hit = footprint <= capacity_lines
-        hit &= self._seen_before
-
-        hits = int(np.count_nonzero(hit))
-        hit_lines = int(sizes.sum(where=hit, initial=0))
-        miss_lines = int(sizes.sum()) - hit_lines
-        return self._merge_pinned(
-            self.trace.size, hits, hit_lines, miss_lines, pinned_lines
-        )
-
-    def _evaluate(self, table: np.ndarray, capacity_lines: int) -> RowCacheStats:
-        n = self.trace.size
-        pinned_lines = int(table[self.pinned_rows].sum())
-        if n == 0:
-            return self._merge_pinned(0, 0, 0, 0, pinned_lines)
-
-        sizes = table[self.trace]  # true per-access sizes
-        weights = np.where(sizes <= capacity_lines, sizes, 0)
-        footprint = self._footprint(sizes, weights)
-        return self._hit_stats(sizes, footprint, capacity_lines, pinned_lines)
-
-    def replay_spectrum(
-        self, table: np.ndarray, capacities: Sequence[int]
-    ) -> List[RowCacheStats]:
-        """Replay one size table against a whole vector of capacities.
-
-        The mergesort-tree structure is capacity-independent, and the
-        capacity enters :meth:`_evaluate` only through the streaming
-        threshold (``sizes <= cap``) and the final ``footprint <= cap``
-        compare.  Two capacities produce identical weight vectors iff no
-        access size lies strictly between them, so the capacities are
-        grouped by ``searchsorted`` over the unique access sizes: one
-        footprint computation per group, then one cheap broadcast hit test
-        per capacity.  In the common case — every row fits in every queried
-        capacity — that is a *single* group for the entire spectrum.
-
-        Results are stored in the same ``(table-digest, capacity)`` memo
-        that :meth:`replay` uses, so a later single-capacity call returns
-        the spectrum-computed value (bit-identical: the per-group math is
-        exactly :meth:`_evaluate`'s, in the same integer ops).
-
-        Args:
-            table: Per-row size lookup table (indexed by row id).
-            capacities: Cache capacities in cachelines; duplicates allowed.
-
-        Returns:
-            One :class:`RowCacheStats` per requested capacity, in order.
-        """
-        caps = [int(capacity) for capacity in capacities]
-        if any(capacity <= 0 for capacity in caps):
-            raise ConfigurationError("cache capacity must be positive")
-        table = np.ascontiguousarray(table, dtype=np.int64)
-        token = self._table_token(table)
-
-        results: Dict[int, RowCacheStats] = {}
-        missing: List[int] = []
-        for capacity in caps:
-            if capacity in results:
-                continue
-            cached = self._memo.get((token, capacity))
-            if cached is not None:
-                self._memo.move_to_end((token, capacity))
-                self.memo_hits += 1
-                results[capacity] = cached
-            else:
-                missing.append(capacity)
-
-        if missing:
-            with span("replay_evaluate"):
-                computed = self._evaluate_spectrum(table, sorted(missing))
-            for capacity, stats in computed.items():
-                self.memo_misses += 1
-                self._memo_store((token, capacity), stats)
-                results[capacity] = stats
-        return [replace(results[capacity]) for capacity in caps]
-
-    def replay_spectrum_many(
-        self, size_tables: Sequence[np.ndarray], capacities: Sequence[int]
-    ) -> List[List[RowCacheStats]]:
-        """Replay many size tables against a shared capacity vector.
-
-        The per-table math is exactly :meth:`replay_spectrum`'s; the win is
-        deduplication *before* evaluation: tables with equal content (dense
-        formats feed dozens of identical pass tables per run) collapse to
-        one evaluation per distinct digest, and results land in the same
-        ``(table-digest, capacity)`` memo as :meth:`replay` /
-        :meth:`replay_spectrum` so sibling runs in the same sweep class
-        answer from cache.
-
-        Args:
-            size_tables: Per-row size lookup tables (indexed by row id).
-            capacities: Cache capacities in cachelines; duplicates allowed.
-
-        Returns:
-            One list of :class:`RowCacheStats` per table, each with one
-            entry per requested capacity, in order.
-        """
-        caps = [int(capacity) for capacity in capacities]
-        if any(capacity <= 0 for capacity in caps):
-            raise ConfigurationError("cache capacity must be positive")
-        tables = [
-            np.ascontiguousarray(table, dtype=np.int64) for table in size_tables
-        ]
-        tokens = [self._table_token(table) for table in tables]
-        unique_caps = list(dict.fromkeys(caps))
-
-        # Resolve per distinct table *content*: equal-content tables (dense
-        # formats feed dozens per run) evaluate once and share the result,
-        # exactly as a sequential memo-checking loop would.
-        resolved: Dict[str, Dict[int, RowCacheStats]] = {}
-        for table, token in zip(tables, tokens):
-            if token in resolved:
-                self.memo_hits += len(unique_caps)
-                continue
-            results: Dict[int, RowCacheStats] = {}
-            resolved[token] = results
-            for capacity in unique_caps:
-                cached = self._memo.get((token, capacity))
-                if cached is not None:
-                    self._memo.move_to_end((token, capacity))
-                    self.memo_hits += 1
-                    results[capacity] = cached
-            if len(results) == len(unique_caps):
-                continue
-            with span("replay_evaluate"):
-                computed = self._evaluate_spectrum(
-                    table, sorted(set(unique_caps) - set(results))
-                )
-            for capacity, stats in computed.items():
-                self.memo_misses += 1
-                self._memo_store((token, capacity), stats)
-                results[capacity] = stats
-        return [
-            [replace(resolved[token][capacity]) for capacity in caps]
-            for token in tokens
-        ]
-
     def _evaluate_spectrum(
-        self, table: np.ndarray, caps: List[int]
+        self, table: np.ndarray, caps: List[int], pinned_mask: Optional[np.ndarray]
     ) -> Dict[int, RowCacheStats]:
-        """Evaluate distinct capacities grouped by shared weight vector."""
+        """Evaluate distinct capacities grouped by shared weight vector.
+
+        The capacity enters only through the streaming threshold
+        (``sizes <= cap``) and the final ``footprint <= cap`` compare.  Two
+        capacities produce identical weight vectors iff no access size lies
+        strictly between them, so the capacities are grouped by
+        ``searchsorted`` over the unique access sizes: one footprint
+        computation per group, then one cheap hit test per capacity.  In the
+        common case — every row fits in every queried capacity — that is a
+        single group for the whole vector.
+        """
         n = self.trace.size
-        pinned_lines = int(table[self.pinned_rows].sum())
-        out: Dict[int, RowCacheStats] = {}
         if n == 0:
-            for capacity in caps:
-                out[capacity] = self._merge_pinned(0, 0, 0, 0, pinned_lines)
-            return out
+            return {capacity: RowCacheStats() for capacity in caps}
 
         sizes = table[self.trace]  # true per-access sizes
+        total_lines = int(sizes.sum())
         unique_sizes = np.unique(sizes)
         caps_arr = np.asarray(caps, dtype=np.int64)
-        # Same group <=> no access size strictly between the capacities
-        # <=> identical ``sizes <= cap`` masks, hence identical weights.
         group_of = np.searchsorted(unique_sizes, caps_arr, side="right")
+        out: Dict[int, RowCacheStats] = {}
         for group in np.unique(group_of):
             group_caps = caps_arr[group_of == group]
             weights = np.where(sizes <= int(group_caps[0]), sizes, 0)
+            if pinned_mask is not None:
+                weights[pinned_mask] = 0
             footprint = self._footprint(sizes, weights)
             for capacity in group_caps.tolist():
-                out[capacity] = self._hit_stats(
-                    sizes, footprint, capacity, pinned_lines
+                hit = footprint <= capacity
+                hit &= self._seen_before
+                if pinned_mask is not None:
+                    hit |= pinned_mask
+                hits = int(np.count_nonzero(hit))
+                hit_lines = int(sizes.sum(where=hit, initial=0))
+                out[capacity] = RowCacheStats(
+                    accesses=n,
+                    hits=hits,
+                    misses=n - hits,
+                    miss_lines=total_lines - hit_lines,
+                    hit_lines=hit_lines,
                 )
         return out
-
-    def replay(self, sizes: np.ndarray, capacity_lines: int) -> RowCacheStats:
-        """Replay the trace once against one per-row size table."""
-        return self.replay_many([np.asarray(sizes)], capacity_lines)[0]
-
-    def _merge_pinned(
-        self, accesses: int, hits: int, hit_lines: int, miss_lines: int, pinned_lines: int
-    ) -> RowCacheStats:
-        accesses += self.pinned_rows.size
-        hits += self.pinned_rows.size
-        hit_lines += pinned_lines
-        return RowCacheStats(
-            accesses=accesses,
-            hits=hits,
-            misses=accesses - hits,
-            miss_lines=miss_lines,
-            hit_lines=hit_lines,
-        )
 
 
 def replay_trace(
     trace: np.ndarray, sizes: np.ndarray, capacity_lines: int
 ) -> RowCacheStats:
-    """One-shot vectorized equivalent of ``RowCache(c).access_trace(trace, sizes)``."""
-    return ReplayEngine(trace).replay(sizes, capacity_lines)
-
-
-def replay_accesses(
-    rows: np.ndarray, sizes_per_access: np.ndarray, capacity_lines: int
-) -> RowCacheStats:
-    """Replay a trace whose sizes are given *per access* rather than per row.
-
-    When every access of a row carries the same size (the only shape the
-    simulator produces), this dispatches to the vectorized engine.  Traces
-    that re-access a row with a different size exercise the resize-on-
-    reaccess semantics of :class:`RowCache` (miss for the delta only), which
-    have no closed-form stack characterization; those fall back to the
-    reference implementation so the answer stays exact.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    sizes_per_access = np.asarray(sizes_per_access, dtype=np.int64)
-    if rows.shape != sizes_per_access.shape:
-        raise ConfigurationError("rows and sizes_per_access must align")
-    if rows.size == 0:
-        return RowCache(capacity_lines).stats
-
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    sorted_sizes = sizes_per_access[order]
-    same = sorted_rows[1:] == sorted_rows[:-1]
-    constant = bool(np.all(sorted_sizes[1:][same] == sorted_sizes[:-1][same]))
-    if constant:
-        table = np.zeros(int(rows.max()) + 1, dtype=np.int64)
-        table[rows] = sizes_per_access
-        return ReplayEngine(rows).replay(table, capacity_lines)
-
-    cache = RowCache(capacity_lines)
-    for row, size in zip(rows.tolist(), sizes_per_access.tolist()):
-        cache.access(row, size)
-    return cache.stats
+    """One-shot replay of ``trace`` with per-row ``sizes`` at one capacity."""
+    return ReplayEngine(trace).evaluate([sizes], [capacity_lines])[0][0]
 
 
 def _entry_bytes(value: object) -> int:
@@ -685,6 +527,5 @@ __all__ = [
     "ReplayEngine",
     "TraceCache",
     "array_token",
-    "replay_accesses",
     "replay_trace",
 ]

@@ -1,4 +1,4 @@
-"""Row-granularity LRU cache model.
+"""Result type of the row-granularity LRU cache model.
 
 The accelerator experiments replay millions of feature-row accesses, which a
 line-by-line set-associative simulation cannot sustain in pure Python.  The
@@ -6,24 +6,21 @@ designs we model always fetch a feature row (or slice group) as a unit, so a
 fully-associative LRU cache whose *entries are rows* and whose *capacity is
 measured in cachelines* captures the locality behaviour that matters — how
 many distinct rows fit on chip and how reuse distance compares to that — at a
-fraction of the cost.  The precise line-level simulator
+fraction of the cost.  :class:`repro.memory.replay.ReplayEngine` replays
+whole traces through this model; :class:`RowCacheStats` is what a replay
+reports.  The precise line-level simulator
 (:class:`repro.memory.cache.CacheSimulator`) remains available and is used by
 the unit tests to validate this model on small traces.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro.errors import ConfigurationError
 
 
 @dataclass
 class RowCacheStats:
-    """Counters accumulated by a :class:`RowCache`."""
+    """Counters of one trace replay through the row cache."""
 
     accesses: int = 0
     hits: int = 0
@@ -49,110 +46,3 @@ class RowCacheStats:
     def miss_bytes(self, line_bytes: int = 64) -> int:
         """DRAM fill traffic in bytes."""
         return self.miss_lines * line_bytes
-
-
-class RowCache:
-    """Fully-associative LRU cache of variable-size feature rows.
-
-    Args:
-        capacity_lines: Capacity in cachelines.
-    """
-
-    def __init__(self, capacity_lines: int) -> None:
-        if capacity_lines <= 0:
-            raise ConfigurationError("cache capacity must be positive")
-        self.capacity_lines = int(capacity_lines)
-        self._entries: "OrderedDict[int, int]" = OrderedDict()
-        self._used_lines = 0
-        self.stats = RowCacheStats()
-
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Empty the cache and clear the statistics."""
-        self._entries.clear()
-        self._used_lines = 0
-        self.stats = RowCacheStats()
-
-    def flush(self) -> None:
-        """Empty the cache, keeping the statistics."""
-        self._entries.clear()
-        self._used_lines = 0
-
-    def reset_stats(self) -> None:
-        """Clear the statistics, keeping the contents."""
-        self.stats = RowCacheStats()
-
-    @property
-    def used_lines(self) -> int:
-        """Number of cachelines currently occupied."""
-        return self._used_lines
-
-    def occupancy(self) -> float:
-        """Fraction of the capacity currently in use."""
-        return self._used_lines / self.capacity_lines
-
-    def contains(self, row: int) -> bool:
-        """Whether ``row`` is resident (no LRU update, no stats)."""
-        return row in self._entries
-
-    # ------------------------------------------------------------------ #
-    def access(self, row: int, size_lines: int) -> bool:
-        """Access ``row`` occupying ``size_lines`` cachelines.
-
-        Returns ``True`` on a hit.  On a miss the row is installed, evicting
-        least-recently-used rows until it fits.  If a resident row is
-        re-accessed with a different size (a new layer reusing the same
-        vertex id), the entry is resized and treated as a hit only when the
-        new size does not exceed the cached size.
-        """
-        size_lines = int(size_lines)
-        self.stats.accesses += 1
-        entries = self._entries
-        if row in entries:
-            cached_size = entries.pop(row)
-            if size_lines <= cached_size:
-                entries[row] = cached_size
-                self.stats.hits += 1
-                self.stats.hit_lines += size_lines
-                return True
-            # Larger than what is cached: fetch the difference.
-            self._used_lines -= cached_size
-            self._install(row, size_lines)
-            self.stats.misses += 1
-            self.stats.miss_lines += size_lines - cached_size
-            self.stats.hit_lines += cached_size
-            return False
-
-        self.stats.misses += 1
-        self.stats.miss_lines += size_lines
-        self._install(row, size_lines)
-        return False
-
-    def access_trace(self, rows: np.ndarray, sizes: np.ndarray) -> RowCacheStats:
-        """Access a whole trace; ``sizes[row]`` gives each row's size in lines.
-
-        Args:
-            rows: Row ids in access order.
-            sizes: Per-row size lookup table (indexed by row id).
-
-        Returns:
-            The cache's cumulative statistics (also available as ``.stats``).
-        """
-        access = self.access
-        sizes_list = sizes.tolist()
-        for row in rows.tolist():
-            access(row, sizes_list[row])
-        return self.stats
-
-    # ------------------------------------------------------------------ #
-    def _install(self, row: int, size_lines: int) -> None:
-        entries = self._entries
-        if size_lines > self.capacity_lines:
-            # A row larger than the whole cache streams through: nothing is
-            # retained, so do not install it.
-            return
-        while self._used_lines + size_lines > self.capacity_lines and entries:
-            _, evicted_size = entries.popitem(last=False)
-            self._used_lines -= evicted_size
-        entries[row] = size_lines
-        self._used_lines += size_lines

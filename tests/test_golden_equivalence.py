@@ -1,10 +1,12 @@
-"""Golden equivalence: vectorized engine vs the legacy (pre-PR) path.
+"""Golden equivalence: the shared-cache session path vs uncached runs, and
+the replay statistics of real traces vs the per-access oracles.
 
-The acceptance bar of the trace-engine PR: for every built-in dataset x
-accelerator x variant, the vectorized replay must produce bit-identical
-``RowCacheStats`` and byte-identical ``SimulationResult`` documents versus
-the legacy ``RowCache.access`` path (which also uses the loop-based trace
-builders, making this a whole-pipeline equivalence check).
+For every built-in dataset x accelerator x variant, results produced through
+one :class:`Session` (traces, reordered graphs, replay engines, row tables
+and replay memos shared across runs) must be byte-identical to a run that
+shares nothing (``trace_cache=None``).  The per-trace replay statistics of
+each design's real schedule — including EnGN's pinned partition — must match
+the loop-based oracles of ``tests/oracles.py`` bit for bit.
 """
 
 import json
@@ -12,19 +14,15 @@ import json
 import numpy as np
 import pytest
 
+from oracles import RowCache, pinned_partition_replay
+from repro.accelerator.pipeline import build_context, schedule, simulate_design
 from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import (
-    GCN_VARIANTS,
-    build_workloads,
-    get_replay_backend,
-    set_replay_backend,
-)
+from repro.accelerator.simulator import GCN_VARIANTS
 from repro.core.config import SystemConfig
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
 from repro.graphs.datasets import FIGURE_ORDER
 from repro.memory.replay import ReplayEngine
-from repro.memory.rowcache import RowCache
 
 #: Scale cap keeping the full grid fast while still exercising tiling,
 #: engine interleaving, pinned partitions, and every feature format.
@@ -33,17 +31,14 @@ GOLDEN_MAX_VERTICES = 96
 ALL_ACCELERATORS = tuple(sorted(ACCELERATORS.names()))
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    previous = get_replay_backend()
-    yield
-    set_replay_backend(previous)
+def stats_tuple(stats):
+    return (stats.accesses, stats.hits, stats.misses, stats.hit_lines, stats.miss_lines)
 
 
-def run_grid(dataset_name, variant):
-    """One result document per accelerator for the active backend."""
+@pytest.mark.parametrize("variant", GCN_VARIANTS)
+@pytest.mark.parametrize("dataset_name", FIGURE_ORDER)
+def test_simulation_results_byte_identical(dataset_name, variant):
     session = Session()
-    documents = {}
     for accelerator in ALL_ACCELERATORS:
         spec = RunSpec(
             dataset=dataset_name,
@@ -51,50 +46,46 @@ def run_grid(dataset_name, variant):
             variant=variant,
             max_vertices=GOLDEN_MAX_VERTICES,
         )
-        documents[accelerator] = json.dumps(
-            session.run(spec).to_dict(), sort_keys=True
-        )
-    return documents
-
-
-@pytest.mark.parametrize("variant", GCN_VARIANTS)
-@pytest.mark.parametrize("dataset_name", FIGURE_ORDER)
-def test_simulation_results_byte_identical(dataset_name, variant):
-    set_replay_backend("vectorized")
-    vectorized = run_grid(dataset_name, variant)
-    set_replay_backend("legacy")
-    legacy = run_grid(dataset_name, variant)
-    for accelerator in ALL_ACCELERATORS:
-        assert vectorized[accelerator] == legacy[accelerator], (
-            dataset_name,
-            accelerator,
-            variant,
-        )
+        shared = session.run(spec).to_dict()
+        model = session.accelerator(accelerator)
+        uncached = simulate_design(
+            model.design,
+            session.load_dataset(dataset_name, max_vertices=GOLDEN_MAX_VERTICES),
+            variant=variant,
+            trace_cache=None,
+            feature_format=model.feature_format,
+        ).to_dict()
+        assert json.dumps(shared, sort_keys=True) == json.dumps(
+            uncached, sort_keys=True
+        ), (dataset_name, accelerator, variant)
 
 
 @pytest.mark.parametrize("accelerator", ["gcnax", "hygcn", "engn", "igcn", "sgcn"])
 def test_rowcache_stats_bit_identical_on_real_traces(accelerator):
-    """The per-trace statistics themselves (not just the end results) agree."""
+    """The per-trace statistics themselves (not just the end results) agree.
+
+    Designs with a pinned partition (EnGN) replay the pinned evaluation the
+    pipeline uses, against the pinned-partition loop.
+    """
     session = Session()
     dataset = session.load_dataset("pubmed", max_vertices=192)
-    model = ACCELERATORS.factory(accelerator)()
-    context = model._build_context(
-        dataset, SystemConfig(), build_workloads(dataset)
+    model = session.accelerator(accelerator)
+    context = schedule(
+        build_context(model.design, model.feature_format, dataset, SystemConfig())
     )
     if context.trace.size == 0:
         pytest.skip("column-product design replays no trace")
+    pinned = context.pinned_vertices
+    assert bool(pinned.size) == (accelerator == "engn")
     rng = np.random.default_rng(0)
     engine = ReplayEngine(context.trace)
     for _ in range(3):
         sizes = rng.integers(1, 9, size=dataset.graph.num_vertices).astype(np.int64)
         capacity = int(rng.integers(8, context.cache_lines + 1))
-        got = engine.replay(sizes, capacity)
-        cache = RowCache(capacity)
-        want = cache.access_trace(context.trace, sizes)
-        assert (got.accesses, got.hits, got.hit_lines, got.miss_lines) == (
-            want.accesses,
-            want.hits,
-            want.hit_lines,
-            want.miss_lines,
-        )
-        assert got.misses == want.misses
+        ((got,),) = engine.evaluate([sizes], [capacity])
+        want = RowCache(capacity).access_trace(context.trace, sizes)
+        assert stats_tuple(got) == stats_tuple(want)
+        if pinned.size:
+            ((got,),) = engine.evaluate([sizes], [capacity], pinned)
+            want = pinned_partition_replay(context.trace, sizes, capacity, pinned)
+            assert stats_tuple(got) == stats_tuple(want)

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import RowCache, pinned_partition_replay
 from repro.errors import ConfigurationError
-from repro.memory.replay import (
-    ReplayEngine,
-    TraceCache,
-    array_token,
-    replay_accesses,
-    replay_trace,
-)
-from repro.memory.rowcache import RowCache, RowCacheStats
+from repro.memory.replay import ReplayEngine, TraceCache, array_token, replay_trace
+from repro.memory.rowcache import RowCacheStats
 
 
 def stats_tuple(stats: RowCacheStats):
@@ -76,8 +71,8 @@ class TestReplayManyAndMemo:
         trace = rng.integers(0, 64, size=800).astype(np.int64)
         engine = ReplayEngine(trace)
         tables = [rng.integers(1, 9, size=64).astype(np.int64) for _ in range(4)]
-        batched = engine.replay_many(tables, 100)
-        for table, got in zip(tables, batched):
+        batched = engine.evaluate(tables, [100])
+        for table, (got,) in zip(tables, batched):
             assert stats_tuple(got) == stats_tuple(
                 reference_stats(trace, table, 100)
             )
@@ -87,12 +82,12 @@ class TestReplayManyAndMemo:
         trace = rng.integers(0, 32, size=400).astype(np.int64)
         engine = ReplayEngine(trace)
         table = rng.integers(1, 6, size=32).astype(np.int64)
-        first = engine.replay(table, 50)
-        again = engine.replay(table.copy(), 50)
+        ((first,),) = engine.evaluate([table], [50])
+        ((again,),) = engine.evaluate([table.copy()], [50])
         assert engine.memo_hits == 1
         assert stats_tuple(first) == stats_tuple(again)
         # A different capacity is a different memo entry.
-        engine.replay(table, 51)
+        engine.evaluate([table], [51])
         assert engine.memo_hits == 1
 
     def test_pinned_rows_always_hit(self):
@@ -100,58 +95,133 @@ class TestReplayManyAndMemo:
         trace = rng.integers(0, 40, size=1000).astype(np.int64)
         sizes = rng.integers(1, 8, size=40).astype(np.int64)
         pinned = np.asarray([1, 5, 17], dtype=np.int64)
-        capacity = 30
-        engine = ReplayEngine(trace, pinned=pinned)
-        got = engine.replay(sizes, capacity)
+        ((got,),) = ReplayEngine(trace).evaluate([sizes], [30], pinned)
+        want = pinned_partition_replay(trace, sizes, 30, pinned)
+        assert stats_tuple(got) == stats_tuple(want)
+        assert got.hits >= int(np.isin(trace, pinned).sum())
 
-        # Reference: the simulator's historical inline loop.
-        cache = RowCache(capacity)
-        pinned_set = set(pinned.tolist())
-        accesses = hits = hit_lines = miss_lines = 0
-        size_list = sizes.tolist()
-        for row in trace.tolist():
-            size = size_list[row]
-            accesses += 1
-            if row in pinned_set:
-                hits += 1
-                hit_lines += size
-            elif cache.access(row, size):
-                hits += 1
-                hit_lines += size
-            else:
-                miss_lines += size
-        assert stats_tuple(got) == (
-            accesses,
-            hits,
-            accesses - hits,
-            hit_lines,
-            miss_lines,
+
+def _adversarial_cases(rng):
+    """Seeded ``(name, trace, sizes)`` triples covering replay edge cases."""
+    num_rows = 24
+    sizes = rng.integers(1, 9, size=num_rows).astype(np.int64)
+    oversized = sizes.copy()
+    oversized[rng.choice(num_rows, size=4, replace=False)] = 10_000
+    random_trace = rng.integers(0, num_rows, size=300).astype(np.int64)
+    return [
+        ("empty", np.zeros(0, dtype=np.int64), sizes),
+        ("all-repeat", np.full(200, 7, dtype=np.int64), sizes),
+        ("all-unique", rng.permutation(num_rows).astype(np.int64), sizes),
+        ("oversized-rows", random_trace, oversized),
+        ("random", random_trace, sizes),
+        ("hot-rows", rng.choice(4, size=250).astype(np.int64), sizes),
+    ]
+
+
+def _pinned_sets(rng, trace, num_rows):
+    """No pinned set, some present rows, every row, and absent ids only."""
+    present = np.unique(trace)
+    some = (
+        rng.choice(present, size=max(1, present.size // 3), replace=False)
+        if present.size
+        else np.zeros(0, dtype=np.int64)
+    )
+    return [
+        None,
+        np.asarray(some, dtype=np.int64),
+        np.arange(num_rows, dtype=np.int64),
+        np.asarray([num_rows + 5, num_rows + 90], dtype=np.int64),
+    ]
+
+
+class TestOracleFuzz:
+    """The one evaluation call against the per-access oracles.
+
+    Every combination of adversarial trace, pinned set, and capacity vector
+    (including capacity 1 and capacities below the largest row) must equal
+    the :class:`RowCache` oracle (no pinned set) or the pinned-partition
+    loop, capacity by capacity.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_evaluate_matches_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        for name, trace, sizes in _adversarial_cases(rng):
+            tables = [sizes, np.maximum(1, sizes[::-1].copy())]
+            capacities = [1, 3, int(rng.integers(4, 40)), 64, 1, 10_000]
+            for pinned in _pinned_sets(rng, trace, sizes.size):
+                got = ReplayEngine(trace).evaluate(tables, capacities, pinned)
+                assert len(got) == len(tables)
+                for table, per_table in zip(tables, got):
+                    assert len(per_table) == len(capacities)
+                    for capacity, stats in zip(capacities, per_table):
+                        if pinned is None:
+                            want = reference_stats(trace, table, capacity)
+                        else:
+                            want = pinned_partition_replay(
+                                trace, table, capacity, pinned
+                            )
+                        assert stats_tuple(stats) == stats_tuple(want), (
+                            name,
+                            capacity,
+                            None if pinned is None else pinned.tolist(),
+                        )
+
+    def test_every_row_pinned_is_all_hits(self):
+        trace = np.asarray([0, 1, 2, 0, 1, 2, 3], dtype=np.int64)
+        sizes = np.asarray([2, 3, 4, 50], dtype=np.int64)
+        ((stats,),) = ReplayEngine(trace).evaluate(
+            [sizes], [1], np.arange(4, dtype=np.int64)
         )
+        assert stats_tuple(stats) == (7, 7, 0, int(sizes[trace].sum()), 0)
+
+    def test_absent_pinned_ids_change_nothing(self):
+        rng = np.random.default_rng(5)
+        trace = rng.integers(0, 16, size=200).astype(np.int64)
+        sizes = rng.integers(1, 6, size=16).astype(np.int64)
+        engine = ReplayEngine(trace)
+        (plain,) = engine.evaluate([sizes], [12, 40])
+        (absent,) = engine.evaluate([sizes], [12, 40], np.asarray([99, 100]))
+        assert [stats_tuple(s) for s in plain] == [stats_tuple(s) for s in absent]
 
 
-class TestReplayAccesses:
-    def test_constant_per_row_sizes_use_fast_path(self):
-        rng = np.random.default_rng(4)
-        rows = rng.integers(0, 20, size=300).astype(np.int64)
-        table = rng.integers(1, 7, size=20).astype(np.int64)
-        per_access = table[rows]
-        got = replay_accesses(rows, per_access, 40)
-        assert stats_tuple(got) == stats_tuple(reference_stats(rows, table, 40))
+class TestMemoAccounting:
+    """``memo_stats()`` feeds the ``replay_memo`` cache counters."""
 
-    def test_varying_sizes_fall_back_to_reference(self):
-        # Re-access with a larger size exercises resize-on-reaccess, which
-        # only the reference implementation models; the fallback must match.
-        rows = np.asarray([0, 1, 0, 0], dtype=np.int64)
-        sizes = np.asarray([4, 2, 6, 6], dtype=np.int64)
-        got = replay_accesses(rows, sizes, 16)
-        cache = RowCache(16)
-        for row, size in zip(rows.tolist(), sizes.tolist()):
-            cache.access(row, size)
-        assert stats_tuple(got) == stats_tuple(cache.stats)
+    def test_duplicates_and_pinned_sets_are_counted_exactly(self):
+        rng = np.random.default_rng(6)
+        trace = rng.integers(0, 20, size=300).astype(np.int64)
+        table_a = rng.integers(1, 6, size=20).astype(np.int64)
+        table_b = rng.integers(1, 6, size=20).astype(np.int64)
+        pinned = np.asarray([3, 8], dtype=np.int64)
+        engine = ReplayEngine(trace)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replay_accesses(np.asarray([0, 1]), np.asarray([1]), 8)
+        # Two distinct tables (one fed twice, once as an equal copy) at two
+        # distinct capacities (one requested twice): 2 x 2 evaluations, and
+        # the duplicate table answers both capacities from the memo.
+        engine.evaluate([table_a, table_b, table_a.copy()], [30, 60, 30])
+        assert engine.memo_stats() == {
+            "hits": 2, "misses": 4, "evictions": 0, "entries": 4
+        }
+        # The same table with a pinned set is a different replay.
+        engine.evaluate([table_a], [30, 60], pinned)
+        assert engine.memo_stats() == {
+            "hits": 2, "misses": 6, "evictions": 0, "entries": 6
+        }
+        # Repeating the pinned and the unpinned request only hits.
+        engine.evaluate([table_a], [60, 30], pinned.copy())
+        engine.evaluate([table_a], [30])
+        assert engine.memo_stats() == {
+            "hits": 5, "misses": 6, "evictions": 0, "entries": 6
+        }
+
+    def test_memo_eviction_is_counted(self, monkeypatch):
+        monkeypatch.setattr(ReplayEngine, "MEMO_ENTRIES", 2)
+        engine = ReplayEngine(np.asarray([0, 1, 0, 1], dtype=np.int64))
+        engine.evaluate([np.asarray([1, 2])], [4, 8, 16])
+        assert engine.memo_stats() == {
+            "hits": 0, "misses": 3, "evictions": 1, "entries": 2
+        }
 
 
 class TestTraceCache:

@@ -1,14 +1,16 @@
 """RowCache edge-case semantics the replay engine must also honor.
 
-These pin the reference model's behavior for the three tricky cases —
-streaming rows, resize-on-reaccess, and eviction order under mixed sizes —
-and check the vectorized engine reproduces each one where it applies.
+These pin the oracle's behavior (``tests/oracles.py``) for the three tricky
+cases — streaming rows, resize-on-reaccess, and eviction order under mixed
+sizes — and check the vectorized engine reproduces each one where it
+applies (resize-on-reaccess needs per-access sizes, which no replay of the
+simulator produces).
 """
 
 import numpy as np
 
-from repro.memory.replay import ReplayEngine, replay_accesses, replay_trace
-from repro.memory.rowcache import RowCache
+from oracles import RowCache
+from repro.memory.replay import replay_trace
 
 
 def stats_tuple(stats):
@@ -74,15 +76,6 @@ class TestResizeOnReaccess:
         assert not cache.contains(0)
         assert cache.contains(1)
         assert cache.used_lines == 8
-
-    def test_replay_accesses_honors_resize_via_fallback(self):
-        rows = np.asarray([0, 1, 0, 2, 0], dtype=np.int64)
-        sizes = np.asarray([4, 4, 9, 4, 9], dtype=np.int64)
-        got = replay_accesses(rows, sizes, 12)
-        cache = RowCache(12)
-        for row, size in zip(rows.tolist(), sizes.tolist()):
-            cache.access(row, size)
-        assert stats_tuple(got) == stats_tuple(cache.stats)
 
 
 class TestEvictionOrderMixedSizes:

@@ -101,5 +101,3 @@ def test_runner_rejects_bad_parameters():
 
     with pytest.raises(ConfigurationError):
         SweepRunner(workers=0)
-    with pytest.raises(ConfigurationError):
-        SweepRunner(chunk_size=0)

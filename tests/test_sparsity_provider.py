@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import per_slice_nonzeros_reference
 from repro import RunSpec, Session
 from repro.accelerator.pipeline import (
     build_context,
@@ -42,7 +43,6 @@ from repro.gcn.providers import (
 from repro.gcn.sparsity import (
     layer_sparsity_profile,
     per_slice_nonzeros,
-    per_slice_nonzeros_reference,
     row_nonzero_distribution,
     sparsity_vs_depth,
 )

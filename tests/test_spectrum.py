@@ -2,16 +2,17 @@
 
 Covers the whole vertical slice of the capacity-sweep fast path:
 
-* ``ReplayEngine.replay_spectrum`` — bit-identical to per-capacity
-  ``replay()`` for randomized traces, including capacities below the
-  largest row (streaming rows), and seeding the shared ``(table-digest,
-  capacity)`` memo so later single-capacity calls are hits;
+* ``ReplayEngine.evaluate`` over capacity vectors — bit-identical to
+  per-capacity evaluation for randomized traces, including capacities below
+  the largest row (streaming rows) and pinned partitions, and seeding the
+  shared ``(table-digest, capacity, pinned-digest)`` memo so later
+  single-capacity calls are hits;
 * the id()-keyed size-table token cache;
 * ``TraceCache.clear()`` eviction accounting;
 * the schedule-at-nominal-capacity semantics of ``cache_capacity_bytes``
   overrides (``CacheConfig.schedule_capacity`` / ``build_config``);
-* ``Session`` replay-knob equivalence classes (``replay_class_key``,
-  ``replay_groups``), grouped ``run_many``, and ``run_spectrum``;
+* replay-knob equivalence classes (``replay_class_key``,
+  ``replay_classes``), grouped ``Session.run_many``, and ``run_spectrum``;
 * ``SweepRunner`` grouped dispatch on both the serial and pool paths.
 """
 
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import pinned_partition_replay
 from repro.accelerator.registry import ACCELERATORS
 from repro.accelerator.simulator import GCN_VARIANTS
 from repro.core.config import CacheConfig, SystemConfig
@@ -31,9 +33,10 @@ from repro.core.session import (
     REPLAY_KNOB_OVERRIDES,
     Session,
     replay_class_key,
+    replay_classes,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.runner import SweepRunner
+from repro.experiments.runner import SweepRunner, run_scenario
 from repro.experiments.spec import Scenario
 from repro.memory.replay import ReplayEngine, TraceCache
 
@@ -42,6 +45,11 @@ KB = 1024
 
 def stats_tuple(stats):
     return (stats.accesses, stats.hits, stats.misses, stats.hit_lines, stats.miss_lines)
+
+
+def single(trace, table, capacity):
+    """One table at one capacity on a fresh engine (no memo involved)."""
+    return ReplayEngine(trace).evaluate([table], [capacity])[0][0]
 
 
 class TestReplaySpectrum:
@@ -59,11 +67,10 @@ class TestReplaySpectrum:
             # it (several weight groups), some above everything (one group).
             caps = [int(c) for c in rng.integers(1, 120, size=int(rng.integers(1, 7)))]
             caps.append(max(1, int(sizes.max()) - 1))
-            spectrum = ReplayEngine(trace).replay_spectrum(sizes, caps)
+            (spectrum,) = ReplayEngine(trace).evaluate([sizes], caps)
             assert len(spectrum) == len(caps)
             for cap, got in zip(caps, spectrum):
-                want = ReplayEngine(trace).replay(sizes, cap)
-                assert stats_tuple(got) == stats_tuple(want)
+                assert stats_tuple(got) == stats_tuple(single(trace, sizes, cap))
 
     def test_spectrum_with_pinned_rows(self):
         rng = np.random.default_rng(12)
@@ -71,9 +78,9 @@ class TestReplaySpectrum:
         sizes = rng.integers(1, 8, size=40).astype(np.int64)
         pinned = np.asarray([2, 9, 31], dtype=np.int64)
         caps = [3, 17, 64, 5000]
-        spectrum = ReplayEngine(trace, pinned=pinned).replay_spectrum(sizes, caps)
+        (spectrum,) = ReplayEngine(trace).evaluate([sizes], caps, pinned)
         for cap, got in zip(caps, spectrum):
-            want = ReplayEngine(trace, pinned=pinned).replay(sizes, cap)
+            want = pinned_partition_replay(trace, sizes, cap, pinned)
             assert stats_tuple(got) == stats_tuple(want)
 
     def test_duplicate_capacities_and_order_preserved(self):
@@ -81,7 +88,7 @@ class TestReplaySpectrum:
         trace = rng.integers(0, 20, size=200).astype(np.int64)
         sizes = rng.integers(1, 6, size=20).astype(np.int64)
         caps = [30, 7, 30, 100, 7]
-        spectrum = ReplayEngine(trace).replay_spectrum(sizes, caps)
+        (spectrum,) = ReplayEngine(trace).evaluate([sizes], caps)
         assert len(spectrum) == len(caps)
         assert stats_tuple(spectrum[0]) == stats_tuple(spectrum[2])
         assert stats_tuple(spectrum[1]) == stats_tuple(spectrum[4])
@@ -97,17 +104,16 @@ class TestReplaySpectrum:
                 for _ in range(int(rng.integers(1, 6)))
             ]
             if trial % 3 == 0:
-                # Streaming rows push some tables onto the per-table
-                # fallback inside the same batch call.
+                # Streaming rows split some tables' capacities into several
+                # weight groups inside the same batch call.
                 tables[0][int(rng.integers(0, num_rows))] = 10_000
             caps = [int(c) for c in rng.integers(1, 120, size=int(rng.integers(1, 5)))]
-            batch = ReplayEngine(trace).replay_spectrum_many(tables, caps)
+            batch = ReplayEngine(trace).evaluate(tables, caps)
             assert len(batch) == len(tables)
             for table, per_table in zip(tables, batch):
                 assert len(per_table) == len(caps)
                 for cap, got in zip(caps, per_table):
-                    want = ReplayEngine(trace).replay(table, cap)
-                    assert stats_tuple(got) == stats_tuple(want)
+                    assert stats_tuple(got) == stats_tuple(single(trace, table, cap))
 
     def test_spectrum_many_with_pinned_rows(self):
         rng = np.random.default_rng(17)
@@ -115,10 +121,10 @@ class TestReplaySpectrum:
         pinned = np.asarray([4, 11], dtype=np.int64)
         tables = [rng.integers(1, 7, size=30).astype(np.int64) for _ in range(3)]
         caps = [20, 90]
-        batch = ReplayEngine(trace, pinned=pinned).replay_spectrum_many(tables, caps)
+        batch = ReplayEngine(trace).evaluate(tables, caps, pinned)
         for table, per_table in zip(tables, batch):
             for cap, got in zip(caps, per_table):
-                want = ReplayEngine(trace, pinned=pinned).replay(table, cap)
+                want = pinned_partition_replay(trace, table, cap, pinned)
                 assert stats_tuple(got) == stats_tuple(want)
 
     def test_spectrum_many_seeds_and_reads_the_memo(self):
@@ -126,16 +132,14 @@ class TestReplaySpectrum:
         trace = rng.integers(0, 20, size=200).astype(np.int64)
         tables = [rng.integers(1, 5, size=20).astype(np.int64) for _ in range(2)]
         engine = ReplayEngine(trace)
-        engine.replay_spectrum_many(tables, [50, 100])
+        engine.evaluate(tables, [50, 100])
         misses = engine.memo_misses
-        again = engine.replay_spectrum_many(tables, [50, 100])
+        again = engine.evaluate(tables, [50, 100])
         assert engine.memo_misses == misses
         assert engine.memo_hits >= 4
         for table, per_table in zip(tables, again):
             for cap, got in zip([50, 100], per_table):
-                assert stats_tuple(got) == stats_tuple(
-                    ReplayEngine(trace).replay(table, cap)
-                )
+                assert stats_tuple(got) == stats_tuple(single(trace, table, cap))
 
     def test_spectrum_seeds_the_replay_memo(self):
         rng = np.random.default_rng(14)
@@ -143,22 +147,22 @@ class TestReplaySpectrum:
         sizes = rng.integers(1, 6, size=30).astype(np.int64)
         engine = ReplayEngine(trace)
         caps = [10, 40, 160]
-        spectrum = engine.replay_spectrum(sizes, caps)
+        (spectrum,) = engine.evaluate([sizes], caps)
         assert engine.memo_misses == len(caps)
         # Later single-capacity calls are answered from the memo,
         # bit-identical to the spectrum-computed values.
         for cap, from_spectrum in zip(caps, spectrum):
             hits_before = engine.memo_hits
-            single = engine.replay(sizes, cap)
+            ((one,),) = engine.evaluate([sizes], [cap])
             assert engine.memo_hits == hits_before + 1
-            assert stats_tuple(single) == stats_tuple(from_spectrum)
+            assert stats_tuple(one) == stats_tuple(from_spectrum)
 
     def test_empty_trace_and_invalid_capacity(self):
         engine = ReplayEngine(np.zeros(0, dtype=np.int64))
-        spectrum = engine.replay_spectrum(np.asarray([4, 4]), [8, 16])
+        (spectrum,) = engine.evaluate([np.asarray([4, 4])], [8, 16])
         assert [stats_tuple(s) for s in spectrum] == [(0, 0, 0, 0, 0)] * 2
         with pytest.raises(ConfigurationError):
-            engine.replay_spectrum(np.asarray([4]), [8, 0])
+            engine.evaluate([np.asarray([4])], [8, 0])
 
     def test_size_table_token_cached_by_identity(self, monkeypatch):
         import repro.memory.replay as replay_mod
@@ -175,16 +179,16 @@ class TestReplaySpectrum:
         trace = rng.integers(0, 16, size=100).astype(np.int64)
         table = rng.integers(1, 5, size=16).astype(np.int64)
         engine = ReplayEngine(trace)
-        engine.replay(table, 20)
+        engine.evaluate([table], [20])
         hashes = len(calls)
         assert hashes >= 1
         # Same table object at other capacities: no re-hash.
-        engine.replay(table, 21)
-        engine.replay_spectrum(table, [22, 23])
+        engine.evaluate([table], [21])
+        engine.evaluate([table], [22, 23])
         assert len(calls) == hashes
         # A different object with equal contents hashes once more and then
         # lands on the same memo entries.
-        engine.replay(table.copy(), 20)
+        engine.evaluate([table.copy()], [20])
         assert len(calls) == hashes + 1
         assert engine.memo_hits >= 1
 
@@ -301,8 +305,32 @@ class TestReplayClasses:
                 )
         # Capacity-major order interleaves the classes.
         interleaved = [specs[0], specs[2], specs[1], specs[3]]
-        groups = Session().replay_groups(interleaved)
-        assert groups == [[0, 2], [1, 3]]
+        spectrum = (128 * KB, 256 * KB)
+        assert replay_classes(interleaved) == [([0, 2], spectrum), ([1, 3], spectrum)]
+
+    def test_classes_without_a_capacity_sweep_carry_no_spectrum(self):
+        specs = [
+            RunSpec(dataset="cora", accelerator="sgcn", max_vertices=64),
+            RunSpec(
+                dataset="cora",
+                accelerator="sgcn",
+                max_vertices=64,
+                overrides={"frequency_ghz": 1.4},
+            ),
+            RunSpec(
+                dataset="cora",
+                accelerator="sgcn",
+                max_vertices=64,
+                overrides={"cache_capacity_bytes": SystemConfig().cache.capacity_bytes},
+            ),
+        ]
+        assert replay_classes(specs) == [([0, 1, 2], ())]
+        # The base config's capacity stands in for specs that do not
+        # override it.
+        base = build_config({"cache_capacity_bytes": 128 * KB})
+        assert replay_classes(specs, base) == [
+            ([0, 1, 2], (128 * KB, SystemConfig().cache.capacity_bytes))
+        ]
 
 
 def _capacity_sweep_specs():
@@ -327,8 +355,8 @@ def _result_docs(results):
 class TestSessionGroupedExecution:
     def test_grouped_run_many_byte_identical_to_ungrouped(self):
         specs = _capacity_sweep_specs()
-        grouped = Session().run_many(specs, annotate=False, grouped=True)
-        ungrouped = Session().run_many(specs, annotate=False, grouped=False)
+        grouped = Session().run_many(specs, annotate=False)
+        ungrouped = [Session().run(spec) for spec in specs]
         assert _result_docs(grouped) == _result_docs(ungrouped)
 
     def test_grouped_execution_order_visits_classes_back_to_back(self):
@@ -337,7 +365,6 @@ class TestSessionGroupedExecution:
         Session().run_many(
             specs,
             annotate=False,
-            grouped=True,
             progress=lambda index, spec, result: order.append(index),
         )
         assert order == [0, 1, 2, 3, 4, 5]
@@ -346,7 +373,6 @@ class TestSessionGroupedExecution:
         Session().run_many(
             interleaved,
             annotate=False,
-            grouped=True,
             progress=lambda index, spec, result: order.append(index),
         )
         assert order == [0, 2, 4, 1, 3, 5]
@@ -399,20 +425,20 @@ class TestSweepRunnerGroupedDispatch:
 
     def test_serial_grouped_matches_ungrouped(self):
         scenarios = self._scenarios()
-        grouped = SweepRunner(workers=1, grouped=True).run(scenarios)
-        ungrouped = SweepRunner(workers=1, grouped=False).run(scenarios)
-        assert grouped.num_failed == ungrouped.num_failed == 0
+        grouped = SweepRunner(workers=1).run(scenarios)
+        assert grouped.num_failed == 0
         assert [o.scenario.scenario_id for o in grouped.outcomes] == [
-            o.scenario.scenario_id for o in ungrouped.outcomes
+            s.scenario_id for s in scenarios
         ]
+        # Ungrouped: every scenario alone in a fresh session.
         assert [o.result.summary() for o in grouped.outcomes] == [
-            o.result.summary() for o in ungrouped.outcomes
+            run_scenario(s, session=Session()).summary() for s in scenarios
         ]
 
     def test_pool_grouped_matches_serial(self):
         scenarios = self._scenarios()
-        serial = SweepRunner(workers=1, grouped=True).run(scenarios)
-        pooled = SweepRunner(workers=2, grouped=True).run(scenarios)
+        serial = SweepRunner(workers=1).run(scenarios)
+        pooled = SweepRunner(workers=2).run(scenarios)
         assert pooled.num_failed == 0
         assert [o.scenario.scenario_id for o in serial.outcomes] == [
             o.scenario.scenario_id for o in pooled.outcomes
@@ -432,7 +458,7 @@ class TestSweepRunnerGroupedDispatch:
             num_layers=4,
             overrides={"cache_capacity_bytes": 1000},  # not a legal multiple
         )
-        report = SweepRunner(workers=1, grouped=True).run(scenarios + [bad])
+        report = SweepRunner(workers=1).run(scenarios + [bad])
         assert report.num_failed == 1
         assert report.failures[0].scenario.scenario_id == bad.scenario_id
         assert report.num_simulated == len(scenarios)

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    aggregation_access_trace_reference,
+    locality_reordering_reference,
+    source_processing_order_reference,
+)
 from repro.accelerator.tiling import (
     TilingPlan,
     aggregation_access_trace,
-    aggregation_access_trace_reference,
     locality_reordering,
-    locality_reordering_reference,
     source_processing_order,
-    source_processing_order_reference,
 )
 from repro.errors import SimulationError
 from repro.graphs.graph import CSRGraph

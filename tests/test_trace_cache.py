@@ -2,19 +2,9 @@
 
 import json
 
-import pytest
-
-from repro.accelerator.simulator import get_replay_backend, set_replay_backend
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
 from repro.experiments.cli import main
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    previous = get_replay_backend()
-    yield
-    set_replay_backend(previous)
 
 
 class TestSessionTraceCache:
@@ -66,47 +56,35 @@ class TestSessionTraceCache:
         session.clear_caches()
         assert len(session.trace_cache) == 0
 
-    def test_legacy_backend_bypasses_trace_cache(self):
-        set_replay_backend("legacy")
-        session = Session()
-        session.run(RunSpec(dataset="cora", accelerator="gcnax", max_vertices=128))
-        assert len(session.trace_cache) == 0
-
 
 class TestBenchHarness:
     def test_bench_pack_reports_speedup(self):
         from repro.bench import bench_pack
 
-        result = bench_pack("hbm-generation", max_vertices=96, repeats=1)
+        result = bench_pack(
+            "hbm-generation", max_vertices=96, repeats=1, sensitivity=True
+        )
         assert result.runs == 18
-        assert result.vectorized_s > 0
-        assert result.legacy_s is not None and result.legacy_s > 0
-        assert result.speedup == result.legacy_s / result.vectorized_s
+        assert result.vectorized_s > 0 and result.spectrum_s > 0
+        assert result.spectrum_speedup == result.vectorized_s / result.spectrum_s
+        assert result.replay_classes == 9
         document = result.to_dict()
-        assert {"pack", "runs", "vectorized_s", "legacy_s", "speedup"} <= set(document)
+        assert {"pack", "runs", "vectorized_s", "spectrum_speedup"} <= set(document)
+        assert "legacy_s" not in document and "speedup" not in document
 
     def test_run_benchmarks_schema_and_output(self, tmp_path):
         from repro.bench import BENCH_SCHEMA_VERSION, run_benchmarks
 
         out = tmp_path / "BENCH_test.json"
-        document = run_benchmarks(
-            cases=[("hbm-generation", 96)], repeats=1, include_legacy=False, out=out
-        )
+        document = run_benchmarks(cases=[("hbm-generation", 96)], repeats=1, out=out)
         assert out.exists()
         loaded = json.loads(out.read_text())
         assert loaded == json.loads(json.dumps(document))
         assert loaded["benchmark"] == "trace_engine"
-        assert loaded["schema_version"] == BENCH_SCHEMA_VERSION
-        assert loaded["results"][0]["legacy_s"] is None
-        assert loaded["summary"]["overall_speedup"] is None
+        assert loaded["schema_version"] == BENCH_SCHEMA_VERSION == 4
+        assert "legacy_s" not in loaded["results"][0]
+        assert "overall_speedup" not in loaded["summary"]
         assert loaded["summary"]["total_vectorized_s"] > 0
-
-    def test_backend_restored_after_bench(self):
-        from repro.bench import run_benchmarks
-
-        assert get_replay_backend() == "vectorized"
-        run_benchmarks(cases=[("hbm-generation", 96)], repeats=1)
-        assert get_replay_backend() == "vectorized"
 
     def test_cli_bench_quick(self, tmp_path, capsys):
         out = tmp_path / "BENCH_quick.json"
@@ -115,6 +93,6 @@ class TestBenchHarness:
         assert out.exists()
         loaded = json.loads(out.read_text())
         assert loaded["quick"] is True
-        assert loaded["results"][0]["speedup"] is not None
+        assert loaded["results"][0]["vectorized_s"] > 0
         stdout = capsys.readouterr().out
-        assert "speedup" in stdout and "wrote" in stdout
+        assert "vectorized=" in stdout and "wrote" in stdout
