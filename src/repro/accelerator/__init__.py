@@ -18,14 +18,6 @@ from repro.accelerator.simulator import (
     build_workloads,
     AcceleratorModel,
 )
-from repro.accelerator.sgcn import SGCNAccelerator
-from repro.accelerator.baselines import (
-    GCNAXAccelerator,
-    HyGCNAccelerator,
-    AWBGCNAccelerator,
-    EnGNAccelerator,
-    IGCNAccelerator,
-)
 from repro.accelerator.registry import (
     ACCELERATORS,
     DESIGN_POINTS,
@@ -56,12 +48,6 @@ __all__ = [
     "PhaseResult",
     "build_workloads",
     "AcceleratorModel",
-    "SGCNAccelerator",
-    "GCNAXAccelerator",
-    "HyGCNAccelerator",
-    "AWBGCNAccelerator",
-    "EnGNAccelerator",
-    "IGCNAccelerator",
     "ACCELERATORS",
     "available_accelerators",
     "get_accelerator",

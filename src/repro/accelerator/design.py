@@ -14,9 +14,11 @@ memoize model instances by design identity and a sweep over hypothetical
 designs (the ``design-space`` scenario pack) can deduplicate grid points.
 
 The nine built-in accelerators are declared here as design points
-(:data:`BUILTIN_DESIGNS`); the historical ``AcceleratorModel`` subclasses in
-:mod:`repro.accelerator.baselines` / :mod:`repro.accelerator.sgcn` are thin
-deprecation shims that resolve to these same points.
+(:data:`BUILTIN_DESIGNS`), and this is the only way to declare one: the
+registry wraps each point in an
+:class:`~repro.accelerator.simulator.AcceleratorModel`, and a variant is a
+new point built with :meth:`DesignPoint.derive` or
+:meth:`DesignPoint.with_format`.
 """
 
 from __future__ import annotations

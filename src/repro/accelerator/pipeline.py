@@ -1097,28 +1097,6 @@ def simulate_design(
     fault_point("stage:schedule")
     with span("schedule"):
         context = schedule(context)
-    return complete_run(
-        context,
-        workloads,
-        variant=variant,
-        seed=seed,
-        max_sampled_layers=max_sampled_layers,
-    )
-
-
-def complete_run(
-    context: RunContext,
-    workloads: Sequence[LayerWorkload],
-    variant: str = "gcn",
-    seed: int = 0,
-    max_sampled_layers: int = 6,
-) -> SimulationResult:
-    """Run stages 3-5 over an already-scheduled :class:`RunContext`.
-
-    Split out of :func:`simulate_design` so callers that build (or
-    customise) the context themselves — e.g. legacy ``_build_context``
-    overrides — can still finish the run through the shared pipeline.
-    """
     check_deadline("replay")
     fault_point("stage:replay")
     with span("replay"):
@@ -1157,7 +1135,6 @@ __all__ = [
     "TimedLayer",
     "build_context",
     "build_workloads",
-    "complete_run",
     "effective_cache_lines",
     "energy",
     "replay",

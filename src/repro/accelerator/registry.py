@@ -9,10 +9,9 @@ The registry stores *factories* returning :class:`AcceleratorModel`
 instances, and it registers design points directly
 (:func:`register_design`): the nine built-in accelerators are
 :class:`~repro.accelerator.design.DesignPoint` declarations from
-:mod:`repro.accelerator.design`, not classes.  The historical model
-subclasses remain importable from :mod:`repro.accelerator.baselines` /
-:mod:`repro.accelerator.sgcn` as deprecation shims that resolve to equal
-design points.
+:mod:`repro.accelerator.design`.  A plain factory
+(:func:`register_accelerator`) also returns an ``AcceleratorModel`` wrapping
+some design point; only its instances know which one.
 """
 
 from __future__ import annotations
@@ -70,11 +69,11 @@ def register_design(
 def get_design(name: str) -> Optional[DesignPoint]:
     """The canonical design point registered under ``name``.
 
-    Returns ``None`` for accelerators registered as plain factories (legacy
-    class registrations) whose design is only known per instance, and for
-    design-registered names currently shadowed by another registration
-    (``temporary_accelerator``) — the recorded point would not describe what
-    the registry instantiates.  Raises for unknown names.
+    Returns ``None`` for accelerators registered as plain factories
+    (:func:`register_accelerator`) whose design is only known per instance,
+    and for design-registered names currently shadowed by another
+    registration (``temporary_accelerator``) — the recorded point would not
+    describe what the registry instantiates.  Raises for unknown names.
 
     Raises:
         ConfigurationError: If ``name`` is not a registered accelerator.
@@ -91,7 +90,8 @@ def resolve_design(name: str) -> DesignPoint:
 
     Uses the recorded design for design-registered names, and falls back to
     instantiating the registered factory and reading its ``.design`` for
-    legacy class registrations (or names shadowed by ``temporary_accelerator``).
+    plain factory registrations (or names shadowed by
+    ``temporary_accelerator``).
 
     Raises:
         ConfigurationError: If ``name`` is not a registered accelerator.

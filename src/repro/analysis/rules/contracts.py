@@ -1,18 +1,19 @@
 """Cross-module contract rule: the worker wire protocol stays closed.
 
 Sweep results cross the pool boundary as plain dictionaries: produced by
-``runner._execute_payload`` (and the ``_worker_execute`` pool entry point),
-consumed by ``SweepRunner._finish`` and the telemetry aggregation on
-``SweepReport``; session snapshots produced by ``Session.metrics_snapshot``
-are consumed by ``telemetry.metrics.run_metrics_document``.  Nothing ties
-the two ends together at runtime — a consumer reading a key the producer
-stopped emitting just sees ``None`` (or raises deep inside a sweep).
+``runner._execute_payload`` (and the bad-payload dict of the
+``_worker_execute_group`` pool entry point), consumed by
+``SweepRunner._finish`` and the telemetry aggregation on ``SweepReport``;
+session snapshots produced by ``Session.metrics_snapshot`` are consumed by
+``telemetry.metrics.run_metrics_document``.  Nothing ties the two ends
+together at runtime — a consumer reading a key the producer stopped emitting
+just sees ``None`` (or raises deep inside a sweep).
 
 **C1** re-derives both key sets from the AST and flags every key consumed
 but never produced:
 
 * top-level payload keys read in ``_finish`` vs. written in
-  ``_execute_payload``/``_worker_execute``;
+  ``_execute_payload``/``_worker_execute_group``;
 * error-block keys read off the payload's ``error`` value vs. the error
   dict literals produced;
 * telemetry-delta keys read in ``SweepReport`` methods vs. the ``telemetry``
@@ -214,7 +215,7 @@ class WorkerPayloadContractRule(Rule):
     summary = (
         "keys consumed from the sweep worker payload (SweepRunner._finish, "
         "SweepReport telemetry) and from metrics snapshots must be produced "
-        "by _execute_payload/_worker_execute/Session.metrics_snapshot"
+        "by _execute_payload/_worker_execute_group/Session.metrics_snapshot"
     )
 
     def check_project(self, modules: Sequence[LintModule]) -> Iterator[Finding]:
@@ -231,7 +232,7 @@ class WorkerPayloadContractRule(Rule):
         if producer is None or consumer is None:
             return []
         produced_top, produced_error = _produced_keys(producer[1], "payload")
-        pool_entry = _find_function(modules, "_worker_execute")
+        pool_entry = _find_function(modules, "_worker_execute_group")
         if pool_entry is not None:
             pool_top, pool_error = _produced_keys(pool_entry[1], "payload")
             produced_top |= pool_top
@@ -245,8 +246,8 @@ class WorkerPayloadContractRule(Rule):
                         consumer_module,
                         node,
                         f"_finish reads payload[{key!r}] but "
-                        "_execute_payload/_worker_execute never produce that "
-                        "key; the worker wire protocol is out of sync",
+                        "_execute_payload/_worker_execute_group never produce "
+                        "that key; the worker wire protocol is out of sync",
                     )
                 )
         for key, node in _consumed_keys(consumer_fn, "error"):

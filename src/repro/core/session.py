@@ -336,7 +336,7 @@ class Session:
             model = model.use_design(model.design.derive(**dict(design)))
         if feature_format is not None:
             model = model.use_format(feature_format)
-        format_name = FORMATS.canonical(model.feature_format_name)
+        format_name = FORMATS.canonical(model.feature_format.name)
         format_factory = self._format_factory(format_name)
         # Dedupe by resolved design point: an equal point built earlier (and
         # with the same live registrations) is the same model.

@@ -206,45 +206,8 @@ def _execute_payload(
     return payload
 
 
-def _worker_execute(
-    payload: Tuple[
-        int,
-        Dict[str, object],
-        bool,
-        Optional[Dict[str, object]],
-        Optional[Dict[str, object]],
-    ]
-) -> Tuple[int, Dict[str, object]]:
-    """Pool entry point: run one scenario, never raise.
-
-    The wire tuple carries the scenario plus the sweep's fault plan and
-    execution policy as plain dictionaries.  The fault plan is armed once
-    per worker *process* (fresh counters — injection schedules are
-    per-worker deterministic); the policy is rebuilt per task.
-    """
-    index, scenario_dict, profile, plan_dict, policy_dict = payload
-    if plan_dict is not None and active_faults() is None:
-        arm_faults(FaultPlan.from_dict(plan_dict))
-    policy = (
-        ExecutionPolicy.from_dict(policy_dict) if policy_dict is not None else None
-    )
-    started = time.perf_counter()  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
-    try:
-        scenario = Scenario.from_dict(scenario_dict)
-    except Exception as exc:  # noqa: BLE001 — a bad payload must not kill the pool
-        return index, {
-            "ok": False,
-            "error": _error_block(exc),
-            "elapsed_s": time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
-            "attempts": 1,
-            "timed_out": False,
-            "degraded": False,
-        }
-    return index, _execute_payload(_worker_session(), scenario, profile, policy)
-
-
 def _worker_execute_group(
-    payload: Tuple[
+    wire: Tuple[
         List[int],
         List[Dict[str, object]],
         bool,
@@ -262,7 +225,7 @@ def _worker_execute_group(
     :func:`_execute_payload` dictionary (telemetry deltas, retries, and
     errors stay per-scenario).
     """
-    indices, scenario_dicts, profile, plan_dict, policy_dict, spectrum = payload
+    indices, scenario_dicts, profile, plan_dict, policy_dict, spectrum = wire
     if plan_dict is not None and active_faults() is None:
         arm_faults(FaultPlan.from_dict(plan_dict))
     policy = (
@@ -274,19 +237,15 @@ def _worker_execute_group(
         try:
             scenario = Scenario.from_dict(scenario_dict)
         except Exception as exc:  # noqa: BLE001 — a bad payload must not kill the pool
-            results.append(
-                (
-                    index,
-                    {
-                        "ok": False,
-                        "error": _error_block(exc),
-                        "elapsed_s": time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
-                        "attempts": 1,
-                        "timed_out": False,
-                        "degraded": False,
-                    },
-                )
-            )
+            payload = {
+                "ok": False,
+                "error": _error_block(exc),
+                "elapsed_s": time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
+                "attempts": 1,
+                "timed_out": False,
+                "degraded": False,
+            }
+            results.append((index, payload))
             continue
         results.append(
             (

@@ -121,40 +121,6 @@ def test_with_format_copies_equal_identically_configured_points():
     assert dense_a.slice_size is None
 
 
-def test_builtin_shim_classes_lift_to_the_registered_designs():
-    # The deprecated subclasses and the registered design points must be the
-    # same design — attribute drift between them would silently fork the
-    # accelerator definitions.
-    from repro.accelerator import baselines, sgcn
-
-    shims = {
-        "gcnax": baselines.GCNAXAccelerator,
-        "hygcn": baselines.HyGCNAccelerator,
-        "awb_gcn": baselines.AWBGCNAccelerator,
-        "engn": baselines.EnGNAccelerator,
-        "igcn": baselines.IGCNAccelerator,
-        "sgcn": sgcn.SGCNAccelerator,
-        "sgcn_no_sac": sgcn.SGCNNoSACAccelerator,
-        "sgcn_nonsliced": sgcn.SGCNNonSlicedAccelerator,
-        "sgcn_packed": sgcn.SGCNPackedAccelerator,
-    }
-    assert set(shims) == set(BUILTIN_DESIGNS)
-    for name, cls in shims.items():
-        assert cls().design == BUILTIN_DESIGNS[name], name
-
-
-def test_shim_and_design_models_simulate_identically():
-    from repro.accelerator.sgcn import SGCNAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    dataset = load_dataset("cora", max_vertices=96, num_layers=4)
-    via_shim = SGCNAccelerator().simulate(dataset)
-    via_design = AcceleratorModel(BUILTIN_DESIGNS["sgcn"]).simulate(dataset)
-    assert json.dumps(via_shim.to_dict(), sort_keys=True) == json.dumps(
-        via_design.to_dict(), sort_keys=True
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
@@ -288,21 +254,6 @@ def test_boolean_knobs_reject_truthy_strings():
         BUILTIN_DESIGNS["gcnax"].derive(column_product="True")
 
 
-def test_wrapped_models_mirror_every_knob_attribute():
-    # A model wrapping an arbitrary design point must report that design's
-    # values through the legacy class-attribute API, not base-class defaults.
-    model = AcceleratorModel(BUILTIN_DESIGNS["awb_gcn"])
-    assert model.psum_traffic_factor == 1.0
-    assert model.combination_zero_skipping is True
-    assert model.sparse_first_layer is True
-    engn = AcceleratorModel(BUILTIN_DESIGNS["engn"])
-    assert engn.tiling_fill_fraction == 3.0
-    assert engn.pins_high_degree_vertices is True
-    sgcn = AcceleratorModel(BUILTIN_DESIGNS["sgcn"])
-    assert sgcn.engine_partition == "sac"
-    assert sgcn.feature_format_name == "beicsr"
-
-
 def test_get_design_detects_temporary_shadowing():
     from repro.accelerator.registry import temporary_accelerator
 
@@ -353,25 +304,6 @@ def test_design_axis_canonicalises_values_and_drops_noops():
     assert explicit_default.design is None
 
 
-def test_legacy_attribute_mutation_still_reaches_simulate():
-    from repro.accelerator.baselines import GCNAXAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    dataset = load_dataset("pubmed", max_vertices=128, num_layers=4)
-    baseline = GCNAXAccelerator().simulate(dataset)
-    mutated = GCNAXAccelerator()
-    mutated.tiling_fill_fraction = 0.2
-    result = mutated.simulate(dataset)
-    assert result.dram_traffic_bytes != baseline.dram_traffic_bytes
-    # The mutation is equivalent to deriving the design point explicitly.
-    derived = AcceleratorModel(
-        BUILTIN_DESIGNS["gcnax"].derive(tiling_fill_fraction=0.2)
-    ).simulate(dataset)
-    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
-        derived.to_dict(), sort_keys=True
-    )
-
-
 def test_explicit_format_default_shares_identity():
     with_default = RunSpec(dataset="cora", accelerator="gcnax",
                            design={"feature_format": "beicsr", "slice_size": 96})
@@ -419,47 +351,7 @@ def test_numeric_knob_spellings_share_identity_and_hash():
     )
 
 
-def test_use_format_preserves_legacy_attribute_mutations():
-    from repro.accelerator.baselines import GCNAXAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    model = GCNAXAccelerator()
-    model.tiling_fill_fraction = 0.5
-    copy = model.use_format("beicsr")
-    assert copy.design.tiling_fill_fraction == 0.5
-    dataset = load_dataset("cora", max_vertices=96, num_layers=4)
-    expected = AcceleratorModel(
-        BUILTIN_DESIGNS["gcnax"].derive(
-            tiling_fill_fraction=0.5, feature_format="beicsr"
-        )
-    ).simulate(dataset)
-    assert json.dumps(copy.simulate(dataset).to_dict(), sort_keys=True) == (
-        json.dumps(expected.to_dict(), sort_keys=True)
-    )
-
-
 def test_registry_models_expose_slice_size():
     assert get_accelerator("sgcn").slice_size == 96
     assert get_accelerator("gcnax").slice_size is None
     assert AcceleratorModel(SGCN_DESIGN.derive(slice_size=128)).slice_size == 128
-
-
-def test_overridden_build_context_hook_is_still_honored():
-    from repro.accelerator.sgcn import SGCNAccelerator
-    from repro.graphs.datasets import load_dataset
-
-    calls = []
-
-    class Hooked(SGCNAccelerator):
-        def _build_context(self, dataset, config, workloads, trace_cache=None):
-            context = super()._build_context(dataset, config, workloads, trace_cache)
-            calls.append(context.cache_lines)
-            # Legacy-style customisation: halve the cache capacity.
-            context.cache_lines = max(1, context.cache_lines // 2)
-            return context
-
-    dataset = load_dataset("pubmed", max_vertices=128, num_layers=4)
-    hooked = Hooked().simulate(dataset)
-    plain = SGCNAccelerator().simulate(dataset)
-    assert calls  # the hook ran
-    assert hooked.metadata["cache_lines"] == plain.metadata["cache_lines"] // 2

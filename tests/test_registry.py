@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.accelerator.design import SGCN_DESIGN, DesignPoint
 from repro.accelerator.registry import (
     ACCELERATORS,
     available_accelerators,
@@ -12,7 +13,7 @@ from repro.accelerator.registry import (
     temporary_accelerator,
     unregister_accelerator,
 )
-from repro.accelerator.sgcn import SGCNAccelerator
+from repro.accelerator.simulator import AcceleratorModel
 from repro.errors import ConfigurationError, FormatError
 from repro.formats.dense import DenseFormat
 from repro.formats.registry import (
@@ -24,6 +25,10 @@ from repro.formats.registry import (
     unregister_format,
 )
 from repro.registry import Registry
+
+
+def _sgcn_model() -> AcceleratorModel:
+    return AcceleratorModel(SGCN_DESIGN)
 
 
 def test_case_dash_space_folding_and_aliases():
@@ -42,16 +47,16 @@ def test_unknown_names_raise_family_error():
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ConfigurationError, match="already registered"):
-        register_accelerator("sgcn", SGCNAccelerator)
+        register_accelerator("sgcn", _sgcn_model)
     with pytest.raises(FormatError, match="already registered"):
         register_format("dense", DenseFormat)
 
 
 def test_register_unregister_round_trip_leaves_no_state():
     before = available_accelerators()
-    register_accelerator("custom_model", SGCNAccelerator)
+    register_accelerator("custom_model", _sgcn_model)
     assert "custom_model" in ACCELERATORS
-    assert isinstance(get_accelerator("custom-model"), SGCNAccelerator)
+    assert get_accelerator("custom-model").design == SGCN_DESIGN
     unregister_accelerator("custom_model")
     assert available_accelerators() == before
     with pytest.raises(ConfigurationError, match="cannot unregister"):
@@ -65,7 +70,7 @@ def test_register_unregister_round_trip_leaves_no_state():
 
 def test_temporary_registration_is_scoped():
     assert "mock" not in ACCELERATORS
-    with temporary_accelerator("mock", SGCNAccelerator):
+    with temporary_accelerator("mock", _sgcn_model):
         assert get_accelerator("mock").name == "sgcn"
     assert "mock" not in ACCELERATORS
 
@@ -75,18 +80,15 @@ def test_temporary_registration_is_scoped():
 
 
 def test_temporary_shadows_and_restores_existing_entry():
-    class FakeSGCN(SGCNAccelerator):
-        display_name = "Fake"
-
-    original = type(get_accelerator("sgcn"))
-    with ACCELERATORS.temporary("sgcn", FakeSGCN):
-        assert isinstance(get_accelerator("sgcn"), FakeSGCN)
-    assert type(get_accelerator("sgcn")) is original
+    fake = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "fake_sgcn"})
+    with ACCELERATORS.temporary("sgcn", lambda: AcceleratorModel(fake)):
+        assert get_accelerator("sgcn").design == fake
+    assert get_accelerator("sgcn").design == SGCN_DESIGN
 
 
 def test_temporary_restores_even_on_error():
     with pytest.raises(RuntimeError):
-        with temporary_accelerator("doomed", SGCNAccelerator):
+        with temporary_accelerator("doomed", _sgcn_model):
             raise RuntimeError("boom")
     assert "doomed" not in ACCELERATORS
 
@@ -115,7 +117,7 @@ def test_name_cannot_collide_with_existing_alias():
 
 
 def test_temporary_shadows_through_alias():
-    with ACCELERATORS.temporary("awb-gcn", SGCNAccelerator):
+    with ACCELERATORS.temporary("awb-gcn", _sgcn_model):
         assert get_accelerator("awbgcn").name == "sgcn"
         assert get_accelerator("awb_gcn").name == "sgcn"
     assert get_accelerator("awbgcn").name == "awb_gcn"  # restored

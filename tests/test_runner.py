@@ -75,6 +75,35 @@ def test_failing_scenario_does_not_kill_the_sweep(tmp_path):
     assert store.contains(good) and store.contains(good2)
 
 
+def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
+    from repro.core.session import Session
+    from repro.experiments import runner
+
+    # The pool entry builds a per-process session; keep it out of this one.
+    monkeypatch.setattr(runner, "_WORKER_SESSION", None)
+    good = Scenario(dataset="cora", accelerator="sgcn", **TINY)
+    good2 = Scenario(dataset="citeseer", accelerator="sgcn", **TINY)
+    wire = (
+        [0, 1, 2],
+        [good.to_dict(), {"dataset": "cora", "bogus": 1}, good2.to_dict()],
+        False,
+        None,
+        None,
+        [],
+    )
+    payloads = dict(runner._worker_execute_group(wire))
+    assert sorted(payloads) == [0, 1, 2]
+    assert payloads[1]["ok"] is False
+    assert payloads[0]["ok"] is True and payloads[2]["ok"] is True
+    # The bad-payload dict speaks the same wire protocol as a failed run.
+    failed = runner._execute_payload(
+        Session(), Scenario(dataset="atlantis", accelerator="sgcn", **TINY), False
+    )
+    assert failed["ok"] is False
+    assert set(payloads[1]) == set(failed)
+    assert set(payloads[1]["error"]) == set(failed["error"])
+
+
 def test_keyboard_interrupt_aborts_serial_sweep(monkeypatch):
     from repro.core.session import Session
 

@@ -151,22 +151,21 @@ def test_session_memoizes_accelerator_instances():
 
 
 def test_session_cache_does_not_outlive_registry_entries():
+    from repro.accelerator.design import SGCN_DESIGN, DesignPoint
     from repro.accelerator.registry import temporary_accelerator
-    from repro.accelerator.sgcn import SGCNAccelerator
+    from repro.accelerator.simulator import AcceleratorModel
 
     session = Session()
-    with temporary_accelerator("mockacc", SGCNAccelerator):
+    with temporary_accelerator("mockacc", lambda: AcceleratorModel(SGCN_DESIGN)):
         assert session.accelerator("mockacc").name == "sgcn"
     # The registration is gone; the session must not serve its cached model.
     with pytest.raises(ConfigurationError, match="unknown accelerator"):
         session.accelerator("mockacc")
 
-    class Other(SGCNAccelerator):
-        display_name = "Other"
-
-    with temporary_accelerator("mockacc", Other):
+    other = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "other"})
+    with temporary_accelerator("mockacc", lambda: AcceleratorModel(other)):
         # Re-registered under a different factory: the cache must rebuild.
-        assert isinstance(session.accelerator("mockacc"), Other)
+        assert session.accelerator("mockacc").design == other
 
 
 def test_session_compare_rejects_mixed_datasets_and_duplicates():
@@ -234,14 +233,13 @@ def test_config_for_layers_overrides_on_session_base():
 
 
 def test_compare_shim_accepts_custom_instance_baseline():
-    from repro.accelerator.sgcn import SGCNAccelerator
+    from repro.accelerator.design import SGCN_DESIGN, DesignPoint
+    from repro.accelerator.simulator import AcceleratorModel
 
-    class MyAccel(SGCNAccelerator):
-        name = "My-Accel"
-
+    my_accel = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "My-Accel"})
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
     comparison = compare_accelerators(
-        dataset, [MyAccel(), "gcnax"], baseline="My-Accel"
+        dataset, [AcceleratorModel(my_accel), "gcnax"], baseline="My-Accel"
     )
     assert comparison.baseline == "My-Accel"
     assert comparison.speedups("My-Accel")["My-Accel"] == pytest.approx(1.0)
