@@ -185,12 +185,17 @@ class CSRGraph:
 
         Args:
             num_vertices: Number of vertices.
-            edges: Iterable of ``(source, destination)`` pairs.
+            edges: ``(E, 2)`` array or iterable of ``(source, destination)``
+                pairs.
             weights: Optional per-edge weights aligned with ``edges``.
             name: Graph name.
             deduplicate: Remove duplicate edges (keeping the first weight).
         """
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        # An array converts directly; listing it would split it into E row
+        # arrays only to stack them back.
+        edge_array = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
         if edge_array.size == 0:
             indptr = np.zeros(num_vertices + 1, dtype=np.int64)
             return cls(indptr, np.zeros(0, dtype=np.int64), name=name)

@@ -29,7 +29,10 @@ occurrence ``p``, the sum of ``w[j]`` over window positions ``p < j < i``
 whose own previous occurrence lies at or before ``p`` (i.e. the first
 in-window occurrence of each distinct row).  The tree's permutations and
 query positions depend only on the *trace*, not on the sizes, so the
-structure is built once per trace (:class:`ReplayEngine`) and each
+structure is built once per trace (:class:`ReplayEngine`) — top down, one
+stable left/right split per level starting from the repeat accesses in
+previous-occurrence order, with the query entries grouped by a counting
+sort, so no composite-key sort or search is needed — and each
 evaluation — per feature pass, per layer, per capacity, per pinned set — is
 a handful of gathers and cumulative sums.  :class:`TraceCache` memoizes the
 engines (and the traces they replay) across runs; a sweep over N
@@ -90,12 +93,12 @@ class ReplayEngine:
             if trace.ndim != 1:
                 raise ConfigurationError("trace must be a one-dimensional array")
             self.trace = trace
-            self.prev = _previous_occurrences(trace)
+            prev = _previous_occurrences(trace)
             # Eval-loop constants: clipped previous-occurrence index (+1, for
             # the exclusive prefix-sum lookup) and the repeat-access mask.
-            self._prev_plus1 = np.where(self.prev >= 0, self.prev, 0) + 1
-            self._seen_before = self.prev >= 0
-            self._build_structure(trace.size, self.prev)
+            self._prev_plus1 = (np.where(prev >= 0, prev, 0) + 1).astype(_INDEX_DTYPE)
+            self._seen_before = prev >= 0
+            self._build_structure(trace.size, prev)
         # Result memo keyed by (size-table digest, capacity, pinned-set
         # digest).  Dense-style formats feed the same constant table for
         # every layer and pass of a run, so most evaluations of an engine
@@ -127,6 +130,20 @@ class ReplayEngine:
         positions are sorted by ``prev`` within each block, and each query's
         contribution is a suffix sum of its sibling block's segment.
 
+        The tree is built top-down.  First occurrences (``prev < 0``) can
+        never satisfy ``prev[j] > prev[i] >= 0`` and are dropped outright;
+        ``prev`` is injective on the rest, so one scatter lists the repeat
+        positions in ``prev`` order — the root level's ``(block, prev)``
+        ordering.  At each level one cumulative count of the left-half bit
+        over that ordering yields the level's contributor segment (its
+        left-half elements, in order), every query's suffix bounds (``lo`` =
+        left elements before it, ``hi`` = left elements through the end of
+        its block; the query is live iff ``hi > lo``), and the stable
+        left/right split of each block, which is the next level's ordering.
+        The per-level query entries are then grouped by position with a
+        counting sort, each group filled from its end so that a query's
+        entries run from level 1 up.
+
         All levels are concatenated into one workspace so that an
         evaluation is a handful of large array operations rather than a few
         small ones per level: one gather of the weights through
@@ -138,7 +155,8 @@ class ReplayEngine:
         / ``_query_rows``).  Everything here depends only on the trace,
         never on the size tables.
         """
-        if n < 2 or not np.any(prev >= 0):
+        repeats = np.flatnonzero(prev >= 0)
+        if n < 2 or not repeats.size:
             self._gather = np.zeros(0, dtype=_INDEX_DTYPE)
             self._reduce_starts = np.zeros(0, dtype=_INDEX_DTYPE)
             self._query_rows = np.zeros(0, dtype=_INDEX_DTYPE)
@@ -146,71 +164,84 @@ class ReplayEngine:
             self._hi = np.zeros(0, dtype=_INDEX_DTYPE)
             return
 
-        # Position j is a contributor at level l (1-based, half-width
-        # 2**(l-1)) iff bit l-1 of j is 0 (left half of its block), a query
-        # iff that bit is 1; (level, block) pairs are numbered like heap
-        # nodes so the whole tree flattens into ONE sort.  First occurrences
-        # (prev < 0) are dropped from both sides outright: they can never
-        # satisfy prev[j] > prev[i] >= 0.
         num_levels = max(1, int(np.ceil(np.log2(n))))
-        levels = np.arange(1, num_levels + 1, dtype=np.int64)
-        positions = np.arange(n, dtype=np.int64)
-        seen = prev >= 0
-        side = (positions[None, :] >> (levels[:, None] - 1)) & 1
-        level_of, pos_of = np.nonzero((side == 0) & seen[None, :])
-        level_of += 1
-        node_of = (np.int64(1) << (num_levels - level_of)) + (pos_of >> level_of)
+        by_prev = np.full(n, -1, dtype=_INDEX_DTYPE)
+        by_prev[prev[repeats]] = repeats
+        order = by_prev[by_prev >= 0]
+        del by_prev, repeats
+        m = order.size
+        ramp = np.arange(m, dtype=_INDEX_DTYPE)
+        left_before = np.zeros(m + 1, dtype=_INDEX_DTYPE)
 
-        q_level, q_pos = np.nonzero((side == 1) & seen[None, :])
-        q_level += 1
-        q_node = (np.int64(1) << (num_levels - q_level)) + (q_pos >> q_level)
-        node_space = (np.int64(1) << num_levels) + 1
+        segments: List[np.ndarray] = []
+        level_queries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        query_counts = np.zeros(n, dtype=_INDEX_DTYPE)
+        offset = 0
+        for level in range(num_levels, 0, -1):
+            # Level l has blocks pos >> l; bit l-1 picks the half.
+            is_left = ((order >> (level - 1)) & 1) == 0
+            np.cumsum(is_left, dtype=_INDEX_DTYPE, out=left_before[1:])
+            block_sizes = np.bincount(order >> level)
+            block_end = np.cumsum(block_sizes)
+            contributors = order[is_left]
+            segments.append(contributors)
 
-        span = np.int64(n) + 2
-        key = node_of * span + (prev[pos_of] + 1)
-        order = np.argsort(key, kind="stable")
-        gather = pos_of[order]
-        sorted_key = key[order]
-        node_sorted = node_of[order]
+            # Right elements are the level's queries.  The k-th one, at
+            # ordering index right[k], has right[k] - k left elements before
+            # it (lo); its block's left elements end at left_before[block_end]
+            # (hi).
+            right = np.flatnonzero(~is_left)
+            right_pos = order[right]
+            hi = left_before[block_end][right_pos >> level]
+            lo = (right - ramp[: right.size]).astype(_INDEX_DTYPE)
+            live = hi > lo
+            q_pos = right_pos[live]
+            query_counts[q_pos] += 1
+            level_queries.append((q_pos, lo[live] + offset, hi[live] + offset))
+            offset += int(left_before[m])
 
-        # A query is live iff some contributor of its node has a larger
-        # prev — i.e. its prev is below the node's maximum.  Each node's
-        # segment is prev-ascending, so a last-write-wins fancy assignment
-        # leaves exactly the per-node maximum; filtering on it *before* the
-        # searchsorted removes the (typically dominant) dead majority.
-        node_max_prev = np.full(node_space, -2, dtype=np.int64)
-        node_max_prev[node_sorted] = prev[gather]
-        live = prev[q_pos] < node_max_prev[q_node]
-        q_pos, q_node = q_pos[live], q_node[live]
+            if level > 1:
+                # Stable split of every block into its left then right half.
+                # A left element lands after the right elements of earlier
+                # blocks plus the left elements before it; a right element
+                # after every left element through its block plus the right
+                # elements before it.
+                block_start = block_end - block_sizes
+                right_ahead = block_start - left_before[block_start]
+                left_dest = right_ahead[contributors >> level]
+                left_dest += ramp[: contributors.size]
+                split = np.empty_like(order)
+                split[left_dest] = contributors
+                split[hi + ramp[: right.size]] = right_pos
+                order = split
 
-        lo = np.searchsorted(sorted_key, q_node * span + (prev[q_pos] + 1), side="right")
-        max_node = int(node_sorted[-1]) if node_sorted.size else 0
-        segment_ends = np.cumsum(np.bincount(node_sorted, minlength=max_node + 2))
-        hi = segment_ends[np.minimum(q_node, max_node + 1)]
-
-        # Group the per-level query entries by query position so one
-        # reduceat folds every level's contribution of a query together.
-        grouping = np.argsort(q_pos, kind="stable")
-        grouped = q_pos[grouping]
-        is_start = np.ones(grouped.size, dtype=bool)
-        if grouped.size:
-            is_start[1:] = grouped[1:] != grouped[:-1]
-        self._gather = gather.astype(_INDEX_DTYPE)
-        self._reduce_starts = np.flatnonzero(is_start).astype(_INDEX_DTYPE)
-        self._query_rows = grouped[is_start].astype(_INDEX_DTYPE)
-        self._lo = lo[grouping].astype(_INDEX_DTYPE)
-        self._hi = hi[grouping].astype(_INDEX_DTYPE)
+        # Counting sort of the query entries by position.  Levels arrive
+        # root first and each position is a query at most once per level,
+        # so filling every group from its end leaves level 1 first.
+        cursor = np.cumsum(query_counts, dtype=_INDEX_DTYPE)
+        total = int(cursor[-1])
+        lo_grouped = np.empty(total, dtype=_INDEX_DTYPE)
+        hi_grouped = np.empty(total, dtype=_INDEX_DTYPE)
+        for q_pos, lo, hi in level_queries:
+            slots = cursor[q_pos] - 1
+            cursor[q_pos] = slots
+            lo_grouped[slots] = lo
+            hi_grouped[slots] = hi
+        has_query = query_counts > 0
+        self._gather = np.concatenate(segments)
+        self._reduce_starts = cursor[has_query]
+        self._query_rows = np.flatnonzero(has_query).astype(_INDEX_DTYPE)
+        self._lo = lo_grouped
+        self._hi = hi_grouped
 
     def structure_bytes(self) -> int:
-        """Approximate memory footprint of the precomputed structure."""
+        """Memory footprint of every array the engine holds."""
         return int(
-            self.prev.nbytes
-            + self.trace.nbytes
-            + self._gather.nbytes
-            + self._reduce_starts.nbytes
-            + self._query_rows.nbytes
-            + self._lo.nbytes
-            + self._hi.nbytes
+            sum(
+                value.nbytes
+                for value in vars(self).values()
+                if isinstance(value, np.ndarray)
+            )
         )
 
     # ------------------------------------------------------------------ #

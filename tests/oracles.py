@@ -8,6 +8,9 @@ inputs.
 
 * :class:`RowCache` — the fully-associative LRU row cache, one access at a
   time (oracle of :class:`repro.memory.replay.ReplayEngine`);
+* :func:`replay_structure_reference` — the replay engine's mergesort-tree
+  arrays built as one composite-key sort (oracle of
+  ``ReplayEngine._build_structure``);
 * :func:`pinned_partition_replay` — replay with a dedicated pinned-row
   partition (EnGN's DAVC), the per-access loop of the pinned replay;
 * :func:`source_processing_order_reference`,
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from math import ceil
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -164,6 +167,78 @@ def pinned_partition_replay(
             stats.misses += 1
             stats.miss_lines += size
     return stats
+
+
+def replay_structure_reference(trace: np.ndarray) -> Dict[str, np.ndarray]:
+    """Composite-key reference of ``ReplayEngine._build_structure``.
+
+    Materializes the ``levels x n`` contributor/query side matrix, sorts
+    every contributor by one ``(heap node, prev)`` composite key, locates
+    each live query with ``searchsorted`` and groups the query entries by
+    position with a stable ``argsort``.  Returns the five structure arrays
+    keyed by the engine's attribute names.
+    """
+    trace = np.asarray(trace, dtype=np.int64)
+    n = trace.size
+    prev = np.full(n, -1, dtype=np.int64)
+    last_seen: Dict[int, int] = {}
+    for position, row in enumerate(trace.tolist()):
+        prev[position] = last_seen.get(row, -1)
+        last_seen[row] = position
+    names = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi")
+    if n < 2 or not np.any(prev >= 0):
+        return {name: np.zeros(0, dtype=np.int32) for name in names}
+
+    # Position j is a contributor at level l (half-width 2**(l-1)) iff bit
+    # l-1 of j is 0, a query iff it is 1; (level, block) pairs are numbered
+    # like heap nodes so the whole tree flattens into one sort.
+    num_levels = max(1, int(np.ceil(np.log2(n))))
+    levels = np.arange(1, num_levels + 1, dtype=np.int64)
+    positions = np.arange(n, dtype=np.int64)
+    seen = prev >= 0
+    side = (positions[None, :] >> (levels[:, None] - 1)) & 1
+    level_of, pos_of = np.nonzero((side == 0) & seen[None, :])
+    level_of += 1
+    node_of = (np.int64(1) << (num_levels - level_of)) + (pos_of >> level_of)
+
+    q_level, q_pos = np.nonzero((side == 1) & seen[None, :])
+    q_level += 1
+    q_node = (np.int64(1) << (num_levels - q_level)) + (q_pos >> q_level)
+    node_space = (np.int64(1) << num_levels) + 1
+
+    key_span = np.int64(n) + 2
+    key = node_of * key_span + (prev[pos_of] + 1)
+    order = np.argsort(key, kind="stable")
+    gather = pos_of[order]
+    sorted_key = key[order]
+    node_sorted = node_of[order]
+
+    # A query is live iff some contributor of its node has a larger prev.
+    node_max_prev = np.full(node_space, -2, dtype=np.int64)
+    node_max_prev[node_sorted] = prev[gather]
+    live = prev[q_pos] < node_max_prev[q_node]
+    q_pos, q_node = q_pos[live], q_node[live]
+
+    lo = np.searchsorted(
+        sorted_key, q_node * key_span + (prev[q_pos] + 1), side="right"
+    )
+    max_node = int(node_sorted[-1]) if node_sorted.size else 0
+    segment_ends = np.cumsum(np.bincount(node_sorted, minlength=max_node + 2))
+    hi = segment_ends[np.minimum(q_node, max_node + 1)]
+
+    grouping = np.argsort(q_pos, kind="stable")
+    grouped = q_pos[grouping]
+    is_start = np.ones(grouped.size, dtype=bool)
+    if grouped.size:
+        is_start[1:] = grouped[1:] != grouped[:-1]
+    arrays = (
+        gather,
+        np.flatnonzero(is_start),
+        grouped[is_start],
+        lo[grouping],
+        hi[grouping],
+    )
+    return {name: array.astype(np.int32) for name, array in zip(names, arrays)}
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import RowCache, pinned_partition_replay
+from oracles import RowCache, pinned_partition_replay, replay_structure_reference
 from repro.errors import ConfigurationError
 from repro.memory.replay import ReplayEngine, TraceCache, array_token, replay_trace
 from repro.memory.rowcache import RowCacheStats
@@ -183,6 +183,60 @@ class TestOracleFuzz:
         (plain,) = engine.evaluate([sizes], [12, 40])
         (absent,) = engine.evaluate([sizes], [12, 40], np.asarray([99, 100]))
         assert [stats_tuple(s) for s in plain] == [stats_tuple(s) for s in absent]
+
+
+def _boundary_traces(rng):
+    """Random traces of length 2**k - 1, 2**k and 2**k + 1 for k = 1..11."""
+    for k in range(1, 12):
+        for length in (2**k - 1, 2**k, 2**k + 1):
+            num_rows = int(rng.integers(1, max(2, length // 2) + 1))
+            yield rng.integers(0, num_rows, size=length).astype(np.int64)
+
+
+class TestStructureConstruction:
+    """The top-down tree build against the composite-key reference."""
+
+    STRUCTURE = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi")
+
+    def assert_same_structure(self, trace):
+        engine = ReplayEngine(trace)
+        want = replay_structure_reference(trace)
+        for name in self.STRUCTURE:
+            got = getattr(engine, name)
+            assert got.dtype == want[name].dtype, (trace.size, name)
+            assert np.array_equal(got, want[name]), (trace.size, name)
+
+    def test_adversarial_cases(self):
+        for _, trace, _ in _adversarial_cases(np.random.default_rng(0)):
+            self.assert_same_structure(trace)
+
+    def test_power_of_two_boundary_lengths(self):
+        for trace in _boundary_traces(np.random.default_rng(1)):
+            self.assert_same_structure(trace)
+
+    def test_long_trace_over_few_rows(self):
+        rng = np.random.default_rng(2)
+        self.assert_same_structure(rng.integers(0, 6, size=5000).astype(np.int64))
+
+    def test_boundary_lengths_match_rowcache(self):
+        rng = np.random.default_rng(3)
+        for trace in _boundary_traces(rng):
+            sizes = rng.integers(1, 9, size=int(trace.max()) + 1).astype(np.int64)
+            capacities = [1, 4, 12, 40]
+            (got,) = ReplayEngine(trace).evaluate([sizes], capacities)
+            for capacity, stats in zip(capacities, got):
+                want = reference_stats(trace, sizes, capacity)
+                assert stats_tuple(stats) == stats_tuple(want), (trace.size, capacity)
+
+    def test_structure_bytes_counts_every_array(self):
+        trace = np.random.default_rng(4).integers(0, 30, size=700).astype(np.int64)
+        engine = ReplayEngine(trace)
+        arrays = [
+            value for value in vars(engine).values() if isinstance(value, np.ndarray)
+        ]
+        assert engine.structure_bytes() == sum(array.nbytes for array in arrays)
+        assert not hasattr(engine, "prev")
+        assert engine._prev_plus1.dtype == np.int32
 
 
 class TestMemoAccounting:

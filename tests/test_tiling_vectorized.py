@@ -14,7 +14,7 @@ from repro.accelerator.tiling import (
     locality_reordering,
     source_processing_order,
 )
-from repro.errors import SimulationError
+from repro.errors import GraphError, SimulationError
 from repro.graphs.graph import CSRGraph
 
 
@@ -154,3 +154,41 @@ class TestGraphReorderAndFingerprint:
                 transposed.indptr, graph.indptr
             ):
                 assert transposed.fingerprint() != graph.fingerprint()
+
+
+class TestEdgeListArrayInput:
+    """An ``(E, 2)`` array builds the same graph as its list of tuples."""
+
+    @pytest.mark.parametrize("deduplicate", [True, False])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_array_and_tuple_list_build_equal_graphs(self, deduplicate, weighted):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            num_vertices = int(rng.integers(1, 40))
+            num_edges = int(rng.integers(0, 120))
+            pairs = rng.integers(0, num_vertices, size=(num_edges, 2))
+            weights = rng.random(num_edges).astype(np.float32) if weighted else None
+            from_array = CSRGraph.from_edge_list(
+                num_vertices, pairs, weights=weights, deduplicate=deduplicate
+            )
+            from_tuples = CSRGraph.from_edge_list(
+                num_vertices,
+                [tuple(pair) for pair in pairs.tolist()],
+                weights=None if weights is None else weights.tolist(),
+                deduplicate=deduplicate,
+            )
+            assert np.array_equal(from_array.indptr, from_tuples.indptr)
+            assert np.array_equal(from_array.indices, from_tuples.indices)
+            assert np.array_equal(from_array.weights, from_tuples.weights)
+
+    def test_array_input_is_still_validated(self):
+        with pytest.raises(GraphError):
+            CSRGraph.from_edge_list(4, np.zeros((3, 3), dtype=np.int64))
+        with pytest.raises(GraphError):
+            CSRGraph.from_edge_list(4, np.asarray([[0, 1], [2, 4]]))
+        with pytest.raises(GraphError):
+            CSRGraph.from_edge_list(4, np.asarray([[0, 1], [-1, 2]]))
+        with pytest.raises(GraphError):
+            CSRGraph.from_edge_list(
+                4, np.asarray([[0, 1], [2, 3]]), weights=np.ones(3)
+            )
