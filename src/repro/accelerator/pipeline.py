@@ -632,7 +632,11 @@ def replay(
     # sparsity draw but not on any capacity or timing knob, so the sibling
     # runs of a knob sweep share them through the trace cache — which also
     # keeps the arrays *identical objects* across runs, letting the replay
-    # engine's id()-keyed token cache skip re-digesting them.
+    # engine's id()-keyed token cache skip re-digesting them.  The key
+    # carries the model depth because a measured provider's tables come from
+    # the harvest of that depth's model: without it, a run would reuse the
+    # tables of an earlier run of another depth whose layer happened to
+    # share its index, width and input sparsity.
     provider = context.sparsity or _SYNTHETIC_PROVIDER
     prepared: List[ReplayedLayer] = []
     for workload, weight in sampled:
@@ -646,6 +650,7 @@ def replay(
                 provider,
                 fmt.cache_token(),
                 context.graph.fingerprint(),
+                context.dataset.num_layers,
                 workload.layer_index,
                 workload.width_in,
                 float(workload.input_sparsity),

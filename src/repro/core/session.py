@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import replace as _dc_replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
 from repro.accelerator.registry import ACCELERATORS
@@ -59,7 +59,7 @@ from repro.gcn.providers import (
     make_sparsity_provider,
     resolve_sparsity_mode,
 )
-from repro.graphs.datasets import DEFAULT_NUM_LAYERS, Dataset
+from repro.graphs.datasets import DATASET_SPECS, DEFAULT_NUM_LAYERS, Dataset
 from repro.graphs.datasets import load_dataset as _load_dataset
 from repro.memory.replay import ReplayEngine, TraceCache
 from repro.resilience.policy import active_policy
@@ -161,6 +161,89 @@ def replay_classes(
         )
         classes.append((members, capacities if len(capacities) > 1 else ()))
     return classes
+
+
+#: Identity of one synthetic topology: ``(dataset, max_vertices, seed)``.
+Topology = Tuple[str, int, int]
+
+
+class TopologyTask(NamedTuple):
+    """Pending runs on one topology, dispatched as one unit.
+
+    Attributes:
+        topology: The ``(dataset, max_vertices, seed)`` all members share.
+        members: ``(spec index, capacity spectrum)`` per member; each member
+            keeps its own replay class's spectrum.
+        predicted_cost: :func:`topology_cost` summed over the members.
+    """
+
+    topology: Topology
+    members: List[Tuple[int, Tuple[int, ...]]]
+    predicted_cost: float
+
+
+def topology_cost(dataset: str, max_vertices: int) -> float:
+    """Predicted cost of one run on a topology: its scaled edge count.
+
+    An executable cost model: trace length, replay-structure size and
+    dataset synthesis all grow with the simulated edge count, which is the
+    simulated vertex count times the capped average degree
+    (:meth:`~repro.graphs.datasets.DatasetSpec.scaled_size`, the same caps
+    dataset loading applies).  Profiled sweeps record it next to the
+    measured seconds per task (``tasks`` in ``metrics.json``).  An unknown
+    dataset costs 0 rather than raising; its runs report the error.
+    """
+    spec = DATASET_SPECS.get(dataset.strip().lower())
+    if spec is None:
+        return 0.0
+    num_vertices, average_degree = spec.scaled_size(max_vertices)
+    return num_vertices * average_degree
+
+
+def topology_tasks(
+    specs: Sequence[RunSpec],
+    base_config: Optional[SystemConfig] = None,
+    workers: int = 1,
+) -> List[TopologyTask]:
+    """Group the replay classes of ``specs`` by topology.
+
+    One task holds every class of one ``(dataset, max_vertices, seed)``
+    topology, so a task pinned to one session loads the dataset and builds
+    each trace and replay engine once.  Tasks come in order of first
+    appearance, classes keep their :func:`replay_classes` order inside a
+    task, and members their class order.
+
+    For a pool of ``workers`` processes, a task predicted to cost more than
+    the fair share (the total over ``workers``) is split back into one task
+    per replay class: whole, it alone would set the finish time, or leave
+    workers idle when there are fewer topologies than workers.  With one
+    worker nothing is split.
+    """
+    groups: "OrderedDict[Topology, List[Tuple[List[int], Tuple[int, ...]]]]"
+    groups = OrderedDict()
+    for members, spectrum in replay_classes(specs, base_config):
+        first = specs[members[0]]
+        topology = (first.dataset, first.max_vertices, first.seed)
+        groups.setdefault(topology, []).append((members, spectrum))
+
+    def task(
+        topology: Topology, classes: List[Tuple[List[int], Tuple[int, ...]]]
+    ) -> TopologyTask:
+        members = [
+            (index, spectrum) for indices, spectrum in classes for index in indices
+        ]
+        cost = len(members) * topology_cost(topology[0], topology[1])
+        return TopologyTask(topology, members, cost)
+
+    whole = [task(topology, classes) for topology, classes in groups.items()]
+    share = sum(candidate.predicted_cost for candidate in whole) / workers
+    tasks: List[TopologyTask] = []
+    for candidate, classes in zip(whole, groups.values()):
+        if candidate.predicted_cost > share:
+            tasks.extend(task(candidate.topology, [one]) for one in classes)
+        else:
+            tasks.append(candidate)
+    return tasks
 
 
 class Session:
@@ -735,8 +818,11 @@ def reset_default_session() -> None:
 __all__ = [
     "REPLAY_KNOB_OVERRIDES",
     "Session",
+    "TopologyTask",
     "default_session",
     "replay_class_key",
     "replay_classes",
     "reset_default_session",
+    "topology_cost",
+    "topology_tasks",
 ]

@@ -5,11 +5,15 @@ objects into :class:`RunOutcome` records:
 
 * cached scenarios are answered from the :class:`ResultStore` without
   touching the worker pool (incremental re-runs are near-no-ops);
-* the remaining scenarios are dispatched to a ``multiprocessing`` pool in a
-  bounded window of ``apply_async`` tasks; scenarios cross the process
-  boundary as plain dictionaries and results come back as ``to_dict()``
-  payloads, so the parent reconstructs identical :class:`SimulationResult`
-  objects whether a run happened in-process (``workers=1``) or in a worker;
+* the remaining scenarios are grouped one topology per task
+  (:func:`repro.core.session.topology_tasks`: every replay class of one
+  ``(dataset, max_vertices, seed)``) and run in-process in that order, or on
+  a ``multiprocessing`` pool longest predicted task first, with at most one
+  ``apply_async`` task per worker in flight; completions wake the parent
+  through a queue.  Scenarios cross the process boundary as plain
+  dictionaries and results come back as ``to_dict()`` payloads, so the
+  parent reconstructs identical :class:`SimulationResult` objects whether a
+  run happened in-process (``workers=1``) or in a worker;
 * each worker run is wrapped in its own try/except, so one failing scenario
   reports an error outcome instead of killing the sweep.
 
@@ -24,10 +28,11 @@ aggregate exposed by :meth:`SweepReport.metrics_document`.
 Failure handling is declarative (:mod:`repro.resilience`): an
 :class:`~repro.resilience.policy.ExecutionPolicy` governs per-run retries
 (deterministic backoff), wall-clock budgets (cooperative deadline in the
-worker, ``AsyncResult`` reclamation in the parent), and graceful degradation
-(measured-sparsity fallback, store failures downgraded to misses).  A
-SIGKILLed pool worker is detected through the pool's pid set; its in-flight
-scenarios are re-dispatched on the serial path instead of hanging the sweep.
+worker, reclamation of overdue pool tasks in the parent), and graceful
+degradation (measured-sparsity fallback, store failures downgraded to
+misses).  A SIGKILLed pool worker is detected through the pool's pid set;
+its in-flight scenarios are re-dispatched on the serial path instead of
+hanging the sweep.
 An optional :class:`~repro.resilience.checkpoint.SweepCheckpoint` records
 per-scenario accounting so ``--resume`` can skip completed work.
 
@@ -39,14 +44,15 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import queue
 import time
 import traceback
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.results import SimulationResult
-from repro.core.session import Session, default_session, replay_classes
+from repro.core.session import Session, TopologyTask, default_session, topology_tasks
 from repro.errors import ConfigurationError, RunTimeoutError
 from repro.experiments.spec import Scenario
 from repro.experiments.store import ResultStore
@@ -71,7 +77,12 @@ logger = logging.getLogger(__name__)
 
 ProgressCallback = Callable[["RunOutcome", int, int], None]
 
-#: Parent-side poll interval while waiting on pool completions (seconds).
+#: What a pool task delivers: the worker's ``(index, payload)`` list, or the
+#: exception the pool raised in its place.
+_TaskAnswer = Union[List[Tuple[int, Dict[str, object]]], BaseException]
+
+#: Longest the parent blocks waiting for a pool completion before it checks
+#: reclamation budgets and worker deaths (seconds).
 _POOL_POLL_S = 0.05
 
 
@@ -99,7 +110,7 @@ def run_scenario(
     )
 
 
-#: Per-worker-process session, so the scenarios of one pool chunk reuse
+#: Per-worker-process session, so the scenarios of one pool task reuse
 #: memoized datasets (created lazily inside the worker, never inherited).
 _WORKER_SESSION: Optional[Session] = None
 
@@ -115,7 +126,9 @@ def _error_block(exc: BaseException) -> Dict[str, object]:
     return {
         "type": type(exc).__name__,
         "message": str(exc),
-        "traceback": traceback.format_exc(),
+        "traceback": "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
     }
 
 
@@ -213,26 +226,28 @@ def _worker_execute_group(
         bool,
         Optional[Dict[str, object]],
         Optional[Dict[str, object]],
-        List[int],
+        List[List[int]],
     ]
 ) -> List[Tuple[int, Dict[str, object]]]:
-    """Pool entry point: run one replay-knob class on one worker, never raise.
+    """Pool entry point: run one topology's scenarios on one worker, never raise.
 
-    Dispatching the whole class as a single task pins it to one worker
-    session, so the class's trace, schedule, and spectrum-seeded replay memo
-    are shared across its scenarios instead of being rebuilt wherever the
-    scheduler happened to scatter them.  Each scenario still produces its own
+    ``wire`` is ``(indices, scenario dicts, profile, fault plan, policy,
+    spectra)`` with one capacity spectrum per scenario.  Dispatching every
+    replay class of one topology as a single task pins it to one worker
+    session, so the dataset, traces, replay engines, and spectrum-seeded
+    replay memo are built once instead of once per worker the classes
+    happened to land on.  Each scenario still produces its own
     :func:`_execute_payload` dictionary (telemetry deltas, retries, and
     errors stay per-scenario).
     """
-    indices, scenario_dicts, profile, plan_dict, policy_dict, spectrum = wire
+    indices, scenario_dicts, profile, plan_dict, policy_dict, spectra = wire
     if plan_dict is not None and active_faults() is None:
         arm_faults(FaultPlan.from_dict(plan_dict))
     policy = (
         ExecutionPolicy.from_dict(policy_dict) if policy_dict is not None else None
     )
     results: List[Tuple[int, Dict[str, object]]] = []
-    for index, scenario_dict in zip(indices, scenario_dicts):
+    for index, scenario_dict, spectrum in zip(indices, scenario_dicts, spectra):
         started = time.perf_counter()  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
         try:
             scenario = Scenario.from_dict(scenario_dict)
@@ -306,11 +321,16 @@ class RunOutcome:
 
 @dataclass
 class SweepReport:
-    """Aggregate outcome of one :meth:`SweepRunner.run` call."""
+    """Aggregate outcome of one :meth:`SweepRunner.run` call.
+
+    ``tasks`` is the dispatch plan of the simulated scenarios, in dispatch
+    order, with member indices into ``outcomes``.
+    """
 
     outcomes: List[RunOutcome]
     elapsed_s: float = 0.0
     store_stats: Optional[Dict[str, int]] = None
+    tasks: List[TopologyTask] = field(default_factory=list)
 
     @property
     def num_cached(self) -> int:
@@ -382,12 +402,34 @@ class SweepReport:
                 merge_counters(caches, outcome.telemetry.get("caches", {}))
         return caches
 
+    def task_costs(self) -> List[Dict[str, object]]:
+        """Predicted cost against measured seconds, one entry per task.
+
+        ``measured_s`` sums the members' ``elapsed_s``, so every profiled
+        sweep checks the dispatch cost model
+        (:func:`repro.core.session.topology_cost`).
+        """
+        return [
+            {
+                "topology": dict(
+                    zip(("dataset", "max_vertices", "seed"), task.topology)
+                ),
+                "members": len(task.members),
+                "predicted_cost": task.predicted_cost,
+                "measured_s": sum(
+                    self.outcomes[index].elapsed_s for index, _ in task.members
+                ),
+            }
+            for task in self.tasks
+        ]
+
     def metrics_document(self, pack: Optional[str] = None) -> Dict[str, object]:
         """One sweep's aggregate block of a ``sweep-profile`` metrics document.
 
         Merges every outcome's telemetry delta (span trees summed node-wise,
         cache counters summed leaf-wise) and folds in the sweep-level
-        run counts and throughput.  Feed a list of these to
+        run counts, throughput, and the per-task cost check
+        (:meth:`task_costs`).  Feed a list of these to
         :func:`repro.telemetry.metrics.sweep_metrics_document`.
         """
         caches = self.cache_totals()
@@ -407,6 +449,7 @@ class SweepReport:
             "spans": self.phase_totals(),
             "caches": caches,
             "cache_hit_ratios": cache_hit_ratios(caches),
+            "tasks": self.task_costs(),
         }
         if pack is not None:
             document["pack"] = pack
@@ -416,23 +459,16 @@ class SweepReport:
 class _InFlight:
     """Parent-side bookkeeping for one dispatched pool task.
 
-    A task is one replay-knob class: ``members`` holds its
-    ``(index, scenario)`` pairs (a single-scenario task is just a class of
-    one), and ``spectrum`` the class's capacity vector.
+    ``members`` holds the task's ``(index, capacity spectrum)`` pairs
+    (:attr:`TopologyTask.members`).
     """
 
-    __slots__ = ("members", "spectrum", "async_result", "dispatched_at")
+    __slots__ = ("members", "dispatched_at")
 
     def __init__(
-        self,
-        members: List[Tuple[int, Scenario]],
-        spectrum: Tuple[int, ...],
-        async_result: "multiprocessing.pool.AsyncResult",
-        dispatched_at: float,
+        self, members: List[Tuple[int, Tuple[int, ...]]], dispatched_at: float
     ) -> None:
         self.members = members
-        self.spectrum = spectrum
-        self.async_result = async_result
         self.dispatched_at = dispatched_at
 
 
@@ -476,13 +512,16 @@ class SweepRunner:
             in-flight tasks may finish before they are presumed lost and
             re-dispatched serially.
 
-    Pending scenarios are dispatched by replay-knob equivalence class
-    (:func:`repro.core.session.replay_classes`).  A class executes
-    back-to-back on one session — the whole class on one pool worker — so
-    trace/schedule/replay structures build once per class and a
-    capacity-sweep class answers its spectrum in a single replay
-    evaluation.  Results, checkpointing, and per-scenario telemetry do not
-    depend on the classes; only the execution order does.
+    Pending scenarios are dispatched one topology per task
+    (:func:`repro.core.session.topology_tasks`), in order of first
+    appearance on the serial path and longest predicted task first on the
+    pool, where a topology larger than its fair share of the pool is split
+    into its replay classes.  A task executes back to back on one session —
+    the whole task on one pool worker — so the dataset and the
+    trace/schedule/replay structures build once per topology, and each
+    capacity-sweep replay class answers its spectrum in a single replay
+    evaluation.  Results, checkpointing, and per-scenario
+    telemetry do not depend on the tasks; only the execution order does.
     """
 
     def __init__(
@@ -575,17 +614,25 @@ class SweepRunner:
             else:
                 pending.append((index, scenario))
 
-        if pending:
-            tasks = [
-                ([pending[position] for position in members], spectrum)
-                for members, spectrum in replay_classes(
-                    [scenario for _, scenario in pending]
-                )
-            ]
+        tasks = [
+            task._replace(
+                members=[
+                    (pending[position][0], spectrum)
+                    for position, spectrum in task.members
+                ]
+            )
+            for task in topology_tasks(
+                [scenario for _, scenario in pending], workers=self.workers
+            )
+        ]
+        if tasks:
             if self.workers == 1 and not self.force_pool:
-                self._run_serial(tasks, record)
+                self._run_serial(tasks, scenarios, record)
             else:
-                self._run_pool(tasks, record)
+                # Longest first (stable: ties keep first appearance), so
+                # short tasks fill in behind the long ones.
+                tasks.sort(key=lambda task: -task.predicted_cost)
+                self._run_pool(tasks, scenarios, record)
 
         if checkpoint is not None:
             checkpoint.flush()
@@ -594,6 +641,7 @@ class SweepRunner:
             outcomes=[outcome for outcome in outcomes if outcome is not None],
             elapsed_s=time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
             store_stats=self.store.stats() if self.store is not None else None,
+            tasks=tasks,
         )
 
     # ------------------------------------------------------------------ #
@@ -716,7 +764,8 @@ class SweepRunner:
 
     def _run_serial(
         self,
-        tasks: Sequence[Tuple[List[Tuple[int, Scenario]], Tuple[int, ...]]],
+        tasks: Sequence[TopologyTask],
+        scenarios: Sequence[Scenario],
         record: Callable[[int, RunOutcome], None],
     ) -> None:
         """Run the pending tasks in-process through one shared session.
@@ -731,138 +780,179 @@ class SweepRunner:
         session = Session()
         token = arm_faults(self.faults) if self.faults is not None else None
         try:
-            for members, spectrum in tasks:
-                for index, scenario in members:
+            for task in tasks:
+                for index, spectrum in task.members:
                     payload = _execute_payload(
                         session,
-                        scenario,
+                        scenarios[index],
                         self.profile,
                         self.policy,
                         capacity_spectrum=spectrum,
                     )
-                    self._finish(index, scenario, payload, record)
+                    self._finish(index, scenarios[index], payload, record)
         finally:
             if token is not None:
                 disarm_faults(token)
 
+    def _finish_task(
+        self,
+        task: _InFlight,
+        answer: _TaskAnswer,
+        scenarios: Sequence[Scenario],
+        record: Callable[[int, RunOutcome], None],
+    ) -> None:
+        """Record every member of a completed pool task.
+
+        ``answer`` is the worker's ``(index, payload)`` list, or the
+        exception the pool delivered instead (e.g. an unpicklable result),
+        which fails every member.
+        """
+        if isinstance(answer, BaseException):
+            error = _error_block(answer)
+            elapsed = time.monotonic() - task.dispatched_at  # repro: noqa[N1] pool dispatch bookkeeping; never enters simulated results
+            payloads = {
+                index: {
+                    "ok": False,
+                    "error": error,
+                    "elapsed_s": elapsed,
+                    "attempts": 1,
+                }
+                for index, _ in task.members
+            }
+        else:
+            payloads = dict(answer)
+        for index, _ in task.members:
+            payload = payloads.get(
+                index,
+                {
+                    "ok": False,
+                    "error": {
+                        "type": "RuntimeError",
+                        "message": "worker returned no payload for this scenario",
+                        "traceback": "",
+                    },
+                    "elapsed_s": 0.0,
+                    "attempts": 1,
+                },
+            )
+            self._finish(index, scenarios[index], payload, record)
+
     def _run_pool(
         self,
-        tasks: Sequence[Tuple[List[Tuple[int, Scenario]], Tuple[int, ...]]],
+        tasks: Sequence[TopologyTask],
+        scenarios: Sequence[Scenario],
         record: Callable[[int, RunOutcome], None],
     ) -> None:
         """Windowed ``apply_async`` dispatch with reclamation and death watch.
 
-        At most ``workers`` tasks are in flight at a time; a task is one
-        replay-knob class, so a class's scenarios share one worker session.  Three things can happen
-        to a task: it completes (normal path); it exceeds the policy's
-        reclamation budget, scaled by the class size (every member recorded
-        as a timed-out failure, the pool is terminated at the end rather
-        than joined); or its worker dies (pid-set change) — after
-        ``worker_grace_s`` every task still in flight is presumed lost and
-        re-dispatched on the serial path, so a SIGKILLed worker costs a
-        re-run, never a hung or incomplete sweep.
+        Tasks go out in order, at most ``workers`` in flight; a task is one
+        topology (or one replay class of a topology split for balance), so
+        its scenarios share one worker session.  Each task's
+        ``callback``/``error_callback`` puts ``(task key, answer)`` on a
+        queue, so the parent wakes on whichever task finishes first and
+        refills that worker at once; the answer travels on the queue because
+        the callback runs before the task's ``AsyncResult`` reports ready.
+        The parent blocks at most :data:`_POOL_POLL_S` per wait, so three
+        things can happen to a task: it completes (normal path); it exceeds
+        the policy's reclamation budget, scaled by its scenario count (every
+        member recorded as a timed-out failure — also members the worker had
+        finished, since a task's answers come back together — and the pool
+        is terminated at the end rather than joined); or its worker dies
+        (pid-set change) —
+        after ``worker_grace_s`` every task still in flight is presumed lost
+        and re-dispatched on the serial path, so a SIGKILLed worker costs a
+        re-run, never a hung or incomplete sweep.  A completion that
+        arrives after its task was reclaimed or presumed lost is ignored.
         """
-        queue = deque(tasks)
-        workers = min(self.workers, len(queue))
+        todo = deque(tasks)
+        workers = min(self.workers, len(todo))
         context = multiprocessing.get_context(self.mp_context)
         plan_dict = self.faults.to_dict() if self.faults is not None else None
         policy_dict = self.policy.to_dict()
         reclaim_s: Optional[float] = None
         if self.policy.timeout is not None:
             reclaim_s = self.policy.timeout.reclaim_timeout_s
-        lost: List[Tuple[int, Scenario, Tuple[int, ...]]] = []
+        completions: "queue.SimpleQueue[Tuple[int, _TaskAnswer]]"
+        completions = queue.SimpleQueue()
+        lost: List[Tuple[int, Tuple[int, ...]]] = []
         reclaimed = False
         pool = context.Pool(processes=workers)
         try:
-            in_flight: "OrderedDict[int, _InFlight]" = OrderedDict()
+            in_flight: Dict[int, _InFlight] = {}
             known_pids = _pool_pids(pool)
             death_detected_at: Optional[float] = None
-            while queue or in_flight:
-                while queue and len(in_flight) < workers:
-                    members, spectrum = queue.popleft()
+            while todo or in_flight:
+                while todo and len(in_flight) < workers:
+                    members = todo.popleft().members
+                    key = members[0][0]
                     wire = (
                         [index for index, _ in members],
-                        [scenario.to_dict() for _, scenario in members],
+                        [scenarios[index].to_dict() for index, _ in members],
                         self.profile,
                         plan_dict,
                         policy_dict,
-                        list(spectrum),
+                        [list(spectrum) for _, spectrum in members],
                     )
-                    in_flight[members[0][0]] = _InFlight(
+                    in_flight[key] = _InFlight(
                         members,
-                        spectrum,
-                        pool.apply_async(_worker_execute_group, (wire,)),
                         time.monotonic(),  # repro: noqa[N1] pool dispatch bookkeeping; never enters simulated results
                     )
-                progressed = False
+                    pool.apply_async(
+                        _worker_execute_group,
+                        (wire,),
+                        callback=lambda answer, key=key: completions.put((key, answer)),
+                        error_callback=lambda exc, key=key: completions.put((key, exc)),
+                    )
+                # Take every completion already queued before the budget
+                # and death checks below, so none is reclaimed or presumed
+                # lost while its answer sits in the queue.
+                answers: List[Tuple[int, _TaskAnswer]] = []
+                try:
+                    answers.append(completions.get(timeout=_POOL_POLL_S))
+                    while True:
+                        answers.append(completions.get_nowait())
+                except queue.Empty:
+                    pass
+                for key, answer in answers:
+                    done = in_flight.pop(key, None)
+                    if done is not None:
+                        self._finish_task(done, answer, scenarios, record)
                 now = time.monotonic()  # repro: noqa[N1] pool dispatch bookkeeping; never enters simulated results
-                for task_key in list(in_flight):
-                    task = in_flight[task_key]
-                    if task.async_result.ready():
-                        del in_flight[task_key]
-                        progressed = True
-                        try:
-                            payloads = dict(task.async_result.get())
-                        except Exception as exc:  # noqa: BLE001 — e.g. an unpicklable result
-                            error = _error_block(exc)
-                            payloads = {
-                                index: {
-                                    "ok": False,
-                                    "error": error,
-                                    "elapsed_s": now - task.dispatched_at,
-                                    "attempts": 1,
-                                }
-                                for index, _ in task.members
-                            }
-                        for index, scenario in task.members:
-                            payload = payloads.get(
-                                index,
-                                {
-                                    "ok": False,
-                                    "error": {
-                                        "type": "RuntimeError",
-                                        "message": "worker returned no payload "
-                                        "for this scenario",
-                                        "traceback": "",
-                                    },
-                                    "elapsed_s": 0.0,
-                                    "attempts": 1,
+                for key in list(in_flight):
+                    task = in_flight[key]
+                    budget = (
+                        reclaim_s * len(task.members) if reclaim_s is not None else None
+                    )
+                    if budget is None or now - task.dispatched_at < budget:
+                        continue
+                    del in_flight[key]
+                    reclaimed = True
+                    for index, _ in task.members:
+                        scenario = scenarios[index]
+                        logger.warning(
+                            "reclaiming %s: no result within %.1fs",
+                            scenario.scenario_id,
+                            budget,
+                        )
+                        self._finish(
+                            index,
+                            scenario,
+                            {
+                                "ok": False,
+                                "error": {
+                                    "type": "RunTimeoutError",
+                                    "message": (
+                                        "worker produced no result within "
+                                        f"{budget:.1f}s; task reclaimed"
+                                    ),
+                                    "traceback": "",
                                 },
-                            )
-                            self._finish(index, scenario, payload, record)
-                    elif (
-                        reclaim_s is not None
-                        and now - task.dispatched_at >= reclaim_s * len(task.members)
-                    ):
-                        del in_flight[task_key]
-                        progressed = True
-                        reclaimed = True
-                        budget = reclaim_s * len(task.members)
-                        for index, scenario in task.members:
-                            logger.warning(
-                                "reclaiming %s: no result within %.1fs",
-                                scenario.scenario_id,
-                                budget,
-                            )
-                            self._finish(
-                                index,
-                                scenario,
-                                {
-                                    "ok": False,
-                                    "error": {
-                                        "type": "RunTimeoutError",
-                                        "message": (
-                                            "worker produced no result within "
-                                            f"{budget:.1f}s; task reclaimed"
-                                        ),
-                                        "traceback": "",
-                                    },
-                                    "elapsed_s": now - task.dispatched_at,
-                                    "attempts": 1,
-                                    "timed_out": True,
-                                },
-                                record,
-                            )
+                                "elapsed_s": now - task.dispatched_at,
+                                "attempts": 1,
+                                "timed_out": True,
+                            },
+                            record,
+                        )
                 pids = _pool_pids(pool)
                 if pids != known_pids:
                     logger.warning(
@@ -877,19 +967,15 @@ class SweepRunner:
                     if not in_flight:
                         death_detected_at = None
                     elif now - death_detected_at >= self.worker_grace_s:
-                        for task_key in list(in_flight):
-                            task = in_flight.pop(task_key)
-                            for index, scenario in task.members:
-                                lost.append((index, scenario, task.spectrum))
+                        for task in in_flight.values():
+                            lost.extend(task.members)
+                        in_flight.clear()
                         logger.warning(
                             "presuming %d in-flight scenario(s) lost to worker "
                             "death; will re-run serially",
                             len(lost),
                         )
                         death_detected_at = None
-                if not progressed and in_flight:
-                    oldest = next(iter(in_flight.values()))
-                    oldest.async_result.wait(_POOL_POLL_S)
         finally:
             if reclaimed or lost:
                 # An abandoned task never leaves the pool's result cache, so
@@ -901,9 +987,8 @@ class SweepRunner:
             pool.join()
         if lost:
             session = Session()
-            for index, scenario, spectrum in sorted(
-                lost, key=lambda item: item[0]
-            ):
+            for index, spectrum in sorted(lost):
+                scenario = scenarios[index]
                 logger.warning(
                     "re-running %s serially after worker death", scenario.scenario_id
                 )

@@ -35,6 +35,9 @@ DEFAULT_HIDDEN_WIDTH = 256
 #: Default number of layers of the deep residual GCNs (Section VI-A).
 DEFAULT_NUM_LAYERS = 28
 
+#: Default cap on the simulated average degree (see :func:`load_dataset`).
+MAX_AVERAGE_DEGREE = 32.0
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -73,6 +76,21 @@ class DatasetSpec:
     def average_degree(self) -> float:
         """Average degree of the full-size dataset."""
         return self.num_edges / self.num_vertices
+
+    def scaled_size(
+        self, max_vertices: int, max_average_degree: float = MAX_AVERAGE_DEGREE
+    ) -> Tuple[int, float]:
+        """Simulated ``(vertex count, average degree)`` under the scale caps.
+
+        The vertex count is capped at ``max_vertices``; the average degree at
+        ``max_average_degree`` and at a quarter of the simulated vertex count
+        (but never below 1), so small scaled graphs stay sparse.
+        """
+        num_vertices = min(self.num_vertices, max_vertices)
+        average_degree = min(
+            self.average_degree, max_average_degree, max(1.0, num_vertices / 4)
+        )
+        return num_vertices, average_degree
 
     def topology_mbytes(self) -> float:
         """Approximate CSR topology size in MB (Table II "Topology")."""
@@ -302,7 +320,7 @@ def available_datasets() -> List[str]:
 def load_dataset(
     name: str,
     max_vertices: int = 2048,
-    max_average_degree: float = 32.0,
+    max_average_degree: float = MAX_AVERAGE_DEGREE,
     hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     num_layers: int = DEFAULT_NUM_LAYERS,
     seed: int = 0,
@@ -336,11 +354,8 @@ def load_dataset(
     if max_average_degree <= 0:
         raise DatasetError("max_average_degree must be positive")
 
-    num_vertices = min(spec.num_vertices, max_vertices)
+    num_vertices, average_degree = spec.scaled_size(max_vertices, max_average_degree)
     scale = num_vertices / spec.num_vertices
-    average_degree = min(
-        spec.average_degree, max_average_degree, max(1.0, num_vertices / 4)
-    )
 
     if spec.degree_skew >= 2.3 and spec.clustering < 0.5:
         graph = power_law_graph(
@@ -375,7 +390,7 @@ def load_dataset(
 def load_all_datasets(
     order: Tuple[str, ...] = FIGURE_ORDER,
     max_vertices: int = 2048,
-    max_average_degree: float = 32.0,
+    max_average_degree: float = MAX_AVERAGE_DEGREE,
     hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     num_layers: int = DEFAULT_NUM_LAYERS,
     seed: int = 0,

@@ -147,6 +147,38 @@ def test_cooperative_deadline_times_a_run_out():
     assert outcome.timed_out and outcome.error_type == "RunTimeoutError"
 
 
+def test_pool_reclaims_a_hung_topology_task_as_a_whole():
+    """A hung pool task is reclaimed after its budget times its run count.
+
+    cora's two runs form one topology task; reddit's single run (the larger
+    predicted cost, so it is not split and goes out first) is its own task.
+    Each worker process stalls, without a cooperative deadline check, on its
+    second execution, which only the cora task reaches.  Both cora runs are
+    recorded as timed out — also the one the worker had finished, because a
+    task's answers come back together — and the reddit run completes.
+    """
+    hung = [
+        Scenario(dataset="cora", accelerator=accelerator, **TINY)
+        for accelerator in ("sgcn", "gcnax")
+    ]
+    other = Scenario(dataset="reddit", accelerator="sgcn", **TINY)
+    plan = FaultPlan(
+        [FaultSpec(site="worker:execute", action="delay", delay_s=60.0, after=1)]
+    )
+    policy = ExecutionPolicy(timeout=TimeoutPolicy(run_timeout_s=2.0, grace_s=0.5))
+    report = SweepRunner(workers=2, policy=policy, faults=plan).run(
+        [hung[0], other, hung[1]]
+    )
+    assert [len(task.members) for task in report.tasks] == [1, 2]
+    assert report.tasks[0].topology[0] == "reddit"
+    assert report.elapsed_s < 30.0  # reclaimed, not waited out
+    assert report.num_failed == report.num_timed_out == 2
+    for outcome in (report.outcomes[0], report.outcomes[2]):
+        assert outcome.timed_out and outcome.error_type == "RunTimeoutError"
+        assert "5.0s" in outcome.error
+    assert report.outcomes[1].ok
+
+
 def test_checkpoint_records_and_resume_skips(tmp_path):
     scenarios = _scenarios(3)
     checkpoint_path = tmp_path / "checkpoint.json"

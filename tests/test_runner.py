@@ -73,6 +73,33 @@ def test_failing_scenario_does_not_kill_the_sweep(tmp_path):
     assert failed.error and "atlantis" in failed.error
     assert not store.contains(bad)
     assert store.contains(good) and store.contains(good2)
+    # The unknown dataset's task costs nothing, so the pool dispatches it last.
+    topologies = [task.topology[0] for task in report.tasks]
+    assert topologies == ["cora", "citeseer", "atlantis"]
+    assert report.tasks[-1].predicted_cost == 0.0
+
+
+def test_pool_loads_and_builds_once_per_topology():
+    """Topology-affine dispatch: the pool repeats none of the serial work."""
+    grid = SweepSpec(
+        name="affinity",
+        datasets=["cora", "citeseer", "pubmed"],
+        accelerators=["sgcn", "gcnax"],
+        max_vertices=128,
+    ).expand()
+    counts = []
+    orders = []
+    for workers in (1, 2):
+        report = SweepRunner(workers=workers, profile=True).run(grid)
+        assert report.num_failed == 0
+        caches = report.metrics_document()["caches"]
+        counts.append((caches["replay_memo"]["engines"], caches["dataset"]["misses"]))
+        orders.append([task.topology[0] for task in report.tasks])
+    assert counts[0][1] == 3
+    assert counts[1] == counts[0]
+    # Serially in order of first appearance; the pool longest first (no
+    # topology exceeds half the predicted work, so none is split).
+    assert orders == [["cora", "citeseer", "pubmed"], ["pubmed", "cora", "citeseer"]]
 
 
 def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
@@ -89,7 +116,7 @@ def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
         False,
         None,
         None,
-        [],
+        [[], [], []],
     )
     payloads = dict(runner._worker_execute_group(wire))
     assert sorted(payloads) == [0, 1, 2]

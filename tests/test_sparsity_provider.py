@@ -285,6 +285,30 @@ class TestPipelineIntegration:
             for m, s in zip(measured_tables, synthetic_tables)
         )
 
+    def test_measured_results_do_not_depend_on_earlier_depths(self):
+        """A run's row tables come from its own depth's harvest.
+
+        At 512 vertices, a sampled layer of github's 4- and 8-layer
+        traditional models shares its index, width and input sparsity, so
+        a row-table cache key without the depth served the 8-layer run the
+        4-layer run's tables whenever both ran in one session.
+        """
+        specs = [
+            RunSpec(
+                dataset="github",
+                accelerator="sgcn",
+                max_vertices=512,
+                max_sampled_layers=6,
+                num_layers=depth,
+                sparsity="measured-traditional",
+            )
+            for depth in (4, 8)
+        ]
+        session = Session()
+        session.run(specs[0])
+        after_shallow = session.run(specs[1]).summary()
+        assert after_shallow == Session().run(specs[1]).summary()
+
     def test_measured_profile_reaches_workloads(self):
         dataset = load_dataset("cora", **TINY)
         provider = MeasuredSparsityProvider()

@@ -13,7 +13,8 @@ Covers the whole vertical slice of the capacity-sweep fast path:
   overrides (``CacheConfig.schedule_capacity`` / ``build_config``);
 * replay-knob equivalence classes (``replay_class_key``,
   ``replay_classes``), grouped ``Session.run_many``, and ``run_spectrum``;
-* ``SweepRunner`` grouped dispatch on both the serial and pool paths.
+* the topology task list (``topology_tasks``, ``topology_cost``) both
+  ``SweepRunner`` paths dispatch, and that grouped dispatch itself.
 """
 
 import hashlib
@@ -34,10 +35,14 @@ from repro.core.session import (
     Session,
     replay_class_key,
     replay_classes,
+    topology_cost,
+    topology_tasks,
 )
 from repro.errors import ConfigurationError
 from repro.experiments.runner import SweepRunner, run_scenario
+from repro.experiments.scenarios import get_pack
 from repro.experiments.spec import Scenario
+from repro.graphs.datasets import DATASET_SPECS
 from repro.memory.replay import ReplayEngine, TraceCache
 
 KB = 1024
@@ -331,6 +336,141 @@ class TestReplayClasses:
         assert replay_classes(specs, base) == [
             ([0, 1, 2], (128 * KB, SystemConfig().cache.capacity_bytes))
         ]
+
+
+class TestTopologyTasks:
+    def test_tasks_group_by_topology_in_first_appearance_order(self):
+        # Seed-major, dataset-minor order interleaves the topologies.
+        specs = [
+            RunSpec(
+                dataset=dataset, accelerator=accelerator, max_vertices=64, seed=seed
+            )
+            for seed in (1, 0)
+            for dataset in ("cora", "pubmed", "reddit")
+            for accelerator in ("gcnax", "sgcn")
+        ]
+        tasks = topology_tasks(specs)
+        assert [task.topology for task in tasks] == [
+            ("cora", 64, 1),
+            ("pubmed", 64, 1),
+            ("reddit", 64, 1),
+            ("cora", 64, 0),
+            ("pubmed", 64, 0),
+            ("reddit", 64, 0),
+        ]
+        for task in tasks:
+            assert [index for index, _ in task.members] == [
+                index
+                for index, spec in enumerate(specs)
+                if (spec.dataset, spec.max_vertices, spec.seed) == task.topology
+            ]
+            assert task.predicted_cost == 2 * topology_cost(task.topology[0], 64)
+        # No topology exceeds a fair share of two workers: nothing splits.
+        assert topology_tasks(specs, workers=2) == tasks
+
+    def test_members_keep_class_order_and_their_own_spectrum(self):
+        spectrum = (128 * KB, 256 * KB)
+        specs = [
+            RunSpec(
+                dataset="cora",
+                accelerator=accelerator,
+                max_vertices=64,
+                overrides={"cache_capacity_bytes": capacity},
+            )
+            for capacity in spectrum
+            for accelerator in ("gcnax", "sgcn")
+        ]
+        specs.append(RunSpec(dataset="cora", accelerator="igcn", max_vertices=64))
+        specs.append(RunSpec(dataset="citeseer", accelerator="sgcn", max_vertices=64))
+        tasks = topology_tasks(specs)
+        assert [task.topology for task in tasks] == [
+            ("cora", 64, 0),
+            ("citeseer", 64, 0),
+        ]
+        # Capacity-major input, class-major members: each class's members
+        # back to back, each member with its own class's spectrum.
+        assert tasks[0].members == [
+            (0, spectrum),
+            (2, spectrum),
+            (1, spectrum),
+            (3, spectrum),
+            (4, ()),
+        ]
+        assert tasks[1].members == [(5, ())]
+
+    def test_cost_is_the_scaled_edge_count(self):
+        cora = DATASET_SPECS["cora"]
+        assert topology_cost("cora", 64) == 64 * cora.average_degree
+        assert topology_cost("CORA ", 64) == topology_cost("cora", 64)
+        # Degree caps: 32 at scale, a quarter of the vertex count when small.
+        assert topology_cost("reddit", 8192) == 8192 * 32
+        assert topology_cost("reddit", 64) == 64 * 16
+        assert topology_cost("cora", 8192) == cora.num_vertices * cora.average_degree
+
+    def test_unknown_dataset_costs_nothing(self):
+        assert topology_cost("atlantis", 64) == 0.0
+        specs = [
+            RunSpec(dataset="atlantis", accelerator="sgcn", max_vertices=64),
+            RunSpec(dataset="cora", accelerator="sgcn", max_vertices=64),
+        ]
+        for workers in (1, 2):
+            tasks = topology_tasks(specs, workers=workers)
+            assert [task.topology[0] for task in tasks] == ["atlantis", "cora"]
+            assert tasks[0].predicted_cost == 0.0
+
+    def test_paper_comparison_pool_order_and_split(self):
+        specs = get_pack("paper-comparison", max_vertices=8192).expand()
+        tasks = topology_tasks(specs, workers=2)
+        assert all(len(task.members) == 6 for task in tasks)
+        longest_first = sorted(tasks, key=lambda task: -task.predicted_cost)
+        assert [task.topology[0] for task in longest_first] == [
+            "reddit",
+            "yelp",
+            "github",
+            "flickr",
+            "dblp",
+            "pubmed",
+            "nell",
+            "cora",
+            "citeseer",
+        ]
+        # reddit is about 34% of the predicted work: more than a third, so
+        # a 3-worker pool runs its six replay classes side by side.
+        split = topology_tasks(specs, workers=3)
+        reddit = [task for task in split if task.topology[0] == "reddit"]
+        assert [len(task.members) for task in reddit] == [1] * 6
+        assert len(split) == 8 + 6
+
+    def test_a_topology_above_its_fair_share_splits_by_replay_class(self):
+        # cache-size at 64 vertices: three topologies of two replay classes
+        # (gcnax, sgcn), nine capacities each; github is ~59% of the cost.
+        specs = get_pack("cache-size", max_vertices=64).expand()
+        whole = topology_tasks(specs)
+        assert [task.topology[0] for task in whole] == ["pubmed", "dblp", "github"]
+        tasks = topology_tasks(specs, workers=2)
+        assert [task.topology[0] for task in tasks] == [
+            "pubmed",
+            "dblp",
+            "github",
+            "github",
+        ]
+        classes = [
+            (members, spectrum)
+            for members, spectrum in replay_classes(specs)
+            if specs[members[0]].dataset == "github"
+        ]
+        for task, (members, spectrum) in zip(tasks[2:], classes):
+            assert len(spectrum) == 9
+            assert task.members == [(index, spectrum) for index in members]
+            assert task.predicted_cost == len(members) * topology_cost("github", 64)
+        assert tasks[2].members + tasks[3].members == whole[2].members
+        assert tasks[:2] == whole[:2]
+        # A single topology always exceeds its share of two workers.
+        quick = get_pack("sparsity-depth", quick=True).expand()
+        assert len(topology_tasks(quick)) == 1
+        assert [len(task.members) for task in topology_tasks(quick, workers=2)] == [
+            1
+        ] * len(quick)
 
 
 def _capacity_sweep_specs():

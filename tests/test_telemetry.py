@@ -12,6 +12,7 @@ from repro.core.session import Session
 from repro.experiments.cli import main
 from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import Scenario
+from repro.experiments.store import export_summary_csv, summary_row
 from repro.memory.replay import TraceCache
 from repro.telemetry.metrics import (
     METRICS_SCHEMA_VERSION,
@@ -230,6 +231,18 @@ class TestSweepProfiling:
         assert document["caches"]["trace"]["misses"] > 0
         assert document["elapsed_seconds"] == report.elapsed_s
         assert document["runs_per_second"] > 0
+        # One task per topology, predicted cost next to measured seconds.
+        tasks = document["tasks"]
+        assert [task["topology"]["dataset"] for task in tasks] == ["cora", "citeseer"]
+        for task, outcome in zip(tasks, report.outcomes):
+            assert task["topology"] == {
+                "dataset": outcome.scenario.dataset,
+                "max_vertices": 64,
+                "seed": 0,
+            }
+            assert task["members"] == 1
+            assert task["predicted_cost"] > 0
+            assert task["measured_s"] == outcome.elapsed_s > 0
 
     def test_unprofiled_sweep_carries_no_telemetry(self):
         scenario = Scenario(dataset="cora", accelerator="sgcn", **TINY)
@@ -282,6 +295,34 @@ class TestDigestInvariance:
         assert instrumented == baseline
         assert telemetry.span_snapshot()  # the runs actually recorded spans
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_outputs_byte_identical_with_profiling(self, tmp_path, workers):
+        """Profiling (spans, counters, the task cost check) stays out of results."""
+        scenarios = [
+            Scenario(dataset=dataset, accelerator=accelerator, **TINY)
+            for dataset in ("cora", "nell", "pubmed")
+            for accelerator in ("sgcn", "gcnax")
+        ]
+        outputs = []
+        for profile in (False, True):
+            report = SweepRunner(workers=workers, profile=profile).run(scenarios)
+            assert report.num_failed == 0
+            csv_path = export_summary_csv(
+                tmp_path / f"summary-{profile}.csv",
+                [summary_row(o.scenario, o.result) for o in report.outcomes],
+            )
+            outputs.append(
+                (
+                    csv_path.read_bytes(),
+                    [
+                        json.dumps(o.result.to_dict(), sort_keys=True)
+                        for o in report.outcomes
+                    ],
+                )
+            )
+            assert len(report.metrics_document()["tasks"]) == 3
+        assert outputs[1] == outputs[0]
+
 
 # --------------------------------------------------------------------------- #
 # CLI integration
@@ -311,6 +352,7 @@ class TestCliObservability:
         }
         assert sweep["cache_hit_ratios"]["trace"] is not None
         assert sweep["elapsed_seconds"] > 0 and sweep["runs_per_second"] > 0
+        assert sum(task["members"] for task in sweep["tasks"]) == sweep["simulated"]
 
         assert main(["stats", str(metrics_path)]) == 0
         rendered = capsys.readouterr().out
