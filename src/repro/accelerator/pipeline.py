@@ -20,16 +20,20 @@ stage.  A full run is an explicit five-stage pipeline
 5. :func:`energy` — price the counted events and assemble the
    :class:`~repro.core.results.LayerResult` documents.
 
-Each stage is a small function over an explicit :class:`RunContext`, so a
-stage can be tested (or swapped) in isolation; none of them reads accelerator
-state from anywhere but the design point.
+Each stage is a small function over explicit inputs, so a stage can be
+tested (or swapped) in isolation; none of them reads accelerator state from
+anywhere but the design point.  Stages 3–5 take the :class:`RunContext`.
+The schedule takes only the design, format, dataset, graph and the
+:class:`~repro.core.config.ScheduleConfig` record, so equal records plan
+equal schedules (the replay-class contract of
+:func:`repro.core.session.replay_class_key`).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -42,7 +46,12 @@ from repro.accelerator.tiling import (
     locality_reordering,
     plan_tiling,
 )
-from repro.core.config import CACHELINE_BYTES, ELEMENT_BYTES, SystemConfig
+from repro.core.config import (
+    CACHELINE_BYTES,
+    ELEMENT_BYTES,
+    ScheduleConfig,
+    SystemConfig,
+)
 from repro.core.results import LayerResult, SimulationResult, TrafficBreakdown
 from repro.errors import FaultInjectionError, SimulationError
 from repro.formats.base import FeatureFormat, bytes_to_lines
@@ -63,17 +72,19 @@ _CacheValue = TypeVar("_CacheValue")
 
 
 def _trace_cache_get(
-    cache: TraceCache,
+    cache: Optional[TraceCache],
     key: Tuple,
     builder: "Callable[[], _CacheValue]",
 ) -> "_CacheValue":
     """Trace-cache lookup that degrades to uncached execution.
 
-    The ``cache:trace`` fault site models the shared memo becoming
-    unavailable; an injected failure (or, defensively, any cache-layer
-    fault) falls back to calling ``builder`` directly — slower, never
-    wrong — instead of failing the run.
+    Without a cache (``None``) it calls ``builder``.  The ``cache:trace``
+    fault site models the shared memo becoming unavailable; an injected
+    failure (or, defensively, any cache-layer fault) falls back to calling
+    ``builder`` directly — slower, never wrong — instead of failing the run.
     """
+    if cache is None:
+        return builder()
     try:
         fault_point("cache:trace")
     except FaultInjectionError as exc:
@@ -176,8 +187,8 @@ class PhaseResult:
 class RunContext:
     """Objects built once per (design, dataset, config) run.
 
-    Stage 1 (:func:`build_context`) fills everything except the schedule;
-    stage 2 (:func:`schedule`) fills ``tiling``/``trace``/``pinned_vertices``.
+    Stage 1 (:func:`build_context`) fills everything except ``plan``, which
+    holds the output of stage 2 (:func:`schedule`).
     """
 
     design: DesignPoint
@@ -195,36 +206,34 @@ class RunContext:
     #: Source of the per-layer/row/slice sparsity tables; the synthetic
     #: provider (the historical behaviour, byte for byte) when ``None``.
     sparsity: Optional[SparsityProvider] = None
-    #: Filled by :func:`schedule`.
-    tiling: Optional[TilingPlan] = None
-    trace: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    pinned_vertices: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
-    #: Key prefix identifying the trace within the cache (None = uncached).
-    trace_token: Optional[Tuple] = None
+    #: The static schedule, set from :func:`schedule`'s result.
+    plan: Optional[SchedulePlan] = None
     #: Sweep-provided cache capacities (in bytes) this run's trace will also
     #: be evaluated at.  The replay stage answers the whole vector in one
     #: :meth:`ReplayEngine.evaluate` call, seeding the engine's result memo
     #: so the sibling runs of a capacity sweep replay nothing at all.
     capacity_spectrum: Tuple[int, ...] = ()
-    #: Cache capacity (in lines) the static schedule is planned for.  ``None``
-    #: falls back to ``cache_lines``; it differs only when the config carries a
-    #: ``schedule_capacity_bytes`` (a capacity-sweep override resizing the
-    #: physical cache under the design's nominal schedule).
-    schedule_cache_lines: Optional[int] = None
     #: The trace's replay engine, built on first use (see :meth:`engine`).
     replay_engine: Optional[ReplayEngine] = None
+
+    @property
+    def scheduled(self) -> SchedulePlan:
+        """The stage-2 plan; raises if :func:`schedule` has not run."""
+        if self.plan is None:
+            raise SimulationError("the run context has no schedule yet")
+        return self.plan
 
     def engine(self) -> ReplayEngine:
         """Replay engine of the trace, shared through the trace cache."""
         if self.replay_engine is None:
-            builder = lambda: ReplayEngine(self.trace)
-            if self.trace_cache is not None and self.trace_token is not None:
-                key = ("engine",) + self.trace_token
-                self.replay_engine = _trace_cache_get(self.trace_cache, key, builder)
-            else:
-                self.replay_engine = builder()
+            plan = self.scheduled
+            # Only designs with a trace replay, and those carry a token.
+            assert plan.trace_token is not None
+            self.replay_engine = _trace_cache_get(
+                self.trace_cache,
+                ("engine",) + plan.trace_token,
+                lambda: ReplayEngine(plan.trace),
+            )
         return self.replay_engine
 
 
@@ -241,25 +250,17 @@ def _reordered_for_locality(graph: CSRGraph) -> CSRGraph:
     return graph
 
 
-def effective_cache_lines(
-    dataset: Dataset, config: SystemConfig, capacity_bytes: Optional[int] = None
-) -> int:
+def effective_cache_lines(dataset: Dataset, capacity_bytes: int, line_bytes: int) -> int:
     """Cache capacity (in lines) used for ``dataset``.
 
-    Datasets are simulated at a reduced scale; the cache is scaled by the
-    same factor so the working-set-to-cache ratio of the paper's
-    configuration is preserved, with a floor of a few dozen feature rows so
-    tiny scaled graphs still exercise the cache at all.
-
-    ``capacity_bytes`` substitutes a different raw capacity for the config's
-    own (same line size, same scaling): the spectrum replay uses it to map
-    each swept capacity to the exact line count a config built with that
-    capacity override would produce.
+    Datasets are simulated at a reduced scale; the cache of
+    ``capacity_bytes`` is scaled by the same factor so the
+    working-set-to-cache ratio of the paper's configuration is preserved,
+    with a floor of a few dozen feature rows so tiny scaled graphs still
+    exercise the cache at all.  The replay maps its own capacity, each swept
+    capacity, and the schedule maps its planning capacity through here.
     """
-    if capacity_bytes is None:
-        num_lines = config.cache.num_lines
-    else:
-        num_lines = int(capacity_bytes) // config.cache.line_bytes  # repro: identity-exempt[CacheConfig.line_bytes] structural constant; never overridable
+    num_lines = int(capacity_bytes) // line_bytes
     scaled = int(num_lines * dataset.cache_scale())
     dense_row_lines = bytes_to_lines(dataset.hidden_width * ELEMENT_BYTES)
     floor = 32 * dense_row_lines
@@ -278,25 +279,19 @@ def build_context(
     """Stage 1: resolve the graph, the scaled cache, and the engine models."""
     graph = dataset.graph
     if design.reorders_graph:
-        if trace_cache is not None:
-            graph = _trace_cache_get(
-                trace_cache,
-                ("reordered", graph.fingerprint()),
-                lambda: _reordered_for_locality(graph),
-            )
-        else:
-            graph = _reordered_for_locality(graph)
+        original = graph
+        graph = _trace_cache_get(
+            trace_cache,
+            ("reordered", original.fingerprint()),
+            lambda: _reordered_for_locality(original),
+        )
     if design.column_product:
         # Column-product execution walks the transposed adjacency: for every
         # destination column it gathers the corresponding input feature row,
         # so the random feature accesses follow A^T.
-        if trace_cache is not None:
-            base = graph
-            graph = _trace_cache_get(
-                trace_cache, ("transposed", base.fingerprint()), base.transpose
-            )
-        else:
-            graph = graph.transpose()
+        graph = _trace_cache_get(
+            trace_cache, ("transposed", graph.fingerprint()), graph.transpose
+        )
 
     return RunContext(
         design=design,
@@ -304,9 +299,8 @@ def build_context(
         dataset=dataset,
         graph=graph,
         config=config,
-        cache_lines=effective_cache_lines(dataset, config),
-        schedule_cache_lines=effective_cache_lines(
-            dataset, config, config.cache.schedule_capacity
+        cache_lines=effective_cache_lines(
+            dataset, config.cache.capacity_bytes, config.cache.line_bytes
         ),
         simd=SIMDAggregationEngine(config.engines),
         systolic=SystolicArray(config.engines),
@@ -321,6 +315,24 @@ def build_context(
 # --------------------------------------------------------------------------- #
 # Stage 2: schedule (tiling plan, access trace, pinned partition)
 # --------------------------------------------------------------------------- #
+class SchedulePlan(NamedTuple):
+    """Stage-2 output: the static schedule of one run (see :func:`schedule`).
+
+    Attributes:
+        tiling: The tiling plan.
+        trace: The aggregation access trace (empty for column-product
+            designs, which replay none).
+        trace_token: Key prefix identifying the trace within the trace
+            cache; ``None`` when there is no trace.
+        pinned_vertices: Rows held in the pinned cache partition.
+    """
+
+    tiling: TilingPlan
+    trace: np.ndarray
+    trace_token: Optional[Tuple]
+    pinned_vertices: np.ndarray
+
+
 def _format_slices_cleanly(fmt: FeatureFormat, width: int, passes: int) -> bool:
     """Whether ``fmt`` can serve a ``passes``-way width split exactly.
 
@@ -374,17 +386,28 @@ def _select_pinned_vertices(
     return np.argsort(-in_degrees, kind="stable")[:budget_rows].astype(np.int64)
 
 
-def schedule(context: RunContext) -> RunContext:
-    """Stage 2: plan the tiling, build the access trace, pick pinned rows."""
-    design = context.design
-    fmt = context.feature_format
-    graph = context.graph
-    config = context.config
-    dataset = context.dataset
+def schedule(
+    design: DesignPoint,
+    fmt: FeatureFormat,
+    dataset: Dataset,
+    graph: CSRGraph,
+    config: ScheduleConfig,
+    trace_cache: Optional[TraceCache] = None,
+) -> SchedulePlan:
+    """Stage 2: plan the tiling, build the access trace, pick pinned rows.
+
+    ``graph`` is the graph the dataflow walks (:attr:`RunContext.graph`).
+    The stage sees no configuration beyond ``config``, so runs whose
+    :class:`~repro.core.config.ScheduleConfig` records are equal share one
+    schedule, which is what makes that record the config half of a replay
+    class key.
+    """
     # The static schedule (tiling, psum split, pinned rows) is planned for the
     # schedule capacity; replay evaluates the physical one.  The two differ
     # only when a sweep resizes the cache under a fixed design.
-    cache_lines = context.schedule_cache_lines or context.cache_lines
+    cache_lines = effective_cache_lines(
+        dataset, config.schedule_capacity_bytes, config.line_bytes
+    )
 
     hidden_width = dataset.hidden_width
     if design.assumed_tiling_sparsity is not None:
@@ -434,7 +457,7 @@ def schedule(context: RunContext) -> RunContext:
         trace_token = (
             graph.fingerprint(),
             tiling,
-            config.engines.num_aggregation_engines,
+            config.num_aggregation_engines,
             design.engine_partition,
             config.sac_strip_height,
         )
@@ -444,27 +467,17 @@ def schedule(context: RunContext) -> RunContext:
                 return aggregation_access_trace(
                     graph,
                     tiling,
-                    num_engines=config.engines.num_aggregation_engines,
+                    num_engines=config.num_aggregation_engines,
                     engine_partition=design.engine_partition,
                     strip_height=config.sac_strip_height,
                 )
 
-        if context.trace_cache is not None:
-            trace = _trace_cache_get(
-                context.trace_cache, ("trace",) + trace_token, build
-            )
-        else:
-            trace = build()
+        trace = _trace_cache_get(trace_cache, ("trace",) + trace_token, build)
 
     pinned = np.zeros(0, dtype=np.int64)
     if design.pins_high_degree_vertices:
         pinned = _select_pinned_vertices(design, graph, cache_lines, assumed_row_lines)
-
-    context.tiling = tiling
-    context.trace = trace
-    context.trace_token = trace_token
-    context.pinned_vertices = pinned
-    return context
+    return SchedulePlan(tiling, trace, trace_token, pinned)
 
 
 # --------------------------------------------------------------------------- #
@@ -557,7 +570,7 @@ def _pass_size_tables(
     the per-pass sizes sum back to the full row.  Formats that cannot be
     read in width slices pay an extra (unaligned) line per access.
     """
-    passes = context.tiling.feature_passes
+    passes = context.scheduled.tiling.feature_passes
     extra_lines, _ = _pass_access_overhead(fmt, workload.width_in, passes)
     base_lines = row_lines // passes
     remainder = row_lines % passes
@@ -577,10 +590,9 @@ def _capacity_lines(context: RunContext) -> List[int]:
     seed the engine memo for the sibling runs of a capacity sweep.
     """
     lines = [context.cache_lines]
+    line_bytes = context.config.cache.line_bytes
     for capacity_bytes in context.capacity_spectrum:
-        lines.append(
-            effective_cache_lines(context.dataset, context.config, capacity_bytes)
-        )
+        lines.append(effective_cache_lines(context.dataset, capacity_bytes, line_bytes))
     return list(dict.fromkeys(lines))
 
 
@@ -595,7 +607,7 @@ def _layer_replay(
     capacity, so within a capacity sweep the subtraction shifts the whole
     vector point for point.
     """
-    pinned = context.pinned_vertices
+    pinned = context.scheduled.pinned_vertices
     if pinned.size:
         pinned_lines = int(pass_sizes[0][pinned].sum())
         offset = max(1, context.cache_lines - pinned_lines) - context.cache_lines
@@ -638,30 +650,28 @@ def replay(
     # tables of an earlier run of another depth whose layer happened to
     # share its index, width and input sparsity.
     provider = context.sparsity or _SYNTHETIC_PROVIDER
+    plan = context.scheduled
     prepared: List[ReplayedLayer] = []
     for workload, weight in sampled:
         def build(workload: LayerWorkload = workload) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
             row_nnz, row_lines = _layer_row_tables(fmt, workload, context, seed)
             return row_nnz, row_lines, _pass_size_tables(fmt, workload, context, row_lines)
 
-        if context.trace_cache is not None and context.tiling is not None:
-            key = (
-                "row_tables",
-                provider,
-                fmt.cache_token(),
-                context.graph.fingerprint(),
-                context.dataset.num_layers,
-                workload.layer_index,
-                workload.width_in,
-                float(workload.input_sparsity),
-                seed,
-                context.tiling.feature_passes,
-            )
-            row_nnz, row_lines, pass_sizes = _trace_cache_get(
-                context.trace_cache, key, build
-            )
-        else:
-            row_nnz, row_lines, pass_sizes = build()
+        key = (
+            "row_tables",
+            provider,
+            fmt.cache_token(),
+            context.graph.fingerprint(),
+            context.dataset.num_layers,
+            workload.layer_index,
+            workload.width_in,
+            float(workload.input_sparsity),
+            seed,
+            plan.tiling.feature_passes,
+        )
+        row_nnz, row_lines, pass_sizes = _trace_cache_get(
+            context.trace_cache, key, build
+        )
         prepared.append(
             ReplayedLayer(
                 workload=workload,
@@ -686,7 +696,7 @@ def replay(
     # of this schedule achieves: one replay of the full (unpinned) trace with
     # dense rows at the full capacity.
     first_stats: Optional[RowCacheStats] = None
-    if context.trace.size:
+    if plan.trace.size:
         dense_row_lines = bytes_to_lines(first.width_out * ELEMENT_BYTES)
         dense = np.full(context.graph.num_vertices, dense_row_lines, dtype=np.int64)
         first_stats = context.engine().evaluate([dense], capacities)[0][0]
@@ -738,7 +748,7 @@ def _aggregation_phase(context: RunContext, layer: ReplayedLayer) -> PhaseResult
     config = context.config
     graph = context.graph
     workload = layer.workload
-    passes = context.tiling.feature_passes
+    passes = context.scheduled.tiling.feature_passes
     edge_fraction = workload.edge_fraction
     _, aligned_reads = _pass_access_overhead(fmt, workload.width_in, passes)
 
@@ -1101,7 +1111,9 @@ def simulate_design(
     check_deadline("schedule")
     fault_point("stage:schedule")
     with span("schedule"):
-        context = schedule(context)
+        context.plan = schedule(
+            design, fmt, dataset, context.graph, config.schedule, trace_cache
+        )
     check_deadline("replay")
     fault_point("stage:replay")
     with span("replay"):
@@ -1122,8 +1134,8 @@ def simulate_design(
             "variant": variant,
             "num_layers": context.dataset.num_layers,
             "cache_lines": context.cache_lines,
-            "feature_passes": context.tiling.feature_passes,
-            "dest_tile_vertices": context.tiling.dest_tile_vertices,
+            "feature_passes": context.scheduled.tiling.feature_passes,
+            "dest_tile_vertices": context.scheduled.tiling.dest_tile_vertices,
         },
     )
 
@@ -1137,6 +1149,7 @@ __all__ = [
     "ReplayedLayer",
     "RunContext",
     "SAGE_EDGE_FRACTION",
+    "SchedulePlan",
     "TimedLayer",
     "build_context",
     "build_workloads",

@@ -12,12 +12,10 @@ Layers:
   :class:`Finding` records, ``# repro: noqa[RULE]`` suppression;
 * :mod:`repro.analysis.rules` — the battery (D1/D2 determinism, N1/N2
   identity-neutrality, W1 worker safety, S1–S3 general safety, C1
-  cross-module contracts, F1–F3 identity flow);
-* :mod:`repro.analysis.flow` — the interprocedural layer under F1–F3 and
-  ``repro audit``: project call graph plus transitive attribute-read
-  summaries;
-* :mod:`repro.analysis.audit` — the ``identity-audit`` document and text
-  view (derived read map, coverage table, replay-knob partition, ledger);
+  cross-module contracts, R1 resilience, F3 memo-key purity);
+* :mod:`repro.analysis.flow` — the interprocedural layer under F3: project
+  call graph plus each function's ambient (global, environment,
+  undeclared ``self``) reads;
 * :mod:`repro.analysis.report` — the versioned ``lint-findings`` JSON
   document (schema pinned by a golden test) and the text renderer.
 
@@ -31,13 +29,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.analysis.audit import (
-    AUDIT_DOCUMENT_KIND,
-    AuditReport,
-    audit_document,
-    render_audit,
-    run_audit,
-)
 from repro.analysis.engine import (
     Finding,
     LintModule,
@@ -56,8 +47,6 @@ from repro.analysis.rules import ALL_RULES, RULE_IDS, get_rules
 
 __all__ = [
     "ALL_RULES",
-    "AUDIT_DOCUMENT_KIND",
-    "AuditReport",
     "Finding",
     "LINT_DOCUMENT_KIND",
     "LINT_SCHEMA_VERSION",
@@ -65,10 +54,8 @@ __all__ = [
     "LintReport",
     "RULE_IDS",
     "Rule",
-    "audit_document",
     "findings_document",
     "get_rules",
-    "render_audit",
     "render_findings",
     "render_summary",
     "run_lint",

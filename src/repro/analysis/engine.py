@@ -437,8 +437,7 @@ def load_project(
     """Expand and parse lint targets once.
 
     Returns the parsed modules plus one :data:`PARSE_ERROR_RULE` finding per
-    file that does not parse — shared by ``run_lint`` and ``repro audit`` so
-    both see the same project view.
+    file that does not parse.
     """
     modules: List[LintModule] = []
     findings: List[Finding] = []

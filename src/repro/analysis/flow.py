@@ -1,70 +1,28 @@
-"""Interprocedural identity-flow analysis over a linted module set.
+"""Interprocedural call-graph layer under the F3 memo-key purity rule.
 
-This is the whole-program layer under the F-rules (``repro.analysis.rules.
-identity``) and ``repro audit``: it builds a project call graph from the
-parsed :class:`~repro.analysis.engine.LintModule` records (import-alias
-aware, with method calls resolved through the known class inventory),
-summarises which *tracked-class* attributes every function reads, and
-propagates those summaries transitively so a pipeline stage's read-set
-includes everything its callees consume.
+It builds a project call graph from the parsed
+:class:`~repro.analysis.engine.LintModule` records (import-alias aware,
+with method calls resolved through the known class inventory and the
+annotated types of parameters and fields) and records, per function, the
+ambient reads F3 reasons about: mutable module globals, the process
+environment, and ``self`` attributes the class never declares.  F3 then
+walks everything reachable from the pipeline stages and the memo-owning
+classes.
 
-The point of the exercise: the repo's caches are only sound while their
-identity derivations (``RunSpec.key()`` / ``scenario_id``, the TraceCache
-key tuple, the replay memo, ``REPLAY_KNOB_OVERRIDES``) cover every
-attribute the computation actually reads.  Those identity sets are
-re-derived here from the AST — not trusted — so a stage growing a new knob
-read without a matching identity entry fails the lint gate instead of
-silently corrupting every grouped sweep.
-
-Reads that are *deliberately* outside an identity carry a ledger comment::
-
-    floor = config.cache.line_bytes  # repro: identity-exempt[CacheConfig.line_bytes] structural constant
-
-The subject in brackets is ``Class.attr`` for attribute reads,
-``global:name`` for module-global reads, and ``env:os.environ`` /
-``env:os.getenv`` for environment reads (the F3 subjects).  The free text
-after the bracket is the *reason* and is mandatory — F1 flags reasonless
-ledger entries.
+Cache keys themselves need no whole-program proof: the schedule stage
+receives only a :class:`~repro.core.config.ScheduleConfig` record, and
+the replay-class key is that record plus the run's identity fields (see
+INVARIANTS.md, "Identity coverage").
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.engine import LintModule, dotted_name
-
-#: Classes whose attribute reads the flow layer records.  Everything else
-#: is typed (so chains like ``context.config.cache`` resolve) but not
-#: reported.
-TRACKED_CLASS_NAMES: FrozenSet[str] = frozenset(
-    {
-        "RunSpec",
-        "DesignPoint",
-        "CacheConfig",
-        "SystemConfig",
-        "EngineConfig",
-        "DRAMConfig",
-    }
-)
-
-#: Tracked classes whose reads F1 checks against an identity derivation.
-IDENTITY_CLASS_NAMES: Tuple[str, ...] = ("RunSpec", "DesignPoint", "CacheConfig")
 
 #: The five pipeline stages, by module-level function name.
 PIPELINE_STAGES: Tuple[str, ...] = (
@@ -74,15 +32,6 @@ PIPELINE_STAGES: Tuple[str, ...] = (
     "timing",
     "energy",
 )
-
-#: Stages whose reads shape the static schedule (F2's schedule side).
-SCHEDULE_STAGES: Tuple[str, ...] = ("build_context", "schedule")
-
-#: Stages whose reads only affect replay/timing/energy (F2's replay side).
-REPLAY_STAGES: Tuple[str, ...] = ("replay", "timing", "energy")
-
-#: ``Session`` methods that feed specs into the pipeline (extra F1 roots).
-SESSION_ENTRY_POINTS: Tuple[str, ...] = ("run", "run_many", "run_spectrum")
 
 #: Classes whose methods feed a memoized path (extra F3 roots).
 MEMO_CLASS_NAMES: Tuple[str, ...] = ("ReplayEngine", "TraceCache")
@@ -95,55 +44,10 @@ PURITY_EXEMPT_MODULE_PREFIXES: Tuple[str, ...] = (
     "repro.resilience",
 )
 
-_EXEMPT_RE = re.compile(
-    r"#\s*repro:\s*identity-exempt\[([^\]]+)\]\s*(.*)", re.IGNORECASE
-)
-
 #: (module dotted name, class name) — the project-unique key of a class.
 ClassKey = Tuple[str, str]
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-# --------------------------------------------------------------------------- #
-# Ledger
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Exemption:
-    """One ``# repro: identity-exempt[SUBJECT] reason`` ledger entry."""
-
-    subject: str
-    path: str
-    line: int
-    reason: str
-
-
-def parse_exemptions(module: LintModule) -> List[Exemption]:
-    """Every ledger entry of ``module`` (comma-separated subjects expand)."""
-    entries: List[Exemption] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(module.source).readline))
-    except (tokenize.TokenError, IndentationError):
-        return entries
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        match = _EXEMPT_RE.search(token.string)
-        if match is None:
-            continue
-        reason = match.group(2).strip()
-        for part in match.group(1).split(","):
-            subject = part.strip()
-            if subject:
-                entries.append(
-                    Exemption(
-                        subject=subject,
-                        path=module.display_path,
-                        line=token.start[0],
-                        reason=reason,
-                    )
-                )
-    return entries
 
 
 # --------------------------------------------------------------------------- #
@@ -163,10 +67,6 @@ class ClassInfo:
     base_dotted: List[str] = field(default_factory=list)
     self_assigned: Set[str] = field(default_factory=set)
     class_assigned: Set[str] = field(default_factory=set)
-
-    @property
-    def name(self) -> str:
-        return self.key[1]
 
     def declared_attrs(self) -> Set[str]:
         """Every attribute name the class declares through any surface."""
@@ -190,22 +90,6 @@ class GlobalRead:
 
 
 @dataclass
-class ReadSite:
-    """One direct attribute read of a tracked class."""
-
-    class_key: ClassKey
-    attr: str
-    function: str
-    module: LintModule
-    line: int
-    col: int
-
-    @property
-    def display(self) -> str:
-        return f"{self.class_key[1]}.{self.attr}"
-
-
-@dataclass
 class FunctionInfo:
     """One function/method plus its direct summary."""
 
@@ -215,9 +99,7 @@ class FunctionInfo:
     node: _FunctionNode
     class_key: Optional[ClassKey] = None
     calls: Set[str] = field(default_factory=set)
-    reads: List[ReadSite] = field(default_factory=list)
     global_reads: List[GlobalRead] = field(default_factory=list)
-    final_env: Dict[str, ClassKey] = field(default_factory=dict)
     return_class: Optional[ClassKey] = None
 
 
@@ -242,19 +124,15 @@ def module_dotted_name(module: LintModule) -> str:
 # The project graph
 # --------------------------------------------------------------------------- #
 class ProjectFlow:
-    """Call graph + per-function read summaries for one module set."""
+    """Call graph + per-function ambient-read summaries for one module set."""
 
     def __init__(self, modules: Sequence[LintModule]) -> None:
         self.modules: List[LintModule] = list(modules)
         self.module_names: Dict[str, str] = {}
-        self.modules_by_name: Dict[str, LintModule] = {}
         self.classes: Dict[ClassKey, ClassInfo] = {}
         self.classes_by_bare: Dict[str, List[ClassKey]] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.module_bindings: Dict[str, Dict[str, str]] = {}
-        self.exemptions: Dict[str, List[Exemption]] = {}
-        self.constant_sets: Dict[Tuple[str, str], Tuple[ast.stmt, Set[str]]] = {}
-        self._transitive: Dict[FrozenSet[str], Dict[Tuple[ClassKey, str], List[ReadSite]]] = {}
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -264,11 +142,8 @@ class ProjectFlow:
         for module in self.modules:
             name = module_dotted_name(module)
             self.module_names[module.display_path] = name
-            self.modules_by_name[name] = module
-            self.exemptions[module.display_path] = parse_exemptions(module)
             self.module_bindings[name] = _module_bindings(module)
             self._collect_classes(module, name)
-            self._collect_constant_sets(module, name)
         for info in self.classes.values():
             for attr, annotation in info.fields.items():
                 info.field_types[attr] = self._annotation_class(info.module, annotation)
@@ -304,22 +179,6 @@ class ProjectFlow:
                     info.self_assigned |= _self_assignments(stmt)
             self.classes[key] = info
             self.classes_by_bare.setdefault(node.name, []).append(key)
-
-    def _collect_constant_sets(self, module: LintModule, mod_name: str) -> None:
-        """Top-level ``NAME = (frozen)set/tuple/list of str`` assignments
-        (plain or annotated)."""
-        for node in module.tree.body:
-            target: Optional[ast.expr] = None
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target, value = node.target, node.value
-            if not isinstance(target, ast.Name) or value is None:
-                continue
-            values = _string_collection(value)
-            if values is not None:
-                self.constant_sets[(mod_name, target.id)] = (node, values)
 
     def _collect_functions(self, module: LintModule, mod_name: str) -> None:
         for node in module.tree.body:
@@ -472,28 +331,13 @@ class ProjectFlow:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def stage_roots(self, stages: Iterable[str] = PIPELINE_STAGES) -> List[str]:
-        """Qualified names of every module-level stage function present."""
-        wanted = set(stages)
-        return sorted(
-            qual
-            for qual, info in self.functions.items()
-            if info.class_key is None and info.name in wanted
-        )
-
-    def session_roots(self) -> List[str]:
-        """Qualified names of the ``Session`` pipeline entry points."""
-        roots: List[str] = []
-        for key in self.classes_by_bare.get("Session", []):
-            for name in SESSION_ENTRY_POINTS:
-                qual = f"{key[0]}:{key[1]}.{name}"
-                if qual in self.functions:
-                    roots.append(qual)
-        return sorted(roots)
-
     def memo_roots(self) -> List[str]:
         """The five stages plus every method of the memo-owning classes."""
-        roots = set(self.stage_roots())
+        roots = {
+            qual
+            for qual, info in self.functions.items()
+            if info.class_key is None and info.name in PIPELINE_STAGES
+        }
         for bare in MEMO_CLASS_NAMES:
             for key in self.classes_by_bare.get(bare, []):
                 prefix = f"{key[0]}:{key[1]}."
@@ -517,148 +361,6 @@ class ProjectFlow:
                 if callee not in seen and callee in self.functions
             )
         return seen
-
-    def reads_from(
-        self, roots: Iterable[str]
-    ) -> Dict[Tuple[ClassKey, str], List[ReadSite]]:
-        """Transitive tracked-class reads of ``roots``, with direct sites."""
-        cache_key = frozenset(roots)
-        cached = self._transitive.get(cache_key)
-        if cached is not None:
-            return cached
-        table: Dict[Tuple[ClassKey, str], List[ReadSite]] = {}
-        for qual in sorted(self.reachable(cache_key)):
-            for site in self.functions[qual].reads:
-                table.setdefault((site.class_key, site.attr), []).append(site)
-        self._transitive[cache_key] = table
-        return table
-
-    def stage_read_map(self) -> Dict[str, List[str]]:
-        """Stage name -> sorted ``Class.attr`` display strings (the golden map)."""
-        result: Dict[str, List[str]] = {}
-        for stage in PIPELINE_STAGES:
-            roots = self.stage_roots([stage])
-            if not roots:
-                continue
-            reads = self.reads_from(roots)
-            result[stage] = sorted(
-                {f"{key[1]}.{attr}" for (key, attr) in reads}
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Identity surfaces
-    # ------------------------------------------------------------------ #
-    def identity_coverage(self, key: ClassKey) -> Optional[Set[str]]:
-        """Attributes of ``key`` its identity derivation covers.
-
-        ``None`` means the surface is absent from the module set, so F1
-        stays disarmed for that class (mirrors C1's both-endpoints rule).
-        """
-        bare = key[1]
-        if bare == "RunSpec":
-            return self._self_reads_of_method(key, "key")
-        if bare == "DesignPoint":
-            info = self.classes.get(key)
-            if info is None or not info.fields:
-                return None
-            # to_dict() serialises ``fields(self)`` dynamically, so by
-            # construction every declared field is identity-bearing.
-            return set(info.fields)
-        if bare == "CacheConfig":
-            writes = self.override_writes()
-            if not writes:
-                return None
-            covered = {
-                attr
-                for attrs in writes.values()  # repro: noqa[D2] builds an unordered membership set, no digest
-                for (write_key, attr) in attrs
-                if write_key == key
-            }
-            return covered or None
-        return None
-
-    def _self_reads_of_method(self, key: ClassKey, method: str) -> Optional[Set[str]]:
-        """``self.X`` field reads of ``key.method`` plus same-class callees."""
-        start = self.method_qual(key, method)
-        if start is None:
-            return None
-        covered: Set[str] = set()
-        seen: Set[str] = set()
-        stack = [start]
-        prefix = f"{key[0]}:{key[1]}."
-        while stack:
-            qual = stack.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            info = self.functions[qual]
-            for site in info.reads:
-                if site.class_key == key:
-                    covered.add(site.attr)
-            stack.extend(
-                callee
-                for callee in info.calls
-                if callee.startswith(prefix) and callee in self.functions
-            )
-        return covered
-
-    def override_writes(self) -> Dict[str, Set[Tuple[ClassKey, str]]]:
-        """Override key -> attributes written, derived from ``build_config``."""
-        writes: Dict[str, Set[Tuple[ClassKey, str]]] = {}
-        for info in self.build_config_functions():
-            for key, attrs in self.override_writes_for(info).items():
-                writes.setdefault(key, set()).update(attrs)
-        return writes
-
-    def override_writes_for(
-        self, info: FunctionInfo
-    ) -> Dict[str, Set[Tuple[ClassKey, str]]]:
-        """Override writes derived from one ``build_config`` definition."""
-        return _derive_override_writes(self, info)
-
-    def build_config_functions(self) -> List[FunctionInfo]:
-        return [
-            info
-            for qual, info in sorted(self.functions.items())
-            if info.class_key is None and info.name == "build_config"
-        ]
-
-    def declared_sets(self, name: str) -> Dict[str, Tuple[ast.stmt, Set[str]]]:
-        """Module dotted name -> (assignment node, values) for constant ``name``."""
-        return {
-            mod: entry
-            for (mod, bound), entry in self.constant_sets.items()
-            if bound == name
-        }
-
-    # ------------------------------------------------------------------ #
-    # Ledger
-    # ------------------------------------------------------------------ #
-    def exemption_for(
-        self, module: LintModule, line: int, subject: str
-    ) -> Optional[Exemption]:
-        """The ledger entry covering ``subject`` at ``line``, if any.
-
-        The entry matches when its comment sits anywhere in the suppression
-        span of the statement owning ``line`` (same normalisation as
-        ``# repro: noqa``), so a trailing comment on a multi-line expression
-        or a decorator line still counts.
-        """
-        entries = self.exemptions.get(module.display_path, [])
-        if not entries:
-            return None
-        start, end = module.suppression_span(line)
-        for entry in entries:
-            if entry.subject == subject and start <= entry.line <= end:
-                return entry
-        return None
-
-    def all_exemptions(self) -> List[Exemption]:
-        return sorted(
-            (entry for entries in self.exemptions.values() for entry in entries),
-            key=lambda entry: (entry.path, entry.line, entry.subject),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -735,30 +437,11 @@ def _self_assignments(node: _FunctionNode) -> Set[str]:
     return assigned
 
 
-def _string_collection(node: ast.expr) -> Optional[Set[str]]:
-    """The string elements of a (possibly frozenset-wrapped) literal."""
-    if isinstance(node, ast.Call) and len(node.args) == 1:
-        dotted = dotted_name(node.func)
-        if dotted in ("frozenset", "set", "tuple", "list"):
-            return _string_collection(node.args[0])
-        return None
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-        values: Set[str] = set()
-        for element in node.elts:
-            if not (
-                isinstance(element, ast.Constant) and isinstance(element.value, str)
-            ):
-                return None
-            values.add(element.value)
-        return values
-    return None
-
-
 # --------------------------------------------------------------------------- #
 # Per-function summarisation
 # --------------------------------------------------------------------------- #
 class _FunctionSummarizer(ast.NodeVisitor):
-    """Builds one function's direct summary: reads, calls, impure reads.
+    """Builds one function's direct summary: calls and impure reads.
 
     Nested functions and lambdas are folded into the enclosing summary —
     closures handed to cache getters execute on the memoized path, so their
@@ -777,7 +460,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
     def run(self) -> None:
         for stmt in self.info.node.body:
             self.visit(stmt)
-        self.info.final_env = dict(self.env)
 
     def _seed_parameters(self) -> None:
         node = self.info.node
@@ -923,22 +605,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
             return
         if attr.startswith("__") and attr.endswith("__"):
             return
-        attr_type = self.flow.class_attr_type(base, attr)
-        if attr_type is not None and attr_type[1] in TRACKED_CLASS_NAMES:
-            # Traversal into another tracked object, not a leaf read.
-            return
-        if base[1] in TRACKED_CLASS_NAMES:
-            self.info.reads.append(
-                ReadSite(
-                    class_key=base,
-                    attr=attr,
-                    function=self.info.qual,
-                    module=self.module,
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                )
-            )
-        elif kind == "unknown" and self._is_self_read(node, base):
+        if kind == "unknown" and self._is_self_read(node, base):
             declared = self.flow.class_declares(base, attr)
             if declared is False:
                 self.info.global_reads.append(
@@ -1108,140 +775,13 @@ def _assigned_names(node: _FunctionNode) -> Set[str]:
     return names
 
 
-# --------------------------------------------------------------------------- #
-# build_config override-write derivation
-# --------------------------------------------------------------------------- #
-def _derive_override_writes(
-    flow: ProjectFlow, info: FunctionInfo
-) -> Dict[str, Set[Tuple[ClassKey, str]]]:
-    """Override key -> (class, attr) writes, re-derived from ``build_config``.
-
-    The walker follows the repo's guard idiom: attribute writes are the
-    keyword arguments of ``dataclasses.replace`` calls (or whole-object
-    rebinds of a tracked variable) that appear under an
-    ``if "KEY" in overrides`` test — including the looped
-    ``for key in (...): if key in overrides`` form, where the written
-    attribute is the override key itself.
-    """
-    writes: Dict[str, Set[Tuple[ClassKey, str]]] = {}
-    env = info.final_env
-    module = info.module
-
-    def expr_class(node: ast.expr) -> Optional[ClassKey]:
-        if isinstance(node, ast.Name):
-            return env.get(node.id)
-        if isinstance(node, ast.Attribute):
-            base = expr_class(node.value)
-            if base is not None:
-                return flow.class_attr_type(base, node.attr)
-        if isinstance(node, ast.Call):
-            dotted = module.resolve(node.func)
-            if dotted is not None:
-                if dotted.rsplit(".", 1)[-1] == "replace" and node.args:
-                    return expr_class(node.args[0])
-                return flow.class_for_dotted(dotted, module)
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                found = expr_class(value)
-                if found is not None:
-                    return found
-        return None
-
-    def guard_keys(test: ast.expr, loops: Mapping[str, Set[str]]) -> Set[str]:
-        keys: Set[str] = set()
-        if isinstance(test, ast.Compare) and any(
-            isinstance(op, ast.In) for op in test.ops
-        ):
-            left = test.left
-            if isinstance(left, ast.Constant) and isinstance(left.value, str):
-                keys.add(left.value)
-            elif isinstance(left, ast.Name) and left.id in loops:
-                keys.update(loops[left.id])
-        elif isinstance(test, ast.BoolOp):
-            for value in test.values:
-                keys.update(guard_keys(value, loops))
-        return keys
-
-    def record_replace(
-        call: ast.Call, active: Set[str], loops: Mapping[str, Set[str]]
-    ) -> bool:
-        dotted = module.resolve(call.func)
-        if dotted is None or dotted.rsplit(".", 1)[-1] != "replace" or not call.args:
-            return False
-        target_class = expr_class(call.args[0])
-        if target_class is None:
-            return True
-        for keyword in call.keywords:
-            if keyword.arg is not None:
-                for key in active:
-                    writes.setdefault(key, set()).add((target_class, keyword.arg))
-            elif isinstance(keyword.value, ast.Dict):
-                for dict_key in keyword.value.keys:
-                    if isinstance(dict_key, ast.Name) and dict_key.id in loops:
-                        for key in loops[dict_key.id] & active:
-                            writes.setdefault(key, set()).add((target_class, key))
-        return True
-
-    def walk(
-        stmts: Sequence[ast.stmt], active: Set[str], loops: Dict[str, Set[str]]
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, ast.If):
-                keys = guard_keys(stmt.test, loops)
-                walk(stmt.body, active | keys, loops)
-                walk(stmt.orelse, active, loops)
-            elif isinstance(stmt, ast.For):
-                inner = dict(loops)
-                values = (
-                    _string_collection(stmt.iter) if stmt.iter is not None else None
-                )
-                if isinstance(stmt.target, ast.Name) and values:
-                    inner[stmt.target.id] = values
-                walk(stmt.body, active, inner)
-                walk(stmt.orelse, active, loops)
-            elif isinstance(stmt, (ast.With, ast.Try)):
-                for body in getattr(stmt, "body", []), getattr(stmt, "orelse", []), getattr(stmt, "finalbody", []):
-                    walk(list(body), active, loops)
-            elif isinstance(stmt, ast.Assign):
-                handled = isinstance(stmt.value, ast.Call) and record_replace(
-                    stmt.value, active, loops
-                )
-                if not handled and active:
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            previous = env.get(target.id)
-                            if previous is not None:
-                                # Whole-object rebind under a guard: every
-                                # field of the class is written.
-                                info_cls = flow.classes.get(previous)
-                                fields = (
-                                    set(info_cls.fields) if info_cls else set()
-                                )
-                                for key in active:
-                                    for attr in fields or {"*"}:
-                                        writes.setdefault(key, set()).add(
-                                            (previous, attr)
-                                        )
-
-    walk(list(info.node.body), set(), {})
-    return writes
-
-
 __all__ = [
     "ClassInfo",
-    "Exemption",
     "FunctionInfo",
     "GlobalRead",
-    "IDENTITY_CLASS_NAMES",
     "MEMO_CLASS_NAMES",
     "PIPELINE_STAGES",
     "ProjectFlow",
     "PURITY_EXEMPT_MODULE_PREFIXES",
-    "REPLAY_STAGES",
-    "ReadSite",
-    "SCHEDULE_STAGES",
-    "SESSION_ENTRY_POINTS",
-    "TRACKED_CLASS_NAMES",
     "module_dotted_name",
-    "parse_exemptions",
 ]

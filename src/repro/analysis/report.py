@@ -16,9 +16,10 @@ from repro.analysis.engine import LintReport
 #: v2: rule battery gained R1 (ad-hoc-retry); S2 additionally flags
 #: swallowed ``except BaseException`` handlers.
 #: v3: rule battery gained the interprocedural F1/F2/F3 identity-flow
-#: rules, and the version is shared with the new ``identity-audit``
-#: document (``repro audit --json``).
-LINT_SCHEMA_VERSION = 3
+#: rules.
+#: v4: F1 and F2 left the battery (cache keys are records by construction;
+#: see INVARIANTS.md), leaving F3.
+LINT_SCHEMA_VERSION = 4
 
 #: ``kind`` value of the findings document.
 LINT_DOCUMENT_KIND = "lint-findings"

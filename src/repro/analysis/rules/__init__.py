@@ -1,9 +1,8 @@
 """The rule battery: every invariant the lint gate enforces.
 
 Rules are instantiated once, in a stable order (determinism, neutrality,
-worker safety, general safety, contracts, resilience); ``repro lint`` runs
-all of them
-unless ``--rule`` narrows the set.  INVARIANTS.md catalogues what each rule
+worker safety, general safety, contracts, resilience, memo-key purity);
+``repro lint`` runs all of them unless ``--rule`` narrows the set.  INVARIANTS.md catalogues what each rule
 protects and how to suppress it.
 """
 
@@ -17,15 +16,11 @@ from repro.analysis.rules.determinism import (
     UnseededRngRule,
     UnsortedIdentityIterationRule,
 )
-from repro.analysis.rules.identity import (
-    IdentityCoverageRule,
-    MemoKeyPurityRule,
-    ReplayClassPartitionRule,
-)
 from repro.analysis.rules.neutrality import (
     PrintOutsideWriterRule,
     TimingOutsideTelemetryRule,
 )
+from repro.analysis.rules.purity import MemoKeyPurityRule
 from repro.analysis.rules.resilience import AdHocRetryRule
 from repro.analysis.rules.safety import (
     BareExceptRule,
@@ -47,8 +42,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     FrozenSetattrRule(),
     WorkerPayloadContractRule(),
     AdHocRetryRule(),
-    IdentityCoverageRule(),
-    ReplayClassPartitionRule(),
     MemoKeyPurityRule(),
 )
 
@@ -88,11 +81,9 @@ __all__ = [
     "AdHocRetryRule",
     "BareExceptRule",
     "FrozenSetattrRule",
-    "IdentityCoverageRule",
     "MemoKeyPurityRule",
     "MutableDefaultArgRule",
     "PrintOutsideWriterRule",
-    "ReplayClassPartitionRule",
     "TimingOutsideTelemetryRule",
     "UnseededRngRule",
     "UnsortedIdentityIterationRule",

@@ -71,12 +71,11 @@ class CacheConfig:
     @property
     def schedule_capacity(self) -> int:
         """Capacity in bytes the static schedule is planned for."""
-        # The schedule-at-nominal contract (PR 9): a replay-time capacity
-        # override pins schedule_capacity_bytes to the nominal value, so
-        # reading it here never lets a replay knob reshape the schedule.
-        if self.schedule_capacity_bytes is not None:  # repro: identity-exempt[CacheConfig.schedule_capacity_bytes] pinned to nominal by build_config when capacity is overridden
-            return self.schedule_capacity_bytes  # repro: identity-exempt[CacheConfig.schedule_capacity_bytes] pinned to nominal by build_config when capacity is overridden
-        return self.capacity_bytes  # repro: identity-exempt[CacheConfig.capacity_bytes] fallback only when no override pinned a schedule capacity, i.e. capacity is nominal
+        # A capacity override pins schedule_capacity_bytes to the nominal
+        # value (build_config), so capacity sweeps share one schedule.
+        if self.schedule_capacity_bytes is not None:
+            return self.schedule_capacity_bytes
+        return self.capacity_bytes
 
     @property
     def num_sets(self) -> int:
@@ -86,11 +85,7 @@ class CacheConfig:
     @property
     def num_lines(self) -> int:
         """Total number of cachelines the cache can hold."""
-        # Schedule-side use sizes the trace at nominal capacity; capacity
-        # overrides replay against the capacity spectrum instead of
-        # re-planning, and line size is a structural constant (never
-        # overridable), so neither read can desynchronise a cache key.
-        return self.capacity_bytes // self.line_bytes  # repro: identity-exempt[CacheConfig.capacity_bytes, CacheConfig.line_bytes] schedule sizes traces at nominal capacity; line size is structural
+        return self.capacity_bytes // self.line_bytes
 
     def scaled(self, factor: float) -> "CacheConfig":
         """Return a copy whose capacity is scaled by ``factor``.
@@ -195,6 +190,31 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
+class ScheduleConfig:
+    """The part of a :class:`SystemConfig` the static schedule reads.
+
+    The schedule stage (tiling plan, access trace, pinned rows) receives this
+    record and no other configuration, so two configs with equal records
+    schedule identically by construction.  That makes the record the
+    config half of a run's replay class
+    (:func:`repro.core.session.replay_class_key`).  It is derived in one
+    place, :attr:`SystemConfig.schedule`.
+
+    Attributes:
+        schedule_capacity_bytes: Cache capacity the schedule is planned for
+            (:attr:`CacheConfig.schedule_capacity`, before dataset scaling).
+        line_bytes: Cacheline size in bytes.
+        num_aggregation_engines: Engines the access trace interleaves.
+        sac_strip_height: Strip height of sparsity-aware cooperation.
+    """
+
+    schedule_capacity_bytes: int
+    line_bytes: int
+    num_aggregation_engines: int
+    sac_strip_height: int
+
+
+@dataclass(frozen=True)
 class SystemConfig:
     """Full system configuration (Table III of the paper).
 
@@ -202,8 +222,6 @@ class SystemConfig:
         engines: Compute-engine configuration.
         cache: Global cache configuration.
         dram: Off-chip memory configuration.
-        sgcn_slice_size: BEICSR unit slice size ``C`` (elements); paper
-            default 96.
         sac_strip_height: Strip height used by sparsity-aware cooperation;
             paper default 32 vertices.
         pipeline_phases: Whether aggregation and combination are pipelined
@@ -213,15 +231,22 @@ class SystemConfig:
     engines: EngineConfig = field(default_factory=EngineConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     dram: DRAMConfig = field(default_factory=lambda: HBM2)
-    sgcn_slice_size: int = 96
     sac_strip_height: int = 32
     pipeline_phases: bool = True
 
     def __post_init__(self) -> None:
-        if self.sgcn_slice_size <= 0:
-            raise ConfigurationError("slice size must be positive")
         if self.sac_strip_height <= 0:
             raise ConfigurationError("SAC strip height must be positive")
+
+    @property
+    def schedule(self) -> ScheduleConfig:
+        """The :class:`ScheduleConfig` record of this configuration."""
+        return ScheduleConfig(
+            schedule_capacity_bytes=self.cache.schedule_capacity,
+            line_bytes=self.cache.line_bytes,
+            num_aggregation_engines=self.engines.num_aggregation_engines,
+            sac_strip_height=self.sac_strip_height,
+        )
 
     def with_cache_capacity(self, capacity_bytes: int) -> "SystemConfig":
         """Return a copy with a different cache capacity."""
@@ -241,10 +266,6 @@ class SystemConfig:
     def with_dram(self, dram: DRAMConfig) -> "SystemConfig":
         """Return a copy using a different DRAM configuration."""
         return replace(self, dram=dram)
-
-    def with_slice_size(self, slice_size: int) -> "SystemConfig":
-        """Return a copy with a different BEICSR unit slice size."""
-        return replace(self, sgcn_slice_size=slice_size)
 
     def describe(self) -> Dict[str, object]:
         """Return a flat dictionary describing the configuration.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS
@@ -62,7 +62,6 @@ SUPPORTED_OVERRIDES: Tuple[str, ...] = (
     "systolic_cols",
     "dram",
     "dram_bandwidth_gbps",
-    "sgcn_slice_size",
     "sac_strip_height",
     "pipeline_phases",
 )
@@ -140,8 +139,6 @@ def build_config(
         )
 
     config = replace(config, engines=engines, cache=cache, dram=dram)
-    if "sgcn_slice_size" in overrides:
-        config = replace(config, sgcn_slice_size=int(overrides["sgcn_slice_size"]))
     if "sac_strip_height" in overrides:
         config = replace(config, sac_strip_height=int(overrides["sac_strip_height"]))
     if "pipeline_phases" in overrides:
@@ -317,31 +314,38 @@ class RunSpec:
         return build_config(self.overrides, base=base)
 
     # ------------------------------------------------------------------ #
+    def identity_fields(self) -> Dict[str, object]:
+        """Every field of the run's identity, ``overrides`` as given.
+
+        Built from the dataclass fields, so a new field joins the identity
+        without further edits.  The display-only ``tag`` is left out, and so
+        are the optional axes (``feature_format``, ``design``, ``sparsity``)
+        while unset: identities, and with them the content-addressed cache
+        entries, of runs written before an axis existed are unchanged.
+        ``overrides`` is copied but not validated; :meth:`key` normalises it.
+        """
+        data: Dict[str, object] = {}
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.name == "tag" or (
+                spec_field.default is None and value is None
+            ):
+                continue
+            if isinstance(value, Mapping):
+                value = dict(value)
+            elif spec_field.type == "int":
+                value = int(value)
+            data[spec_field.name] = value
+        return data
+
     def key(self) -> Dict[str, object]:
         """Canonical mapping that determines the run's identity.
 
-        Everything that can change the simulation output is included; the
-        display-only ``tag`` is not.  The optional ``feature_format`` axis
-        joins the key only when set, so identities (and therefore
-        content-addressed cache entries) of runs written before the axis
-        existed are unchanged.
+        Everything that can change the simulation output is included (see
+        :meth:`identity_fields`), with ``overrides`` validated and sorted.
         """
-        data: Dict[str, object] = {
-            "dataset": self.dataset,
-            "accelerator": self.accelerator,
-            "variant": self.variant,
-            "seed": int(self.seed),
-            "max_vertices": int(self.max_vertices),
-            "max_sampled_layers": int(self.max_sampled_layers),
-            "num_layers": int(self.num_layers),
-            "overrides": _normalise_overrides(self.overrides),
-        }
-        if self.feature_format is not None:
-            data["feature_format"] = self.feature_format
-        if self.design:
-            data["design"] = dict(self.design)
-        if self.sparsity is not None:
-            data["sparsity"] = self.sparsity
+        data = self.identity_fields()
+        data["overrides"] = _normalise_overrides(self.overrides)
         return data
 
     @property
@@ -379,7 +383,7 @@ class RunSpec:
     def to_dict(self) -> Dict[str, object]:
         """Round-trip serialisation (see :meth:`from_dict`)."""
         data = self.key()
-        data["tag"] = self.tag  # repro: identity-exempt[RunSpec.tag] human-facing label only; results and scenario_id are tag-invariant by design
+        data["tag"] = self.tag
         return data
 
     @classmethod

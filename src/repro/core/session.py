@@ -40,6 +40,7 @@ Example::
 
 from __future__ import annotations
 
+import json
 import logging
 from collections import OrderedDict
 from dataclasses import replace as _dc_replace
@@ -48,7 +49,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
 from repro.accelerator.registry import ACCELERATORS
 from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
-from repro.core.config import SystemConfig
+from repro.core.config import ScheduleConfig, SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
 from repro.core.runspec import RunSpec, build_config
 from repro.errors import ConfigurationError, SimulationError, SparsityHarvestError
@@ -76,59 +77,30 @@ ProgressCallback = Callable[[int, RunSpec, SimulationResult], None]
 #: ``(index, spec, exception)``.
 ErrorCallback = Callable[[int, RunSpec, Exception], None]
 
-#: Config overrides that never change the schedule knobs feeding the access
-#: trace: the cache capacity only selects *which* capacity the shared replay
-#: structure is evaluated at, and the rest are pure timing/energy pricing
-#: (DRAM model, frequency, engine shapes).  Two specs differing only in these
-#: knobs form one **replay-knob equivalence class**: run back to back they
-#: share every trace-cache entry, and a capacity spectrum covering the class
-#: lets the first run seed the replay memo for all of them.  (A capacity
-#: override *can* shift the tiling plan and thus the trace; the grouping is
-#: then merely less effective — each run still builds and evaluates its own
-#: context, so results never depend on the class assignment.)
-REPLAY_KNOB_OVERRIDES = frozenset(
-    {
-        "cache_capacity_bytes",
-        "cache_ways",
-        "dram",
-        "dram_bandwidth_gbps",
-        "frequency_ghz",
-        "num_combination_engines",
-        "pipeline_phases",
-        "simd_width",
-        "systolic_cols",
-        "systolic_rows",
-    }
-)
 
-
-def replay_class_key(spec: RunSpec) -> Tuple:
+def replay_class_key(
+    spec: RunSpec, base_config: Optional[SystemConfig] = None
+) -> Tuple[str, object]:
     """Replay-knob equivalence class of ``spec``.
 
-    Everything that feeds trace generation — dataset identity and scale,
-    variant, seed, format, design point, sparsity mode, and the
-    schedule-shaping config overrides — is part of the key; the
-    :data:`REPLAY_KNOB_OVERRIDES` are excluded.
+    Two specs share a class when their identities agree on every field but
+    ``overrides`` and their configs (``base_config`` plus the spec's
+    overrides) have equal :class:`~repro.core.config.ScheduleConfig`
+    records.  The schedule stage reads nothing else, so class members share
+    one schedule, trace and replay engine by construction; they differ only
+    in what replay, timing and energy read (cache capacity and ways, DRAM,
+    frequency, engine shapes).  A spec whose overrides do not build keys on
+    its raw overrides instead, so it forms its own class and fails alone
+    when it runs.
     """
-    shared_overrides = tuple(
-        (name, value)
-        for name, value in sorted(spec.overrides.items())
-        if name not in REPLAY_KNOB_OVERRIDES
-    )
-    design = tuple(sorted(spec.design.items())) if spec.design else None
-    return (
-        spec.dataset,
-        spec.accelerator,
-        spec.variant,
-        spec.seed,
-        spec.max_vertices,
-        spec.max_sampled_layers,
-        spec.num_layers,
-        spec.feature_format,
-        design,
-        spec.sparsity,
-        shared_overrides,
-    )
+    identity = spec.identity_fields()
+    del identity["overrides"]
+    record: object
+    try:
+        record = build_config(spec.overrides, base_config).schedule
+    except (ConfigurationError, TypeError, ValueError):
+        record = repr(sorted(spec.overrides.items()))
+    return json.dumps(identity, sort_keys=True, default=repr), record
 
 
 def replay_classes(
@@ -141,24 +113,24 @@ def replay_classes(
     keep their relative order.  The spectrum is the class's distinct
     effective cache capacities in bytes (``base_config``'s capacity, or the
     Table III default, unless a spec overrides it) — empty unless the class
-    actually sweeps the capacity knob.
+    actually sweeps the capacity knob, and empty for a class of specs whose
+    overrides do not build.
     """
     base = base_config if base_config is not None else SystemConfig()
     base_capacity = int(base.cache.capacity_bytes)
     groups: "OrderedDict[Tuple, List[int]]" = OrderedDict()
     for index, spec in enumerate(specs):
-        groups.setdefault(replay_class_key(spec), []).append(index)
+        groups.setdefault(replay_class_key(spec, base_config), []).append(index)
     classes: List[Tuple[List[int], Tuple[int, ...]]] = []
-    for members in groups.values():
-        overrides = [
-            specs[index].overrides.get("cache_capacity_bytes") for index in members
-        ]
-        capacities = tuple(
-            dict.fromkeys(
-                base_capacity if override is None else int(override)  # type: ignore[call-overload]
-                for override in overrides
-            )
-        )
+    for (_, record), members in groups.items():
+        capacities: Tuple[int, ...] = ()
+        if isinstance(record, ScheduleConfig):
+            # The overrides built, so every capacity override is an int.
+            swept = [
+                specs[index].overrides.get("cache_capacity_bytes", base_capacity)
+                for index in members
+            ]
+            capacities = tuple(dict.fromkeys(int(c) for c in swept))  # type: ignore[call-overload]
         classes.append((members, capacities if len(capacities) > 1 else ()))
     return classes
 
@@ -816,7 +788,6 @@ def reset_default_session() -> None:
 
 
 __all__ = [
-    "REPLAY_KNOB_OVERRIDES",
     "Session",
     "TopologyTask",
     "default_session",

@@ -20,10 +20,7 @@ Subcommands:
   sweeps), and write a ``BENCH_*.json`` performance-trajectory document;
 * ``stats`` — pretty-print a ``metrics.json`` telemetry document;
 * ``lint`` — run the AST invariant battery (``--changed`` lints only
-  git-modified files for pre-commit use);
-* ``audit`` — render the interprocedural identity-flow evidence: derived
-  stage read-sets, identity coverage per class, the replay-knob partition,
-  and the exemption ledger (text or the ``identity-audit`` JSON document).
+  git-modified files for pre-commit use).
 
 Observability controls (see :mod:`repro.telemetry`):
 
@@ -435,26 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint_parser.set_defaults(func=_cmd_lint)
-
-    audit_parser = subparsers.add_parser(
-        "audit",
-        help=(
-            "derive the identity-flow read-sets and coverage table "
-            "(F1-F3 evidence; see INVARIANTS.md)"
-        ),
-    )
-    audit_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files/directories to audit (default: src)",
-    )
-    audit_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the versioned identity-audit JSON document instead of text",
-    )
-    audit_parser.set_defaults(func=_cmd_audit)
 
     stats_parser = subparsers.add_parser(
         "stats", help="pretty-print a metrics.json telemetry document"
@@ -873,20 +850,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for line in render_findings(report):
             OUT.data(line)
         OUT.info(render_summary(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    # Lazy for the same reason as `lint`: dev-facing tooling stays off the
-    # `repro run` import path.
-    from repro.analysis import audit_document, render_audit, run_audit
-
-    report = run_audit(args.paths)
-    if args.json:
-        OUT.data(json.dumps(audit_document(report), indent=2, sort_keys=True))
-    else:
-        for line in render_audit(report):
-            OUT.data(line)
     return 0 if report.ok else 1
 
 

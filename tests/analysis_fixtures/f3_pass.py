@@ -1,4 +1,4 @@
-"""Should-pass fixture for F3: ambient reads are constant or ledgered."""
+"""Should-pass fixture for F3: ambient reads are constant or suppressed."""
 
 from __future__ import annotations
 
@@ -15,6 +15,6 @@ def set_backend(name: str) -> None:
 
 
 def replay(trace: Sequence[int]) -> int:
-    if _backend == FAST_MODE:  # repro: identity-exempt[global:_backend] both backends are bit-identical
+    if _backend == FAST_MODE:  # repro: noqa[F3] both backends are bit-identical
         return len(trace)
     return sum(trace)

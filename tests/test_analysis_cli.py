@@ -76,35 +76,3 @@ def test_lint_list_rules(capsys):
     for rule_id in RULE_IDS:
         assert rule_id in out
     assert "unseeded-rng" in out
-
-
-def test_audit_src_ships_clean(capsys):
-    assert main(["audit", str(REPO / "src")]) == 0
-    out = capsys.readouterr().out
-    assert "stage read map" in out
-    assert "exemption ledger" in out
-    assert "audit clean" in out
-
-
-def test_audit_json_document(capsys):
-    assert main(["audit", "--json", str(REPO / "src")]) == 0
-    document = json.loads(capsys.readouterr().out)
-    assert document["schema_version"] == LINT_SCHEMA_VERSION
-    assert document["kind"] == "identity-audit"
-    assert document["ok"] is True
-    assert set(document["stage_reads"]) == {
-        "build_context",
-        "schedule",
-        "replay",
-        "timing",
-        "energy",
-    }
-    assert document["replay_knobs"]
-    assert all(entry["reason"] for entry in document["exemptions"])
-
-
-def test_audit_flags_leaky_fixture_and_exits_nonzero(capsys):
-    assert main(["audit", str(FIXTURES / "f1_flag.py")]) == 1
-    out = capsys.readouterr().out
-    assert "RunSpec.tag" in out
-    assert "missing : tag <-- NOT COVERED" in out

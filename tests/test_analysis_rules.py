@@ -22,8 +22,6 @@ PAIRS = {
     "S3": ("s3_flag.py", "s3_pass.py", 1),
     "C1": ("c1_flag.py", "c1_pass.py", 2),
     "R1": ("r1_flag.py", "r1_pass.py", 2),
-    "F1": ("f1_flag.py", "f1_pass.py", 1),
-    "F2": ("f2_flag.py", "f2_pass.py", 1),
     "F3": ("f3_flag.py", "f3_pass.py", 1),
 }
 

@@ -75,9 +75,10 @@ def test_stagewise_pipeline_matches_simulate(accelerator):
     design = DESIGN_POINTS[accelerator]
     config = SystemConfig()
 
-    context = build_context(design, design.format_instance(), dataset, config)
-    schedule(context)
-    assert context.tiling is not None
+    fmt = design.format_instance()
+    context = build_context(design, fmt, dataset, config)
+    context.plan = schedule(design, fmt, dataset, context.graph, config.schedule)
+    assert context.plan.tiling is not None
     replayed = replay(context, build_workloads(dataset), seed=0, max_sampled_layers=6)
     timed = timing(context, replayed)
     layers = energy(context, timed)

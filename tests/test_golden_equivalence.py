@@ -70,22 +70,24 @@ def test_rowcache_stats_bit_identical_on_real_traces(accelerator):
     session = Session()
     dataset = session.load_dataset("pubmed", max_vertices=192)
     model = session.accelerator(accelerator)
-    context = schedule(
-        build_context(model.design, model.feature_format, dataset, SystemConfig())
+    config = SystemConfig()
+    context = build_context(model.design, model.feature_format, dataset, config)
+    plan = schedule(
+        model.design, model.feature_format, dataset, context.graph, config.schedule
     )
-    if context.trace.size == 0:
+    if plan.trace.size == 0:
         pytest.skip("column-product design replays no trace")
-    pinned = context.pinned_vertices
+    pinned = plan.pinned_vertices
     assert bool(pinned.size) == (accelerator == "engn")
     rng = np.random.default_rng(0)
-    engine = ReplayEngine(context.trace)
+    engine = ReplayEngine(plan.trace)
     for _ in range(3):
         sizes = rng.integers(1, 9, size=dataset.graph.num_vertices).astype(np.int64)
         capacity = int(rng.integers(8, context.cache_lines + 1))
         ((got,),) = engine.evaluate([sizes], [capacity])
-        want = RowCache(capacity).access_trace(context.trace, sizes)
+        want = RowCache(capacity).access_trace(plan.trace, sizes)
         assert stats_tuple(got) == stats_tuple(want)
         if pinned.size:
             ((got,),) = engine.evaluate([sizes], [capacity], pinned)
-            want = pinned_partition_replay(context.trace, sizes, capacity, pinned)
+            want = pinned_partition_replay(plan.trace, sizes, capacity, pinned)
             assert stats_tuple(got) == stats_tuple(want)

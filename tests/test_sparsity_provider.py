@@ -259,11 +259,10 @@ class TestPipelineIntegration:
 
         def replayed_layers(provider):
             resolved = resolve_sparsity_dataset(dataset, provider)
-            context = schedule(
-                build_context(
-                    design, design.format_instance(), resolved, config,
-                    sparsity=provider,
-                )
+            fmt = design.format_instance()
+            context = build_context(design, fmt, resolved, config, sparsity=provider)
+            context.plan = schedule(
+                design, fmt, resolved, context.graph, config.schedule
             )
             return replay(
                 context, build_workloads(resolved), seed=0, max_sampled_layers=6

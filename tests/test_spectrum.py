@@ -31,7 +31,6 @@ from repro.accelerator.simulator import GCN_VARIANTS
 from repro.core.config import CacheConfig, SystemConfig
 from repro.core.runspec import RunSpec, build_config
 from repro.core.session import (
-    REPLAY_KNOB_OVERRIDES,
     Session,
     replay_class_key,
     replay_classes,
@@ -268,10 +267,9 @@ class TestReplayClasses:
         for knob, value in [
             ("cache_capacity_bytes", 128 * KB),
             ("frequency_ghz", 1.4),
-            ("dram", "hbm3"),
+            ("dram", "hbm1"),
             ("simd_width", 32),
         ]:
-            assert knob in REPLAY_KNOB_OVERRIDES
             sibling = RunSpec(
                 dataset="cora",
                 accelerator="sgcn",
@@ -291,7 +289,7 @@ class TestReplayClasses:
                 dataset="cora",
                 accelerator="sgcn",
                 max_vertices=64,
-                overrides={"sgcn_slice_size": 8},
+                overrides={"sac_strip_height": 8},
             ),
         ]:
             assert replay_class_key(other) != replay_class_key(base)
