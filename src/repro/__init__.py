@@ -6,18 +6,18 @@ Compressed-Sparse Features in Deep Graph Convolutional Network Accelerators"
 
 * ``repro.graphs`` — graph data structures and synthetic dataset generators
   calibrated to the paper's Table II.
-* ``repro.gcn`` — numpy implementations of GCN / GINConv / GraphSAGE layers,
-  deep residual models, and intermediate-feature sparsity tooling.
+* ``repro.gcn`` — numpy implementations of GCN layers, deep residual
+  models, and intermediate-feature sparsity tooling.
 * ``repro.formats`` — sparse feature formats (Dense, CSR, COO, BSR, Blocked
-  Ellpack, BEICSR) with functional encode/decode and memory-traffic models.
-* ``repro.memory`` — cache and HBM DRAM models plus energy tables, including
-  the vectorized trace-replay engine (``repro.memory.replay``) behind the
-  trace-driven aggregation simulation.
+  Ellpack, BEICSR) as memory-traffic models.
+* ``repro.memory`` — the row-cache replay model, HBM DRAM model and energy
+  tables, including the vectorized trace-replay engine
+  (``repro.memory.replay``) behind the trace-driven aggregation simulation.
 * ``repro.accelerator`` — the SGCN accelerator model and baseline models of
   GCNAX, HyGCN, AWB-GCN, EnGN, and I-GCN.
 * ``repro.core`` — configuration dataclasses, the canonical
   ``RunSpec``/``Session`` API, the classic ``simulate()`` shims, and
-  result/comparison helpers.
+  result containers.
 * ``repro.experiments`` — declarative experiment sweeps: scenario/sweep
   specs, a parallel runner with result caching, paper-figure scenario
   packs, and the ``python -m repro`` CLI.

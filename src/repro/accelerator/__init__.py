@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from repro.accelerator.engines import SIMDAggregationEngine, PrefixSumUnit
+from repro.accelerator.engines import SIMDAggregationEngine
 from repro.accelerator.systolic import SystolicArray
-from repro.accelerator.aggregator import SparseAggregator
-from repro.accelerator.compressor import PostCombinationCompressor
 from repro.accelerator.design import (
     BUILTIN_DESIGNS,
     DESIGN_KNOBS,
@@ -29,7 +27,6 @@ from repro.accelerator.registry import (
     temporary_accelerator,
     unregister_accelerator,
 )
-from repro.accelerator.energy_model import AcceleratorEnergyModel
 
 __all__ = [
     "BUILTIN_DESIGNS",
@@ -40,10 +37,7 @@ __all__ = [
     "register_design",
     "simulate_design",
     "SIMDAggregationEngine",
-    "PrefixSumUnit",
     "SystolicArray",
-    "SparseAggregator",
-    "PostCombinationCompressor",
     "LayerWorkload",
     "PhaseResult",
     "build_workloads",
@@ -54,5 +48,4 @@ __all__ = [
     "register_accelerator",
     "temporary_accelerator",
     "unregister_accelerator",
-    "AcceleratorEnergyModel",
 ]

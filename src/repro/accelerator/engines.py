@@ -1,70 +1,19 @@
-"""Aggregation engine building blocks: SIMD MAC lanes and the prefix-sum unit.
+"""Throughput model of the SIMD aggregation engines.
 
 The baseline aggregation engine (paper Fig. 5) is a 16-way SIMD unit fed by a
 graph reader (edges) and a feature reader (destination feature rows).  SGCN's
 sparse aggregator (Fig. 8) adds a parallel prefix-sum unit that converts each
-bitmap into reversed indices into the packed non-zero values.  This module
-provides both the cycle-cost models used by the performance simulator and a
-functional prefix-sum implementation used by the functional aggregator.
+bitmap into reversed indices into the packed non-zero values; it completes
+in one pipeline stage, so its cost is folded into the per-cacheline
+aggregation throughput modelled here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import EngineConfig
 from repro.errors import SimulationError
-
-
-class PrefixSumUnit:
-    """Parallel prefix-sum over a bitmap (functional + timing model).
-
-    In hardware this is a log-depth parallel prefix adder over the bitmap
-    bits of one cacheline (128 bits for a 16-element fp32 line plus headroom);
-    it completes in a single pipeline stage, so its cycle cost is folded into
-    the per-cacheline aggregation throughput.
-    """
-
-    def __init__(self, width_bits: int = 128) -> None:
-        if width_bits <= 0:
-            raise SimulationError("prefix-sum width must be positive")
-        self.width_bits = width_bits
-
-    def exclusive_prefix_sum(self, bits: np.ndarray) -> np.ndarray:
-        """Exclusive prefix sum of a 0/1 bitmap.
-
-        ``result[i]`` is the number of set bits strictly before position
-        ``i`` — i.e. the index into the packed non-zero array where element
-        ``i``'s value lives (when ``bits[i]`` is set).
-        """
-        bits = np.asarray(bits)
-        if bits.ndim != 1:
-            raise SimulationError("bitmap must be one-dimensional")
-        if bits.size > self.width_bits:
-            raise SimulationError(
-                f"bitmap of {bits.size} bits exceeds unit width {self.width_bits}"
-            )
-        if bits.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        sums = np.cumsum(bits.astype(np.int64))
-        return np.concatenate([[0], sums[:-1]])
-
-    def reversed_indices(self, bits: np.ndarray) -> np.ndarray:
-        """Packed-array index of every set bit of the bitmap.
-
-        This is the mapping the sparse aggregator's accumulators use to load
-        the multiplier outputs into the right feature positions (paper
-        Fig. 8, step 3).
-        """
-        bits = np.asarray(bits)
-        prefix = self.exclusive_prefix_sum(bits)
-        return prefix[bits.astype(bool)]
-
-    def latency_cycles(self) -> int:
-        """Pipeline latency of the prefix-sum (one stage)."""
-        return 1
 
 
 @dataclass
@@ -112,22 +61,4 @@ class SIMDAggregationEngine:
         # Each edge pays at least one cycle (bitmap decode / edge dispatch)
         # even if its row is almost empty.
         cycles = max(macs / lanes, num_edges / self.config.num_aggregation_engines)
-        return AggregationCost(mac_operations=macs, cycles=float(cycles))
-
-    def sparse_first_layer_cost(
-        self,
-        num_vertices: float,
-        input_nonzeros_per_vertex: float,
-        output_width: float,
-    ) -> AggregationCost:
-        """Cost of SGCN's first-layer sparse combination on the aggregation engines.
-
-        When the input features are ultra-sparse one-hot style vectors, SGCN
-        performs the first combination ``X_1 @ W`` as a sparse gather-accumulate
-        on the aggregation engines (Section V-F): each non-zero input element
-        selects one weight row and accumulates it into the output.
-        """
-        macs = num_vertices * input_nonzeros_per_vertex * output_width
-        lanes = self.config.simd_width * self.config.num_aggregation_engines
-        cycles = max(macs / lanes, num_vertices)
         return AggregationCost(mac_operations=macs, cycles=float(cycles))

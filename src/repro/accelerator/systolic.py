@@ -71,19 +71,6 @@ class SystolicArray:
         macs = m * k * n * density
         return GemmCost(mac_operations=macs, cycles=float(total_cycles), tiles=tiles)
 
-    def utilization(self, m: float, k: float, n: float) -> float:
-        """Fraction of peak MAC throughput achieved on this GEMM shape."""
-        cost = self.gemm_cost(m, k, n)
-        if cost.cycles == 0:
-            return 0.0
-        peak_macs = (
-            cost.cycles
-            * self.config.systolic_rows
-            * self.config.systolic_cols
-            * self.config.num_combination_engines
-        )
-        return float(cost.mac_operations / peak_macs)
-
     def weight_bytes(self, k: float, n: float, element_bytes: int = 4) -> float:
         """Bytes of weights streamed from DRAM for one layer's GEMM."""
         return float(k * n * element_bytes)

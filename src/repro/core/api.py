@@ -36,12 +36,13 @@ Example::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
+# available_accelerators is re-exported as part of this module's API.
 from repro.accelerator.registry import (
     ACCELERATORS,
     PAPER_COMPARISON,
-    available_accelerators as _available_accelerators,
+    available_accelerators,
 )
 from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
 from repro.core.config import SystemConfig
@@ -50,11 +51,6 @@ from repro.core.runspec import DEFAULT_MAX_VERTICES, RunSpec
 from repro.core.session import Session, default_session
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.datasets import Dataset
-
-
-def available_accelerators() -> List[str]:
-    """Names of every modelled accelerator."""
-    return _available_accelerators()
 
 
 def _validate_variant(variant: str) -> str:

@@ -248,10 +248,6 @@ class SystemConfig:
             sac_strip_height=self.sac_strip_height,
         )
 
-    def with_cache_capacity(self, capacity_bytes: int) -> "SystemConfig":
-        """Return a copy with a different cache capacity."""
-        return replace(self, cache=replace(self.cache, capacity_bytes=capacity_bytes))
-
     def with_engines(self, num_engines: int) -> "SystemConfig":
         """Return a copy with ``num_engines`` aggregation and combination engines."""
         return replace(
@@ -262,10 +258,6 @@ class SystemConfig:
                 num_combination_engines=num_engines,
             ),
         )
-
-    def with_dram(self, dram: DRAMConfig) -> "SystemConfig":
-        """Return a copy using a different DRAM configuration."""
-        return replace(self, dram=dram)
 
     def describe(self) -> Dict[str, object]:
         """Return a flat dictionary describing the configuration.

@@ -249,12 +249,6 @@ class SimulationResult:
             return 0.0
         return float(sum(w * r for w, r in zip(weights, rates)) / total)
 
-    def speedup_over(self, baseline: "SimulationResult") -> float:
-        """Speedup of this run relative to ``baseline`` (same dataset)."""
-        if self.total_cycles <= 0:
-            raise SimulationError("cannot compute a speedup from zero cycles")
-        return baseline.total_cycles / self.total_cycles
-
     def summary(self) -> Dict[str, object]:
         """One-line summary used by the experiment reports."""
         return {
@@ -327,15 +321,6 @@ class ComparisonResult:
             for name, result in self.results.items()
         }
 
-    def normalized_energy(self, baseline: Optional[str] = None) -> Dict[str, float]:
-        """Energy of every accelerator normalised to ``baseline``."""
-        base = self._baseline_result(baseline)
-        base_energy = base.energy.total_joules
-        return {
-            name: result.energy.total_joules / base_energy
-            for name, result in self.results.items()
-        }
-
     def _baseline_result(self, baseline: Optional[str]) -> SimulationResult:
         key = baseline or self.baseline
         if key not in self.results:
@@ -365,13 +350,3 @@ class ComparisonResult:
         for result in data.get("results", {}).values():
             comparison.add(SimulationResult.from_dict(result))
         return comparison
-
-
-def geometric_mean(values: List[float]) -> float:
-    """Geometric mean of positive values (used for cross-dataset summaries)."""
-    array = np.asarray(values, dtype=np.float64)
-    if array.size == 0:
-        raise SimulationError("cannot take the geometric mean of no values")
-    if np.any(array <= 0):
-        raise SimulationError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(array))))

@@ -19,8 +19,7 @@ Subcommands:
   engine (and grouped spectrum against per-knob dispatch on replay-knob
   sweeps), and write a ``BENCH_*.json`` performance-trajectory document;
 * ``stats`` — pretty-print a ``metrics.json`` telemetry document;
-* ``lint`` — run the AST invariant battery (``--changed`` lints only
-  git-modified files for pre-commit use).
+* ``lint`` — run the AST invariant battery.
 
 Observability controls (see :mod:`repro.telemetry`):
 
@@ -423,14 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the active rule battery and exit",
     )
-    lint_parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files modified per `git diff --name-only HEAD` that "
-            "fall under the given targets (fast pre-commit mode)"
-        ),
-    )
     lint_parser.set_defaults(func=_cmd_lint)
 
     stats_parser = subparsers.add_parser(
@@ -791,36 +782,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _changed_lint_targets(targets: Sequence[str]) -> List[str]:
-    """Modified ``.py`` files (per ``git diff HEAD``) under ``targets``."""
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise ReproError(
-            f"lint --changed needs a git checkout: git diff failed ({exc})"
-        ) from exc
-    roots = [Path(target).resolve() for target in targets]
-    changed: List[str] = []
-    for line in proc.stdout.splitlines():
-        name = line.strip()
-        if not name.endswith(".py"):
-            continue
-        candidate = Path(name)
-        if not candidate.is_file():
-            continue  # deleted/renamed-away files have nothing to lint
-        resolved = candidate.resolve()
-        if any(resolved == root or root in resolved.parents for root in roots):
-            changed.append(name)
-    return sorted(changed)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported lazily: the linter is a dev-facing tool; keep `repro run`
     # startup free of it.
@@ -837,13 +798,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule in rules:
             OUT.data(f"{rule.rule_id:<4} {rule.name:<34} {rule.summary}")
         return 0
-    paths = list(args.paths)
-    if args.changed:
-        paths = _changed_lint_targets(paths)
-        if not paths:
-            OUT.info("lint --changed: no modified python files under the targets")
-            return 0
-    report = run_lint(paths, rules=rules)
+    report = run_lint(list(args.paths), rules=rules)
     if args.json:
         OUT.data(json.dumps(findings_document(report), indent=2, sort_keys=True))
     else:

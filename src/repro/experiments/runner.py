@@ -672,9 +672,6 @@ class SweepRunner:
                 telemetry=outcome.telemetry,
             )
 
-    def _degrade_allowed(self) -> bool:
-        return self.policy.degrade
-
     def _store_get(self, scenario: Scenario) -> Optional[SimulationResult]:
         """Store lookup that degrades to a miss instead of failing the sweep."""
         if self.store is None:
@@ -682,7 +679,7 @@ class SweepRunner:
         try:
             return self.store.get(scenario)
         except Exception as exc:  # noqa: BLE001 — a broken cache must not kill the sweep
-            if not self._degrade_allowed():
+            if not self.policy.degrade:
                 raise
             logger.warning(
                 "result store get failed for %s (%s); treating as a miss",
@@ -698,7 +695,7 @@ class SweepRunner:
         try:
             self.store.put(scenario, result)
         except Exception as exc:  # noqa: BLE001 — a broken cache must not kill the sweep
-            if not self._degrade_allowed():
+            if not self.policy.degrade:
                 raise
             logger.warning(
                 "result store put failed for %s (%s); result stays uncached",
@@ -740,12 +737,9 @@ class SweepRunner:
             )
         else:
             error = payload["error"]
-            if isinstance(error, dict):
-                error_type = str(error.get("type", "Exception"))
-                message = str(error.get("message", ""))
-                trace = str(error.get("traceback", ""))
-            else:  # legacy flat-string payloads
-                error_type, message, trace = "Exception", str(error), str(error)
+            error_type = str(error.get("type", "Exception"))
+            message = str(error.get("message", ""))
+            trace = str(error.get("traceback", ""))
             summary = f"{error_type}: {message}" if message else error_type
             logger.error("scenario %s failed:\n%s", scenario.label(), trace or summary)
             record(

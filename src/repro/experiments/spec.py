@@ -17,7 +17,7 @@ hours in.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.runspec import (
@@ -235,11 +235,6 @@ class SweepSpec:
             max_sampled_layers=int(data.get("max_sampled_layers", 6)),
             description=str(data.get("description", "")),
         )
-
-    def scaled_to(self, max_vertices: int) -> "SweepSpec":
-        """Return a copy with a different shared ``max_vertices`` cap."""
-        return replace(self, max_vertices=max_vertices)
-
 
 __all__ = [
     "DRAM_GENERATIONS",

@@ -17,13 +17,13 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import SimulationResult
 from repro.errors import SimulationError
 from repro.experiments.spec import Scenario
+from repro.resilience.checkpoint import atomic_write_json
 from repro.resilience.faults import fault_point
 from repro.telemetry.spans import span
 
@@ -215,7 +215,7 @@ class ResultStore:
                 "checksum": result_checksum(result_document),
                 "summary": result.summary(),
             }
-            _atomic_write_json(path, document)
+            atomic_write_json(path, document)
         self.puts += 1
         return path
 
@@ -260,7 +260,7 @@ def export_scenario_json(
         "summary": result.summary(),
         "result": result.to_dict(),
     }
-    _atomic_write_json(path, document)
+    atomic_write_json(path, document)
     return path
 
 
@@ -290,7 +290,7 @@ def export_summary_json(
         raise SimulationError("no rows to export; run the sweep first")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_json(path, list(rows))
+    atomic_write_json(path, list(rows))
     return path
 
 
@@ -336,38 +336,6 @@ def load_sweep_rows(results_dir: Union[str, Path]) -> List[Dict[str, object]]:
     if duplicates:
         logger.info("skipped %d duplicate scenario document(s)", duplicates)
     return rows
-
-
-def _atomic_write_json(path: Path, payload: object) -> None:
-    handle = tempfile.NamedTemporaryFile(
-        "w",
-        encoding="utf-8",
-        dir=str(path.parent),
-        prefix=f".{path.name}.",
-        suffix=".tmp",
-        delete=False,
-    )
-    try:
-        with handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(handle.name, path)
-    except (KeyboardInterrupt, SystemExit):
-        # Control-flow exceptions re-raise explicitly ahead of the broad
-        # cleanup clause: an interrupt must never be delayed or re-labelled
-        # by temp-file housekeeping.
-        _unlink_quietly(handle.name)
-        raise
-    except BaseException:
-        _unlink_quietly(handle.name)
-        raise
-
-
-def _unlink_quietly(name: str) -> None:
-    try:
-        os.unlink(name)
-    except OSError:
-        pass
 
 
 __all__ = [

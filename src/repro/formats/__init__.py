@@ -1,11 +1,10 @@
-"""Sparse feature formats: functional encode/decode plus traffic models."""
+"""Sparse feature formats, each modelled by the memory layout it builds."""
 
 from __future__ import annotations
 
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -28,7 +27,6 @@ from repro.formats.registry import (
 __all__ = [
     "CACHELINE_BYTES",
     "ELEMENT_BYTES",
-    "EncodedFeatures",
     "FeatureFormat",
     "FeatureLayout",
     "bytes_to_lines",

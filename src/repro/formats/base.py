@@ -1,18 +1,12 @@
 """Common interfaces of the feature compression formats.
 
-Each format plays two roles:
-
-1. **Functional** — :meth:`FeatureFormat.encode` / :meth:`FeatureFormat.decode`
-   convert a dense numpy feature matrix to the format's in-memory
-   representation and back.  Round-tripping must be lossless; the unit and
-   property tests rely on this to establish correctness.
-2. **Performance** — :meth:`FeatureFormat.build_layout` produces a
-   :class:`FeatureLayout`, a description of where every feature row lives in
-   (simulated) DRAM and how many cachelines a read or write of that row
-   touches.  The accelerator models replay aggregation traces against these
-   layouts through the cache simulator, which is how the memory-traffic
-   differences between Dense, CSR, COO, BSR, Blocked Ellpack, and BEICSR
-   (paper Fig. 3 and Fig. 19) arise.
+A format is a traffic model: :meth:`FeatureFormat.build_layout` produces a
+:class:`FeatureLayout`, a description of where every feature row lives in
+(simulated) DRAM and how many cachelines a read or write of that row
+touches.  The accelerator models replay aggregation traces against these
+layouts through the row cache, which is how the memory-traffic differences
+between Dense, CSR, COO, BSR, Blocked Ellpack, and BEICSR (paper Fig. 3 and
+Fig. 19) arise.
 
 Addresses are expressed in units of cachelines (64 bytes).  A layout places
 its arrays at distinct base addresses so that, for formats with separate
@@ -23,8 +17,7 @@ for cache space with value traffic exactly as it would in hardware.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,28 +59,6 @@ def span_line_counts(
     last = (start_bytes + num_bytes - 1) // line_bytes
     first = start_bytes // line_bytes
     return np.where(num_bytes > 0, last - first + 1, 0)
-
-
-@dataclass
-class EncodedFeatures:
-    """A feature matrix encoded into a specific format.
-
-    Attributes:
-        format_name: Name of the producing format.
-        shape: Original dense shape ``(rows, width)``.
-        arrays: Named numpy arrays making up the encoded representation
-            (e.g. ``{"values": ..., "bitmaps": ...}``).
-        metadata: Format-specific scalars (block sizes, slice size, ...).
-    """
-
-    format_name: str
-    shape: tuple
-    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    def storage_bytes(self) -> int:
-        """Total bytes of all component arrays (capacity, not traffic)."""
-        return int(sum(array.nbytes for array in self.arrays.values()))
 
 
 class FeatureLayout(ABC):
@@ -133,35 +104,14 @@ class FeatureLayout(ABC):
     def row_write_bytes(self, row: int) -> int:
         """Bytes written to DRAM when producing row ``row`` as a layer output."""
 
-    # -- capacity --------------------------------------------------------- #
-    @abstractmethod
-    def storage_bytes(self) -> int:
-        """Total bytes reserved for the matrix in this layout."""
-
     # -- helpers ---------------------------------------------------------- #
-    def total_read_bytes(self) -> int:
-        """Bytes to read every row exactly once (no cache)."""
-        return int(sum(self.row_read_bytes(row) for row in range(self.num_rows)))
-
-    def total_write_bytes(self) -> int:
-        """Bytes to write every row exactly once."""
-        return int(sum(self.row_write_bytes(row) for row in range(self.num_rows)))
-
-    def total_lines(self) -> int:
-        """Number of cachelines the layout occupies."""
-        return bytes_to_lines(self.storage_bytes())
-
-    def average_row_read_bytes(self) -> float:
-        """Mean bytes per row read."""
-        return self.total_read_bytes() / self.num_rows
-
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.num_rows:
             raise FormatError(f"row {row} out of range (0..{self.num_rows - 1})")
 
 
 class FeatureFormat(ABC):
-    """A feature compression format (functional + performance model)."""
+    """A feature compression format, modelled by the layout it builds."""
 
     #: Short name used by the registry and in result tables.
     name: str = "abstract"
@@ -177,16 +127,6 @@ class FeatureFormat(ABC):
     #: Whether the format actually compresses (skips zero elements).
     compressed: bool = True
 
-    # -- functional ------------------------------------------------------- #
-    @abstractmethod
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        """Encode a dense ``(rows, width)`` matrix into this format."""
-
-    @abstractmethod
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        """Decode back to the dense matrix; must be exactly lossless."""
-
-    # -- performance ------------------------------------------------------ #
     @abstractmethod
     def build_layout(
         self,
@@ -203,11 +143,10 @@ class FeatureFormat(ABC):
             base_line: First cacheline address available to the layout.
             slice_nnz: Optional ``(rows, slices)`` per-slice non-zero counts
                 for formats that store per-slice metadata (sliced BEICSR);
-                other formats ignore it.  Supplied by
-                :meth:`layout_for_matrix` for real matrices and by measured
-                sparsity providers (:mod:`repro.gcn.providers`) for
-                simulation runs; when omitted, sliced formats fall back to
-                an even per-row split.
+                other formats ignore it.  Supplied by measured sparsity
+                providers (:mod:`repro.gcn.providers`) for simulation runs;
+                when omitted, sliced formats fall back to an even per-row
+                split.
         """
 
     # -- convenience ------------------------------------------------------ #
@@ -227,33 +166,6 @@ class FeatureFormat(ABC):
             getattr(self, "block_cols", None),
             getattr(self, "block_size", None),
         )
-
-    def layout_for_matrix(self, matrix: np.ndarray, base_line: int = 0) -> FeatureLayout:
-        """Build a layout directly from a dense matrix."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        row_nnz = np.count_nonzero(matrix, axis=1).astype(np.int64)
-        slice_nnz = None
-        slice_size = getattr(self, "slice_size", None)
-        if slice_size:
-            from repro.gcn.sparsity import per_slice_nonzeros
-
-            slice_nnz = per_slice_nonzeros(matrix, int(slice_size))
-        return self.build_layout(row_nnz, matrix.shape[1], base_line, slice_nnz)
-
-    def roundtrip(self, matrix: np.ndarray) -> np.ndarray:
-        """Encode then decode ``matrix`` (testing convenience)."""
-        return self.decode(self.encode(matrix))
-
-    def compression_ratio(self, matrix: np.ndarray) -> float:
-        """Dense bytes divided by encoded bytes (> 1 means smaller)."""
-        matrix = np.asarray(matrix)
-        dense_bytes = matrix.shape[0] * matrix.shape[1] * ELEMENT_BYTES
-        encoded_bytes = self.encode(matrix).storage_bytes()
-        if encoded_bytes == 0:
-            return float("inf")
-        return dense_bytes / encoded_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"

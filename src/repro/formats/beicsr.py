@@ -36,7 +36,6 @@ from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -147,10 +146,6 @@ class BEICSRLayout(FeatureLayout):
         # cachelines; only the occupied prefix is written.
         return self.row_read_bytes(row)
 
-    def storage_bytes(self) -> int:
-        return self.num_rows * self.row_stride_lines * CACHELINE_BYTES
-
-
 class PackedBEICSRLayout(FeatureLayout):
     """Packed (non-in-place) BEICSR layout, used for the ablation study.
 
@@ -183,7 +178,6 @@ class PackedBEICSRLayout(FeatureLayout):
         self.pointer_base = 0
         pointer_bytes = (self.num_rows + 1) * POINTER_BYTES
         self.data_base = bytes_to_lines(pointer_bytes) * CACHELINE_BYTES
-        self._storage = self.data_base + int(self.row_offsets[-1])
         self.row_bytes = row_bytes
 
     def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
@@ -215,10 +209,6 @@ class PackedBEICSRLayout(FeatureLayout):
         self._check_row(row)
         return self.row_read_bytes(row)
 
-    def storage_bytes(self) -> int:
-        return int(self._storage)
-
-
 class BEICSRFormat(FeatureFormat):
     """Bitmap-index Embedded In-place CSR (sliced or whole-row).
 
@@ -246,73 +236,6 @@ class BEICSRFormat(FeatureFormat):
             self.supports_parallel_write = False
             self.aligned = False
 
-    # ------------------------------------------------------------------ #
-    # Functional encode / decode
-    # ------------------------------------------------------------------ #
-    def _effective_slice(self, width: int) -> int:
-        return self.slice_size if self.slice_size is not None else width
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        rows, width = matrix.shape
-        slice_size = self._effective_slice(width)
-        num_slices = (width + slice_size - 1) // slice_size
-        bitmap_bytes = _bitmap_bytes(slice_size)
-
-        bitmaps = np.zeros((rows, num_slices, bitmap_bytes), dtype=np.uint8)
-        values = np.zeros((rows, num_slices, slice_size), dtype=np.float32)
-        counts = np.zeros((rows, num_slices), dtype=np.int64)
-        for row in range(rows):
-            for slice_index in range(num_slices):
-                start = slice_index * slice_size
-                stop = min(width, start + slice_size)
-                chunk = matrix[row, start:stop]
-                nonzero_positions = np.nonzero(chunk)[0]
-                counts[row, slice_index] = nonzero_positions.size
-                bits = np.zeros(slice_size, dtype=np.uint8)
-                bits[nonzero_positions] = 1
-                bitmaps[row, slice_index] = np.packbits(bits, bitorder="little")[:bitmap_bytes]
-                values[row, slice_index, : nonzero_positions.size] = chunk[nonzero_positions]
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=(rows, width),
-            arrays={"bitmaps": bitmaps, "values": values, "counts": counts},
-            metadata={"slice_size": slice_size, "in_place": self.in_place},
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as {self.name}")
-        rows, width = encoded.shape
-        slice_size = int(encoded.metadata["slice_size"])
-        bitmaps = encoded.arrays["bitmaps"]
-        values = encoded.arrays["values"]
-        counts = encoded.arrays["counts"]
-        num_slices = bitmaps.shape[1]
-
-        matrix = np.zeros((rows, width), dtype=np.float32)
-        for row in range(rows):
-            for slice_index in range(num_slices):
-                start = slice_index * slice_size
-                stop = min(width, start + slice_size)
-                bits = np.unpackbits(bitmaps[row, slice_index], bitorder="little")[
-                    : stop - start
-                ]
-                positions = np.nonzero(bits)[0]
-                count = int(counts[row, slice_index])
-                if positions.size != count:
-                    raise FormatError(
-                        "bitmap population count does not match stored value count "
-                        f"(row {row}, slice {slice_index}: {positions.size} != {count})"
-                    )
-                matrix[row, start + positions] = values[row, slice_index, :count]
-        return matrix
-
-    # ------------------------------------------------------------------ #
-    # Performance layout
-    # ------------------------------------------------------------------ #
     def build_layout(
         self,
         row_nnz: np.ndarray,
@@ -321,7 +244,7 @@ class BEICSRFormat(FeatureFormat):
         slice_nnz: Optional[np.ndarray] = None,
     ) -> FeatureLayout:
         row_nnz = validate_row_nnz(row_nnz, width)
-        slice_size = self._effective_slice(width)
+        slice_size = self.slice_size if self.slice_size is not None else width
         num_slices = (width + slice_size - 1) // slice_size
         if slice_nnz is None:
             slice_nnz = _split_row_nnz(row_nnz, width, slice_size)
@@ -337,20 +260,3 @@ class BEICSRFormat(FeatureFormat):
         if self.in_place:
             return BEICSRLayout(slice_nnz, width, slice_size, base_line)
         return PackedBEICSRLayout(slice_nnz, width, slice_size, base_line)
-
-    # ------------------------------------------------------------------ #
-    # Analytical helpers used in the paper's Section V-A discussion
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def index_overhead(width: int, sparsity: float) -> float:
-        """Bitmap index bytes relative to stored non-zero value bytes.
-
-        For 50% sparsity and 32-bit elements this is ``n/16n`` = 6.25%
-        (Section V-A).
-        """
-        if width <= 0:
-            raise FormatError("width must be positive")
-        nonzero_bytes = width * (1.0 - sparsity) * ELEMENT_BYTES
-        if nonzero_bytes == 0:
-            return float("inf")
-        return _bitmap_bytes(width) / nonzero_bytes

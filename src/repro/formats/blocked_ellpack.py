@@ -19,7 +19,6 @@ from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -68,7 +67,6 @@ class BlockedEllpackLayout(FeatureLayout):
         # Each block-row's data region is padded to a cacheline boundary so
         # the stride stays aligned.
         self.blockrow_data_lines = bytes_to_lines(self.blocks_per_blockrow * block_bytes)
-        self._storage = self.data_base + num_block_rows * self.blockrow_data_lines * CACHELINE_BYTES
         self.block_bytes = block_bytes
         self.num_block_rows = num_block_rows
 
@@ -113,10 +111,6 @@ class BlockedEllpackLayout(FeatureLayout):
         self._check_row(row)
         return self.row_read_bytes(row)
 
-    def storage_bytes(self) -> int:
-        return int(self._storage)
-
-
 class BlockedEllpackFormat(FeatureFormat):
     """Blocked Ellpack feature compression (default 2x2 blocks)."""
 
@@ -130,70 +124,6 @@ class BlockedEllpackFormat(FeatureFormat):
             raise FormatError("block dimensions must be positive")
         self.block_rows = block_rows
         self.block_cols = block_cols
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        rows, width = matrix.shape
-        br, bc = self.block_rows, self.block_cols
-        padded_rows = ((rows + br - 1) // br) * br
-        padded_cols = ((width + bc - 1) // bc) * bc
-        padded = np.zeros((padded_rows, padded_cols), dtype=np.float32)
-        padded[:rows, :width] = matrix
-        block_rows_count = padded_rows // br
-        block_cols_count = padded_cols // bc
-
-        per_row_blocks = []
-        per_row_columns = []
-        max_blocks = 0
-        for block_row in range(block_rows_count):
-            row_slice = padded[block_row * br : (block_row + 1) * br]
-            blocks = []
-            columns = []
-            for block_col in range(block_cols_count):
-                block = row_slice[:, block_col * bc : (block_col + 1) * bc]
-                if np.any(block):
-                    blocks.append(block.copy())
-                    columns.append(block_col)
-            per_row_blocks.append(blocks)
-            per_row_columns.append(columns)
-            max_blocks = max(max_blocks, len(blocks))
-
-        data = np.zeros((block_rows_count, max_blocks, br, bc), dtype=np.float32)
-        column_index = -np.ones((block_rows_count, max_blocks), dtype=np.int32)
-        for block_row, (blocks, columns) in enumerate(zip(per_row_blocks, per_row_columns)):
-            for slot, (block, column) in enumerate(zip(blocks, columns)):
-                data[block_row, slot] = block
-                column_index[block_row, slot] = column
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=(rows, width),
-            arrays={"data": data, "column_index": column_index},
-            metadata={"block_rows": br, "block_cols": bc},
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as blocked_ellpack")
-        rows, width = encoded.shape
-        br = int(encoded.metadata["block_rows"])
-        bc = int(encoded.metadata["block_cols"])
-        padded_rows = ((rows + br - 1) // br) * br
-        padded_cols = ((width + bc - 1) // bc) * bc
-        padded = np.zeros((padded_rows, padded_cols), dtype=np.float32)
-        data = encoded.arrays["data"]
-        column_index = encoded.arrays["column_index"]
-        for block_row in range(data.shape[0]):
-            for slot in range(data.shape[1]):
-                column = int(column_index[block_row, slot])
-                if column < 0:
-                    continue
-                padded[
-                    block_row * br : (block_row + 1) * br,
-                    column * bc : (column + 1) * bc,
-                ] = data[block_row, slot]
-        return padded[:rows, :width]
 
     def build_layout(
         self,

@@ -20,7 +20,6 @@ from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -84,7 +83,6 @@ class BSRLayout(FeatureLayout):
         self.idx_base = bytes_to_lines(ptr_bytes) * CACHELINE_BYTES
         idx_bytes = total_blocks * INDEX_BYTES
         self.data_base = self.idx_base + bytes_to_lines(idx_bytes) * CACHELINE_BYTES
-        self._storage = self.data_base + total_blocks * block_bytes
         self.block_bytes = block_bytes
 
     def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
@@ -129,10 +127,6 @@ class BSRLayout(FeatureLayout):
         self._check_row(row)
         return self.row_read_bytes(row)
 
-    def storage_bytes(self) -> int:
-        return int(self._storage)
-
-
 class BSRFeatureFormat(FeatureFormat):
     """Block CSR feature compression (default 2x2 blocks)."""
 
@@ -146,66 +140,6 @@ class BSRFeatureFormat(FeatureFormat):
             raise FormatError("block dimensions must be positive")
         self.block_rows = block_rows
         self.block_cols = block_cols
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        rows, width = matrix.shape
-        br, bc = self.block_rows, self.block_cols
-        padded_rows = ((rows + br - 1) // br) * br
-        padded_cols = ((width + bc - 1) // bc) * bc
-        padded = np.zeros((padded_rows, padded_cols), dtype=np.float32)
-        padded[:rows, :width] = matrix
-
-        block_rows_count = padded_rows // br
-        block_cols_count = padded_cols // bc
-        indptr = np.zeros(block_rows_count + 1, dtype=np.int64)
-        block_columns = []
-        blocks = []
-        for block_row in range(block_rows_count):
-            row_slice = padded[block_row * br : (block_row + 1) * br]
-            count = 0
-            for block_col in range(block_cols_count):
-                block = row_slice[:, block_col * bc : (block_col + 1) * bc]
-                if np.any(block):
-                    block_columns.append(block_col)
-                    blocks.append(block.copy())
-                    count += 1
-            indptr[block_row + 1] = indptr[block_row] + count
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=(rows, width),
-            arrays={
-                "indptr": indptr,
-                "block_columns": np.asarray(block_columns, dtype=np.int32),
-                "blocks": (
-                    np.stack(blocks) if blocks else np.zeros((0, br, bc), dtype=np.float32)
-                ),
-            },
-            metadata={"block_rows": br, "block_cols": bc},
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as bsr")
-        rows, width = encoded.shape
-        br = int(encoded.metadata["block_rows"])
-        bc = int(encoded.metadata["block_cols"])
-        padded_rows = ((rows + br - 1) // br) * br
-        padded_cols = ((width + bc - 1) // bc) * bc
-        padded = np.zeros((padded_rows, padded_cols), dtype=np.float32)
-        indptr = encoded.arrays["indptr"]
-        block_columns = encoded.arrays["block_columns"]
-        blocks = encoded.arrays["blocks"]
-        for block_row in range(indptr.size - 1):
-            for position in range(int(indptr[block_row]), int(indptr[block_row + 1])):
-                block_col = int(block_columns[position])
-                padded[
-                    block_row * br : (block_row + 1) * br,
-                    block_col * bc : (block_col + 1) * bc,
-                ] = blocks[position]
-        return padded[:rows, :width]
 
     def build_layout(
         self,

@@ -14,11 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
-    ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -38,13 +35,10 @@ class COOLayout(FeatureLayout):
         self.row_nnz = row_nnz
         self.row_offsets = np.zeros(self.num_rows + 1, dtype=np.int64)
         np.cumsum(row_nnz, out=self.row_offsets[1:])
-        total_nnz = int(self.row_offsets[-1])
 
         self.offsets_base = 0
         offsets_bytes = (self.num_rows + 1) * 4
         self.triples_base = bytes_to_lines(offsets_bytes) * CACHELINE_BYTES
-        self._storage = self.triples_base + total_nnz * TRIPLE_BYTES
-        self.total_nnz = total_nnz
 
     def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
         if num_bytes <= 0:
@@ -79,10 +73,6 @@ class COOLayout(FeatureLayout):
         nnz = int(self.row_nnz[row])
         return self.row_read_bytes(row) if nnz else CACHELINE_BYTES
 
-    def storage_bytes(self) -> int:
-        return int(self._storage)
-
-
 class COOFeatureFormat(FeatureFormat):
     """COO feature compression (row and column index per non-zero value)."""
 
@@ -90,28 +80,6 @@ class COOFeatureFormat(FeatureFormat):
     supports_parallel_write = False
     aligned = False
     compressed = True
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        rows_idx, cols_idx = np.nonzero(matrix)
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=matrix.shape,
-            arrays={
-                "rows": rows_idx.astype(np.int32),
-                "columns": cols_idx.astype(np.int32),
-                "values": matrix[rows_idx, cols_idx].astype(np.float32),
-            },
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as coo")
-        matrix = np.zeros(encoded.shape, dtype=np.float32)
-        matrix[encoded.arrays["rows"], encoded.arrays["columns"]] = encoded.arrays["values"]
-        return matrix
 
     def build_layout(
         self,

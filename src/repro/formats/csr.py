@@ -14,11 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -51,9 +49,6 @@ class CSRLayout(FeatureLayout):
         self.colidx_base = bytes_to_lines(rowptr_bytes) * CACHELINE_BYTES
         colidx_bytes = total_nnz * INDEX_BYTES
         self.values_base = self.colidx_base + bytes_to_lines(colidx_bytes) * CACHELINE_BYTES
-        values_bytes = total_nnz * ELEMENT_BYTES
-        self._storage = self.values_base + values_bytes
-        self.total_nnz = total_nnz
 
     def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
         if num_bytes <= 0:
@@ -95,10 +90,6 @@ class CSRLayout(FeatureLayout):
         # (read-modify-write).
         return self.row_read_bytes(row) if nnz else CACHELINE_BYTES
 
-    def storage_bytes(self) -> int:
-        return int(self._storage)
-
-
 class CSRFeatureFormat(FeatureFormat):
     """CSR feature compression (column index per non-zero value)."""
 
@@ -106,48 +97,6 @@ class CSRFeatureFormat(FeatureFormat):
     supports_parallel_write = False
     aligned = False
     compressed = True
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        rows, width = matrix.shape
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        columns = []
-        values = []
-        for row in range(rows):
-            cols = np.nonzero(matrix[row])[0]
-            columns.append(cols.astype(np.int32))
-            values.append(matrix[row, cols])
-            indptr[row + 1] = indptr[row] + cols.size
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=(rows, width),
-            arrays={
-                "indptr": indptr,
-                "columns": (
-                    np.concatenate(columns) if columns else np.zeros(0, dtype=np.int32)
-                ),
-                "values": (
-                    np.concatenate(values).astype(np.float32)
-                    if values
-                    else np.zeros(0, dtype=np.float32)
-                ),
-            },
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as csr")
-        rows, width = encoded.shape
-        indptr = encoded.arrays["indptr"]
-        columns = encoded.arrays["columns"]
-        values = encoded.arrays["values"]
-        matrix = np.zeros((rows, width), dtype=np.float32)
-        for row in range(rows):
-            start, stop = int(indptr[row]), int(indptr[row + 1])
-            matrix[row, columns[start:stop]] = values[start:stop]
-        return matrix
 
     def build_layout(
         self,

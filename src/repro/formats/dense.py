@@ -14,11 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import FormatError
 from repro.formats.base import (
     CACHELINE_BYTES,
     ELEMENT_BYTES,
-    EncodedFeatures,
     FeatureFormat,
     FeatureLayout,
     bytes_to_lines,
@@ -50,10 +48,6 @@ class DenseLayout(FeatureLayout):
         self._check_row(row)
         return self.row_lines * CACHELINE_BYTES
 
-    def storage_bytes(self) -> int:
-        return self.num_rows * self.row_lines * CACHELINE_BYTES
-
-
 class DenseFormat(FeatureFormat):
     """Uncompressed dense feature format."""
 
@@ -61,21 +55,6 @@ class DenseFormat(FeatureFormat):
     supports_parallel_write = True
     aligned = True
     compressed = False
-
-    def encode(self, matrix: np.ndarray) -> EncodedFeatures:
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise FormatError("feature matrix must be two-dimensional")
-        return EncodedFeatures(
-            format_name=self.name,
-            shape=matrix.shape,
-            arrays={"values": matrix.copy()},
-        )
-
-    def decode(self, encoded: EncodedFeatures) -> np.ndarray:
-        if encoded.format_name != self.name:
-            raise FormatError(f"cannot decode {encoded.format_name!r} as dense")
-        return encoded.arrays["values"].copy()
 
     def build_layout(
         self,

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.gcn.activations import relu, relu_grad, pair_norm, softmax, log_softmax
-from repro.gcn.layers import GCNLayer, GINConvLayer, SAGELayer, aggregate
+from repro.gcn.activations import relu, relu_grad, pair_norm, softmax
+from repro.gcn.layers import GCNLayer, aggregate
 from repro.gcn.model import DeepGCN, LayerTrace
 from repro.gcn.providers import (
     SPARSITY_MODES,
@@ -18,12 +18,9 @@ from repro.gcn.providers import (
 )
 from repro.gcn.sparsity import (
     measure_sparsity,
-    per_row_nonzeros,
     per_slice_nonzeros,
     layer_sparsity_profile,
     sparsity_vs_depth,
-    synthetic_feature_matrix,
-    sparsify_to_target,
 )
 from repro.gcn.training import TrainingResult, train_node_classifier
 
@@ -32,20 +29,14 @@ __all__ = [
     "relu_grad",
     "pair_norm",
     "softmax",
-    "log_softmax",
     "GCNLayer",
-    "GINConvLayer",
-    "SAGELayer",
     "aggregate",
     "DeepGCN",
     "LayerTrace",
     "measure_sparsity",
-    "per_row_nonzeros",
     "per_slice_nonzeros",
     "layer_sparsity_profile",
     "sparsity_vs_depth",
-    "synthetic_feature_matrix",
-    "sparsify_to_target",
     "SPARSITY_MODES",
     "MeasuredSparsity",
     "MeasuredSparsityCache",

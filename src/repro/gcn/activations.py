@@ -3,8 +3,7 @@
 The intermediate feature sparsity that SGCN exploits is produced by the ReLU
 activation: with (pair-)normalised pre-activations centred near zero, roughly
 half of the outputs become exact zeros (paper Section VII-B).  These are plain
-numpy functions so that both the functional model and the training loop can
-use them.
+numpy functions shared by the deep GCN model and its training loop.
 """
 
 from __future__ import annotations
@@ -47,21 +46,3 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def dropout_mask(
-    shape: tuple, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Return an inverted-dropout mask (scaled so expectation is preserved)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float32)
-    keep = (rng.random(shape) >= rate).astype(np.float32)
-    return keep / (1.0 - rate)

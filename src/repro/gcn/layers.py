@@ -1,32 +1,23 @@
 """Graph convolution layers implemented with numpy.
 
-Three aggregation variants are provided, matching the paper's evaluation:
-
-* :class:`GCNLayer` — the vanilla GCN of Kipf & Welling: aggregation uses the
-  normalised adjacency's edge weights.
-* :class:`GINConvLayer` — GIN convolution: unweighted sum aggregation of
-  neighbours plus ``(1 + eps)`` times the self feature, followed by an MLP
-  (paper Fig. 16a).
-* :class:`SAGELayer` — GraphSAGE mean aggregation with separate self and
-  neighbour transforms and optional neighbour sampling (paper Fig. 16b).
-
-Every layer supports forward *and* backward passes so the small-graph trainer
-(:mod:`repro.gcn.training`) can produce genuinely-trained sparse features on
-tiny datasets, which tests and examples use to validate the sparsity claims.
+:class:`GCNLayer` is the vanilla GCN of Kipf & Welling: aggregation uses the
+normalised adjacency's edge weights.  It supports forward *and* backward
+passes so the small-graph trainer (:mod:`repro.gcn.training`) can produce
+genuinely-trained sparse features on tiny datasets, which the measured
+sparsity mode and the tests use to validate the sparsity claims.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gcn.activations import relu, relu_grad
 from repro.graphs.graph import CSRGraph
 
 
-def aggregate(graph: CSRGraph, features: np.ndarray, weighted: bool = True) -> np.ndarray:
+def aggregate(graph: CSRGraph, features: np.ndarray) -> np.ndarray:
     """Compute the aggregation phase ``A_hat @ X`` for all vertices.
 
     For every source vertex ``v`` the result row is the weighted sum of the
@@ -37,8 +28,6 @@ def aggregate(graph: CSRGraph, features: np.ndarray, weighted: bool = True) -> n
         graph: Topology; ``graph.weights`` holds the normalised adjacency
             values.
         features: ``(num_vertices, width)`` feature matrix ``X``.
-        weighted: Use the edge weights (GCN); ``False`` performs an
-            unweighted sum (GINConv).
     """
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2 or features.shape[0] != graph.num_vertices:
@@ -47,23 +36,17 @@ def aggregate(graph: CSRGraph, features: np.ndarray, weighted: bool = True) -> n
             f"{features.shape} for {graph.num_vertices} vertices"
         )
     sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    gathered = features[graph.indices]
-    if weighted:
-        gathered = gathered * graph.weights[:, None]
+    gathered = features[graph.indices] * graph.weights[:, None]
     out = np.zeros_like(features)
     np.add.at(out, sources, gathered)
     return out
 
 
-def aggregate_transpose(
-    graph: CSRGraph, grad: np.ndarray, weighted: bool = True
-) -> np.ndarray:
+def aggregate_transpose(graph: CSRGraph, grad: np.ndarray) -> np.ndarray:
     """Backward pass of :func:`aggregate`: compute ``A_hat^T @ grad``."""
     grad = np.asarray(grad, dtype=np.float32)
     sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    scattered = grad[sources]
-    if weighted:
-        scattered = scattered * graph.weights[:, None]
+    scattered = grad[sources] * graph.weights[:, None]
     out = np.zeros_like(grad)
     np.add.at(out, graph.indices, scattered)
     return out
@@ -105,34 +88,7 @@ class _Linear:
         self.grad_bias.fill(0.0)
 
 
-class GraphLayer:
-    """Common interface of all graph convolution layers."""
-
-    in_features: int
-    out_features: int
-
-    def forward(self, graph: CSRGraph, x: np.ndarray) -> np.ndarray:
-        """Compute the layer output (pre-activation)."""
-        raise NotImplementedError
-
-    def backward(self, graph: CSRGraph, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_out`` and accumulate parameter gradients."""
-        raise NotImplementedError
-
-    def step(self, lr: float) -> None:
-        """Apply accumulated gradients with learning rate ``lr``."""
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        """Clear accumulated gradients."""
-        raise NotImplementedError
-
-    def parameter_count(self) -> int:
-        """Total number of trainable scalars."""
-        raise NotImplementedError
-
-
-class GCNLayer(GraphLayer):
+class GCNLayer:
     """Vanilla GCN convolution: ``Z = A_hat @ X @ W + b``.
 
     The aggregation-first ordering matches SGCN's execution order (Table I):
@@ -150,155 +106,15 @@ class GCNLayer(GraphLayer):
         self._aggregated: Optional[np.ndarray] = None
 
     def forward(self, graph: CSRGraph, x: np.ndarray) -> np.ndarray:
-        self._aggregated = aggregate(graph, x, weighted=True)
+        self._aggregated = aggregate(graph, x)
         return self.linear.forward(self._aggregated)
 
     def backward(self, graph: CSRGraph, grad_out: np.ndarray) -> np.ndarray:
         grad_agg = self.linear.backward(grad_out)
-        return aggregate_transpose(graph, grad_agg, weighted=True)
+        return aggregate_transpose(graph, grad_agg)
 
     def step(self, lr: float) -> None:
         self.linear.step(lr)
 
     def zero_grad(self) -> None:
         self.linear.zero_grad()
-
-    def parameter_count(self) -> int:
-        return self.linear.weight.size + self.linear.bias.size
-
-
-class GINConvLayer(GraphLayer):
-    """GIN convolution: ``Z = MLP((1 + eps) * X + sum_{u in N(v)} X_u)``.
-
-    The aggregation is unweighted (no edge weights are streamed), which is
-    why the GINConv experiment in the paper (Fig. 16a) sees a slightly larger
-    share of the aggregation traffic going to the feature matrix.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        hidden_features: Optional[int] = None,
-        eps: float = 0.0,
-        seed: int = 0,
-    ):
-        if in_features <= 0 or out_features <= 0:
-            raise SimulationError("layer dimensions must be positive")
-        rng = np.random.default_rng(seed)
-        hidden = hidden_features or out_features
-        self.in_features = in_features
-        self.out_features = out_features
-        self.eps = float(eps)
-        self.mlp1 = _Linear(in_features, hidden, rng)
-        self.mlp2 = _Linear(hidden, out_features, rng)
-        self._hidden_pre: Optional[np.ndarray] = None
-
-    def forward(self, graph: CSRGraph, x: np.ndarray) -> np.ndarray:
-        self._input = x
-        summed = aggregate(graph, x, weighted=False)
-        combined = (1.0 + self.eps) * x + summed
-        self._hidden_pre = self.mlp1.forward(combined)
-        return self.mlp2.forward(relu(self._hidden_pre))
-
-    def backward(self, graph: CSRGraph, grad_out: np.ndarray) -> np.ndarray:
-        if self._hidden_pre is None:
-            raise SimulationError("backward called before forward")
-        grad_hidden = self.mlp2.backward(grad_out) * relu_grad(self._hidden_pre)
-        grad_combined = self.mlp1.backward(grad_hidden)
-        grad_self = (1.0 + self.eps) * grad_combined
-        grad_neighbors = aggregate_transpose(graph, grad_combined, weighted=False)
-        return grad_self + grad_neighbors
-
-    def step(self, lr: float) -> None:
-        self.mlp1.step(lr)
-        self.mlp2.step(lr)
-
-    def zero_grad(self) -> None:
-        self.mlp1.zero_grad()
-        self.mlp2.zero_grad()
-
-    def parameter_count(self) -> int:
-        return (
-            self.mlp1.weight.size
-            + self.mlp1.bias.size
-            + self.mlp2.weight.size
-            + self.mlp2.bias.size
-        )
-
-
-class SAGELayer(GraphLayer):
-    """GraphSAGE convolution with mean aggregation.
-
-    ``Z = X @ W_self + mean_{u in N(v)}(X_u) @ W_neigh + b``.  The accelerator
-    experiments additionally model GraphSAGE's edge sampling, which reduces
-    the effective edge count of the aggregation phase (paper Fig. 16b); the
-    functional layer here uses the full neighbourhood for exactness but the
-    :class:`repro.core.api.LayerWorkload` derived from it applies the sampling
-    ratio.
-    """
-
-    #: Fraction of edges kept by GraphSAGE's neighbour sampling in the
-    #: accelerator workload model (typical fan-out 25 on graphs whose average
-    #: degree exceeds it; on the paper's graphs this removes roughly half the
-    #: edges of the denser datasets).
-    DEFAULT_SAMPLING_FRACTION = 0.5
-
-    def __init__(self, in_features: int, out_features: int, seed: int = 0):
-        if in_features <= 0 or out_features <= 0:
-            raise SimulationError("layer dimensions must be positive")
-        rng = np.random.default_rng(seed)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.linear_self = _Linear(in_features, out_features, rng)
-        self.linear_neigh = _Linear(in_features, out_features, rng)
-        self._degrees: Optional[np.ndarray] = None
-
-    def forward(self, graph: CSRGraph, x: np.ndarray) -> np.ndarray:
-        summed = aggregate(graph, x, weighted=False)
-        degrees = np.maximum(graph.degrees, 1).astype(np.float32)[:, None]
-        self._degrees = degrees
-        mean = summed / degrees
-        return self.linear_self.forward(x) + self.linear_neigh.forward(mean)
-
-    def backward(self, graph: CSRGraph, grad_out: np.ndarray) -> np.ndarray:
-        if self._degrees is None:
-            raise SimulationError("backward called before forward")
-        grad_self = self.linear_self.backward(grad_out)
-        grad_mean = self.linear_neigh.backward(grad_out) / self._degrees
-        grad_neighbors = aggregate_transpose(graph, grad_mean, weighted=False)
-        return grad_self + grad_neighbors
-
-    def step(self, lr: float) -> None:
-        self.linear_self.step(lr)
-        self.linear_neigh.step(lr)
-
-    def zero_grad(self) -> None:
-        self.linear_self.zero_grad()
-        self.linear_neigh.zero_grad()
-
-    def parameter_count(self) -> int:
-        return (
-            self.linear_self.weight.size
-            + self.linear_self.bias.size
-            + self.linear_neigh.weight.size
-            + self.linear_neigh.bias.size
-        )
-
-
-#: Mapping from convolution name to layer class, used by the model factory.
-CONV_TYPES: Dict[str, type] = {
-    "gcn": GCNLayer,
-    "gin": GINConvLayer,
-    "sage": SAGELayer,
-}
-
-
-def make_layer(conv: str, in_features: int, out_features: int, seed: int = 0) -> GraphLayer:
-    """Instantiate a convolution layer by name (``"gcn"``, ``"gin"``, ``"sage"``)."""
-    key = conv.lower()
-    if key not in CONV_TYPES:
-        raise SimulationError(
-            f"unknown convolution {conv!r}; available: {sorted(CONV_TYPES)}"
-        )
-    return CONV_TYPES[key](in_features, out_features, seed=seed)

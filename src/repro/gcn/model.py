@@ -15,13 +15,13 @@ example scripts use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.gcn.activations import pair_norm, relu, relu_grad
-from repro.gcn.layers import GraphLayer, make_layer, _Linear
+from repro.gcn.layers import GCNLayer, _Linear
 from repro.gcn.sparsity import measure_sparsity
 from repro.graphs.graph import CSRGraph
 
@@ -54,7 +54,6 @@ class DeepGCN:
             residual GCNs keep it constant, paper Section III-A).
         out_features: Width of the final output (e.g. number of classes).
             Defaults to ``hidden_features``.
-        conv: Convolution variant: ``"gcn"``, ``"gin"``, or ``"sage"``.
         residual: Use residual connections (the "modern GCN" configuration).
         normalize: Apply PairNorm before the activation, as deep GCNs do to
             keep activations centred (this is what drives ~50% sparsity).
@@ -67,7 +66,6 @@ class DeepGCN:
         in_features: int,
         hidden_features: int,
         out_features: Optional[int] = None,
-        conv: str = "gcn",
         residual: bool = True,
         normalize: bool = True,
         seed: int = 0,
@@ -78,7 +76,6 @@ class DeepGCN:
         self.in_features = in_features
         self.hidden_features = hidden_features
         self.out_features = out_features or hidden_features
-        self.conv = conv.lower()
         self.residual = residual
         self.normalize = normalize
 
@@ -86,8 +83,8 @@ class DeepGCN:
         # Input projection maps the (often very wide and very sparse) input
         # features into the constant hidden width used by all layers.
         self.input_projection = _Linear(in_features, hidden_features, rng)
-        self.layers: List[GraphLayer] = [
-            make_layer(self.conv, hidden_features, hidden_features, seed=seed + index + 1)
+        self.layers: List[GCNLayer] = [
+            GCNLayer(hidden_features, hidden_features, seed=seed + index + 1)
             for index in range(num_layers)
         ]
         self.output_projection = _Linear(hidden_features, self.out_features, rng)
@@ -150,25 +147,6 @@ class DeepGCN:
     def traces(self) -> List[LayerTrace]:
         """Layer traces collected by the last ``forward(collect_traces=True)``."""
         return list(getattr(self, "_traces", []))
-
-    def intermediate_sparsities(
-        self, graph: CSRGraph, features: np.ndarray
-    ) -> List[float]:
-        """Per-layer sparsity of the intermediate features for this input."""
-        self.forward(graph, features, collect_traces=True)
-        return [trace.sparsity for trace in self.traces()]
-
-    def average_sparsity(self, graph: CSRGraph, features: np.ndarray) -> float:
-        """Average intermediate feature sparsity across all layers."""
-        sparsities = self.intermediate_sparsities(graph, features)
-        return float(np.mean(sparsities)) if sparsities else 0.0
-
-    def parameter_count(self) -> int:
-        """Total number of trainable parameters in the model."""
-        total = self.input_projection.weight.size + self.input_projection.bias.size
-        total += self.output_projection.weight.size + self.output_projection.bias.size
-        total += sum(layer.parameter_count() for layer in self.layers)
-        return total
 
     # ------------------------------------------------------------------ #
     # Training support (used by repro.gcn.training on tiny graphs)

@@ -15,7 +15,7 @@ Two use cases:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,14 +33,6 @@ def measure_sparsity(matrix: np.ndarray) -> float:
     return float(np.count_nonzero(matrix == 0) / matrix.size)
 
 
-def per_row_nonzeros(matrix: np.ndarray) -> np.ndarray:
-    """Number of non-zero entries in every row of a 2-D feature matrix."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise SimulationError("feature matrix must be two-dimensional")
-    return np.count_nonzero(matrix, axis=1).astype(np.int64)
-
-
 def per_slice_nonzeros(matrix: np.ndarray, slice_size: int) -> np.ndarray:
     """Non-zero count of every ``slice_size``-wide slice of every row.
 
@@ -48,9 +40,8 @@ def per_slice_nonzeros(matrix: np.ndarray, slice_size: int) -> np.ndarray:
     cover fewer than ``slice_size`` columns.
 
     Implemented as a single pad-and-reshape ``count_nonzero`` (pinned equal
-    to a loop-over-slices oracle by a randomized test); this sits on the
-    ``FeatureLayout.layout_for_matrix`` path that every measured-sparsity run
-    hits once per layer.
+    to a loop-over-slices oracle by a randomized test); every
+    measured-sparsity run calls it once per layer.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -174,77 +165,6 @@ def sparsity_vs_depth(
         return float(min(0.30, base_sparsity + 0.01 * np.log2(max(num_layers, 1))))
     depth_factor = np.log2(max(num_layers, 2) / 2.0)
     return float(min(max_sparsity, residual_sparsity + depth_gain * depth_factor))
-
-
-def synthetic_feature_matrix(
-    num_rows: int,
-    width: int,
-    sparsity: float,
-    seed: Optional[int] = 0,
-    correlated: bool = False,
-) -> np.ndarray:
-    """Generate a dense feature matrix with the requested sparsity.
-
-    Non-zero values are positive (post-ReLU) and drawn from a half-normal
-    distribution.  When ``correlated`` is true, neighbouring rows share part
-    of their non-zero pattern, mimicking the neighbour similarity of real
-    features.
-
-    Args:
-        num_rows: Number of feature rows (vertices).
-        width: Feature width.
-        sparsity: Target fraction of zero entries in [0, 1].
-        seed: RNG seed.
-        correlated: Correlate the zero pattern of adjacent rows.
-    """
-    if num_rows <= 0 or width <= 0:
-        raise SimulationError("feature matrix dimensions must be positive")
-    if not 0.0 <= sparsity <= 1.0:
-        raise SimulationError("sparsity must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    values = np.abs(rng.normal(0.0, 1.0, size=(num_rows, width))).astype(np.float32)
-
-    if correlated:
-        pattern = rng.random(width)
-        row_shift = rng.normal(0.0, 0.08, size=(num_rows, 1))
-        keep_score = pattern[None, :] + row_shift + rng.normal(0, 0.05, (num_rows, width))
-        threshold = np.quantile(keep_score, sparsity)
-        mask = keep_score >= threshold
-    else:
-        mask = rng.random((num_rows, width)) >= sparsity
-    return values * mask
-
-
-def sparsify_to_target(
-    matrix: np.ndarray, sparsity: float, seed: Optional[int] = 0
-) -> np.ndarray:
-    """Zero out the smallest-magnitude entries of ``matrix`` to hit ``sparsity``.
-
-    Used to project real activations onto an exact target sparsity when the
-    experiments need a controlled sweep (Fig. 19).
-    """
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if not 0.0 <= sparsity <= 1.0:
-        raise SimulationError("sparsity must lie in [0, 1]")
-    if matrix.size == 0 or sparsity == 0.0:
-        return matrix.copy()
-    flat = np.abs(matrix).ravel()
-    threshold = np.quantile(flat, sparsity)
-    result = matrix.copy()
-    result[np.abs(result) <= threshold] = 0.0
-    # If ties at the threshold removed too many values, randomly restore some.
-    target_zeros = int(round(sparsity * matrix.size))
-    zeros = np.flatnonzero(result == 0)
-    if zeros.size > target_zeros and seed is not None:
-        rng = np.random.default_rng(seed)
-        restore = rng.choice(zeros, size=zeros.size - target_zeros, replace=False)
-        flat_src = matrix.ravel()
-        flat_dst = result.ravel()
-        flat_dst[restore] = np.where(
-            flat_src[restore] == 0.0, 1e-6, flat_src[restore]
-        )
-        result = flat_dst.reshape(matrix.shape)
-    return result
 
 
 def expected_nonzeros_per_row(width: int, sparsity: float) -> float:

@@ -78,7 +78,6 @@ def train_node_classifier(
     num_layers: int = 4,
     hidden_features: int = 32,
     num_classes: Optional[int] = None,
-    conv: str = "gcn",
     residual: bool = True,
     normalize: bool = True,
     epochs: int = 100,
@@ -94,7 +93,6 @@ def train_node_classifier(
         num_layers: Depth of the GCN.
         hidden_features: Hidden width (constant across layers).
         num_classes: Number of classes; inferred from ``labels`` if omitted.
-        conv: Convolution variant (``"gcn"``, ``"gin"``, ``"sage"``).
         residual: Use residual connections.
         normalize: Apply PairNorm before activations.
         epochs: Number of gradient descent steps.
@@ -118,7 +116,6 @@ def train_node_classifier(
         in_features=features.shape[1],
         hidden_features=hidden_features,
         out_features=classes,
-        conv=conv,
         residual=residual,
         normalize=normalize,
         seed=seed,

@@ -1,42 +1,22 @@
-"""Graph substrate: structures, generators, datasets, and partitioning."""
+"""Graph substrate: structures, generators, datasets, and statistics."""
 
 from __future__ import annotations
 
 from repro.graphs.graph import CSRGraph
-from repro.graphs.generators import (
-    community_graph,
-    power_law_graph,
-    erdos_renyi_graph,
-    grid_graph,
-)
-from repro.graphs.normalize import gcn_normalize, add_self_loops, row_normalize
+from repro.graphs.generators import community_graph, power_law_graph
+from repro.graphs.normalize import gcn_normalize, add_self_loops
 from repro.graphs.datasets import Dataset, load_dataset, available_datasets, DATASET_SPECS
-from repro.graphs.partition import topology_tiles, vertex_strips, TopologyTile
-from repro.graphs.stats import (
-    degree_statistics,
-    clustering_score,
-    neighbor_similarity,
-    locality_score,
-)
+from repro.graphs.stats import clustering_score
 
 __all__ = [
     "CSRGraph",
     "community_graph",
     "power_law_graph",
-    "erdos_renyi_graph",
-    "grid_graph",
     "gcn_normalize",
     "add_self_loops",
-    "row_normalize",
     "Dataset",
     "load_dataset",
     "available_datasets",
     "DATASET_SPECS",
-    "topology_tiles",
-    "vertex_strips",
-    "TopologyTile",
-    "degree_statistics",
     "clustering_score",
-    "neighbor_similarity",
-    "locality_score",
 ]

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import DatasetError
 from repro.graphs.generators import community_graph, power_law_graph
 from repro.graphs.graph import CSRGraph
@@ -385,28 +383,6 @@ def load_dataset(
         num_layers=num_layers,
         seed=seed,
     )
-
-
-def load_all_datasets(
-    order: Tuple[str, ...] = FIGURE_ORDER,
-    max_vertices: int = 2048,
-    max_average_degree: float = MAX_AVERAGE_DEGREE,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    num_layers: int = DEFAULT_NUM_LAYERS,
-    seed: int = 0,
-) -> List[Dataset]:
-    """Load every paper dataset in ``order`` (defaults to the Fig. 11 order)."""
-    return [
-        load_dataset(
-            name,
-            max_vertices=max_vertices,
-            max_average_degree=max_average_degree,
-            hidden_width=hidden_width,
-            num_layers=num_layers,
-            seed=seed,
-        )
-        for name in order
-    ]
 
 
 def _resolve_name(name: str) -> str:

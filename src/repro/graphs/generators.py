@@ -30,38 +30,6 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def erdos_renyi_graph(
-    num_vertices: int,
-    num_edges: int,
-    seed: Optional[int] = None,
-    name: str = "erdos-renyi",
-) -> CSRGraph:
-    """Generate a uniform random directed graph with ``num_edges`` edges.
-
-    Self-loops are excluded; duplicate edges are removed, so the resulting
-    edge count can be slightly below ``num_edges`` for dense requests.
-    """
-    if num_vertices <= 1:
-        raise GraphError("need at least two vertices")
-    max_edges = num_vertices * (num_vertices - 1)
-    if num_edges > max_edges:
-        raise GraphError(
-            f"requested {num_edges} edges but a simple graph on {num_vertices} "
-            f"vertices holds at most {max_edges}"
-        )
-    rng = _rng(seed)
-    # Over-sample to compensate for duplicates and self-loops, then trim.
-    oversample = int(num_edges * 1.3) + 16
-    src = rng.integers(0, num_vertices, size=oversample, dtype=np.int64)
-    dst = rng.integers(0, num_vertices, size=oversample, dtype=np.int64)
-    keep = src != dst
-    pairs = np.stack([src[keep], dst[keep]], axis=1)
-    keys = pairs[:, 0] * num_vertices + pairs[:, 1]
-    _, unique_idx = np.unique(keys, return_index=True)
-    pairs = pairs[np.sort(unique_idx)][:num_edges]
-    return CSRGraph.from_edge_list(num_vertices, pairs, name=name, deduplicate=False)
-
-
 def power_law_graph(
     num_vertices: int,
     average_degree: float,
@@ -157,25 +125,3 @@ def community_graph(
     keep = src != dst
     pairs = np.stack([src[keep], dst[keep]], axis=1)
     return CSRGraph.from_edge_list(num_vertices, pairs, name=name, deduplicate=True)
-
-
-def grid_graph(rows: int, cols: int, name: str = "grid") -> CSRGraph:
-    """Generate a 2-D grid graph (4-neighbourhood), useful for tests.
-
-    Every vertex is connected to its horizontal and vertical neighbours in
-    both directions, giving a perfectly regular access pattern.
-    """
-    if rows <= 0 or cols <= 0:
-        raise GraphError("grid dimensions must be positive")
-    num_vertices = rows * cols
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            vertex = r * cols + c
-            if c + 1 < cols:
-                edges.append((vertex, vertex + 1))
-                edges.append((vertex + 1, vertex))
-            if r + 1 < rows:
-                edges.append((vertex, vertex + cols))
-                edges.append((vertex + cols, vertex))
-    return CSRGraph.from_edge_list(num_vertices, edges, name=name, deduplicate=True)

@@ -11,7 +11,7 @@ simulators and the numpy GCN layers need.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,18 +118,6 @@ class CSRGraph:
         self._check_vertex(vertex)
         return self.indices[self.indptr[vertex] : self.indptr[vertex + 1]]
 
-    def neighbor_weights(self, vertex: int) -> np.ndarray:
-        """Return the edge weights of ``vertex``'s outgoing edges."""
-        self._check_vertex(vertex)
-        return self.weights[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over ``(source, destination, weight)`` triples."""
-        for src in range(self.num_vertices):
-            start, stop = self.indptr[src], self.indptr[src + 1]
-            for offset in range(start, stop):
-                yield src, int(self.indices[offset]), float(self.weights[offset])
-
     def _check_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < self.num_vertices:
             raise GraphError(
@@ -139,14 +127,6 @@ class CSRGraph:
     # ------------------------------------------------------------------ #
     # Conversions
     # ------------------------------------------------------------------ #
-    def to_dense(self) -> np.ndarray:
-        """Return the dense ``num_vertices x num_vertices`` adjacency matrix."""
-        dense = np.zeros((self.num_vertices, self.num_vertices), dtype=np.float32)
-        for src in range(self.num_vertices):
-            start, stop = self.indptr[src], self.indptr[src + 1]
-            dense[src, self.indices[start:stop]] = self.weights[start:stop]
-        return dense
-
     @classmethod
     def from_dense(cls, adjacency: np.ndarray, name: str = "graph") -> "CSRGraph":
         """Build a graph from a dense adjacency matrix (non-zeros become edges)."""
@@ -287,30 +267,6 @@ class CSRGraph:
         weights = np.concatenate([self.weights, self.weights])
         return CSRGraph.from_edge_list(
             self.num_vertices, pairs, weights=weights, name=self.name, deduplicate=True
-        )
-
-    def subgraph(self, vertices: Sequence[int]) -> "CSRGraph":
-        """Return the induced subgraph on ``vertices`` (relabelled 0..k-1)."""
-        vertex_ids = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        if vertex_ids.size and (
-            vertex_ids.min() < 0 or vertex_ids.max() >= self.num_vertices
-        ):
-            raise GraphError("subgraph vertices out of range")
-        mapping = -np.ones(self.num_vertices, dtype=np.int64)
-        mapping[vertex_ids] = np.arange(vertex_ids.size, dtype=np.int64)
-
-        edges = []
-        weights = []
-        for new_src, old_src in enumerate(vertex_ids):
-            start, stop = self.indptr[old_src], self.indptr[old_src + 1]
-            dests = self.indices[start:stop]
-            wts = self.weights[start:stop]
-            keep = mapping[dests] >= 0
-            for dest, weight in zip(mapping[dests[keep]], wts[keep]):
-                edges.append((new_src, int(dest)))
-                weights.append(float(weight))
-        return CSRGraph.from_edge_list(
-            vertex_ids.size, edges, weights=weights, name=f"{self.name}-sub"
         )
 
     # ------------------------------------------------------------------ #

@@ -5,8 +5,7 @@ symmetrically normalised adjacency matrix with self loops:
 
     A_hat = D^{-1/2} (A + I) D^{-1/2}
 
-GraphSAGE-style mean aggregation instead uses the row-normalised adjacency
-``D^{-1} A``.  Both are provided here as transformations over
+It is provided here as a transformation over
 :class:`~repro.graphs.graph.CSRGraph`.
 """
 
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.graphs.graph import CSRGraph
 
 
@@ -69,28 +67,3 @@ def gcn_normalize(graph: CSRGraph, add_loops: bool = True) -> CSRGraph:
         work.weights * out_scale[sources] * in_scale[work.indices]
     ).astype(np.float32)
     return work.with_weights(new_weights)
-
-
-def row_normalize(graph: CSRGraph, add_loops: bool = False) -> CSRGraph:
-    """Return the row-normalised graph ``D^{-1} A`` (mean aggregation).
-
-    Used by the GraphSAGE variant (paper Fig. 16b).
-    """
-    work = add_self_loops(graph) if add_loops else graph
-    degrees = np.zeros(work.num_vertices, dtype=np.float64)
-    sources = np.repeat(np.arange(work.num_vertices, dtype=np.int64), work.degrees)
-    np.add.at(degrees, sources, work.weights)
-    scale = np.where(degrees > 0, 1.0 / degrees, 0.0)
-    new_weights = (work.weights * scale[sources]).astype(np.float32)
-    return work.with_weights(new_weights)
-
-
-def uniform_weights(graph: CSRGraph, value: float = 1.0) -> CSRGraph:
-    """Return a copy of the graph with every edge weight set to ``value``.
-
-    GINConv aggregation (paper Fig. 16a) does not use edge weights; this is
-    the topology it streams.
-    """
-    if not np.isfinite(value):
-        raise GraphError("edge weight must be finite")
-    return graph.with_weights(np.full(graph.num_edges, value, dtype=np.float32))

@@ -1,76 +1,16 @@
 """Structural statistics of graphs.
 
-These statistics drive the behavioural differences between the accelerator
-models:
-
-* degree statistics — how many random feature reads each vertex triggers and
-  how skewed they are (EnGN's degree-aware vertex cache);
-* clustering score — how concentrated edges are around the diagonal of the
-  adjacency matrix (what I-GCN's islandization and SGCN's sparsity-aware
-  cooperation exploit);
-* neighbour similarity — how much adjacent rows of the adjacency matrix share
-  destinations (paper Fig. 7b).
+The clustering score — how concentrated edges are around the diagonal of
+the adjacency matrix — is what I-GCN's islandization and SGCN's
+sparsity-aware cooperation exploit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import CSRGraph
-
-
-@dataclass(frozen=True)
-class DegreeStatistics:
-    """Summary of a graph's out-degree distribution."""
-
-    mean: float
-    median: float
-    maximum: int
-    minimum: int
-    std: float
-    gini: float
-
-    def as_dict(self) -> dict:
-        """Return the statistics as a plain dictionary."""
-        return {
-            "mean": self.mean,
-            "median": self.median,
-            "max": self.maximum,
-            "min": self.minimum,
-            "std": self.std,
-            "gini": self.gini,
-        }
-
-
-def degree_statistics(graph: CSRGraph) -> DegreeStatistics:
-    """Compute summary statistics of the out-degree distribution.
-
-    The Gini coefficient quantifies degree skew: 0 means perfectly uniform
-    degrees, values approaching 1 mean a few hub vertices hold most edges.
-    """
-    degrees = graph.degrees.astype(np.float64)
-    if degrees.size == 0:
-        raise GraphError("cannot compute statistics of an empty graph")
-    sorted_deg = np.sort(degrees)
-    n = sorted_deg.size
-    total = sorted_deg.sum()
-    if total == 0:
-        gini = 0.0
-    else:
-        cumulative = np.cumsum(sorted_deg)
-        gini = float((n + 1 - 2 * (cumulative / total).sum()) / n)
-    return DegreeStatistics(
-        mean=float(degrees.mean()),
-        median=float(np.median(degrees)),
-        maximum=int(degrees.max()),
-        minimum=int(degrees.min()),
-        std=float(degrees.std()),
-        gini=max(0.0, gini),
-    )
 
 
 def clustering_score(graph: CSRGraph, bandwidth_fraction: float = 0.05) -> float:
@@ -89,73 +29,3 @@ def clustering_score(graph: CSRGraph, bandwidth_fraction: float = 0.05) -> float
     distance = np.abs(sources - graph.indices)
     bandwidth = max(1, int(round(bandwidth_fraction * graph.num_vertices)))
     return float(np.mean(distance <= bandwidth))
-
-
-def neighbor_similarity(graph: CSRGraph, max_pairs: Optional[int] = 4096) -> float:
-    """Average Jaccard similarity between the neighbour sets of adjacent rows.
-
-    The paper (Fig. 7b) observes that adjacent rows of real graphs tend to
-    exhibit the same non-zero pattern; this metric quantifies it.  To keep the
-    cost bounded on large graphs the computation samples at most ``max_pairs``
-    consecutive vertex pairs.
-    """
-    if graph.num_vertices < 2:
-        return 0.0
-    pairs = graph.num_vertices - 1
-    if max_pairs is not None and pairs > max_pairs:
-        rng = np.random.default_rng(0)
-        starts = np.sort(rng.choice(pairs, size=max_pairs, replace=False))
-    else:
-        starts = np.arange(pairs)
-
-    similarities = []
-    for start in starts:
-        a = set(graph.neighbors(int(start)).tolist())
-        b = set(graph.neighbors(int(start) + 1).tolist())
-        union = a | b
-        if not union:
-            continue
-        similarities.append(len(a & b) / len(union))
-    if not similarities:
-        return 0.0
-    return float(np.mean(similarities))
-
-
-def locality_score(graph: CSRGraph) -> float:
-    """Single scalar in [0, 1] summarising how cache-friendly the topology is.
-
-    Combines the clustering score (short access distances) and the neighbour
-    similarity (reuse across consecutive rows).  Used by the analytical parts
-    of the accelerator models to modulate how much reordering / cooperation
-    helps; the trace-driven cache simulator captures the same effect exactly
-    on small graphs.
-    """
-    clustering = clustering_score(graph)
-    similarity = neighbor_similarity(graph)
-    return float(np.clip(0.6 * clustering + 0.4 * similarity, 0.0, 1.0))
-
-
-def average_reuse_distance(graph: CSRGraph, sample_edges: int = 20000) -> float:
-    """Mean number of distinct vertices touched between reuses of a vertex.
-
-    A proxy for the LRU stack distance of the aggregation feature accesses
-    when vertices are processed in id order.  Sampled for large graphs.
-    """
-    if graph.num_edges == 0:
-        return 0.0
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    destinations = graph.indices
-    if destinations.size > sample_edges:
-        step = destinations.size // sample_edges
-        destinations = destinations[::step]
-        sources = sources[::step]
-
-    last_seen: dict = {}
-    distances = []
-    for position, dest in enumerate(destinations.tolist()):
-        if dest in last_seen:
-            distances.append(position - last_seen[dest])
-        last_seen[dest] = position
-    if not distances:
-        return float(destinations.size)
-    return float(np.mean(distances))

@@ -98,35 +98,3 @@ class DRAMModel:
         return float(num_bytes / bytes_per_cycle)
 
     # ------------------------------------------------------------------ #
-    def channel_of(self, line_address: int) -> int:
-        """Channel servicing ``line_address`` (line-interleaved mapping)."""
-        return int(line_address) % self.config.channels
-
-    def bank_of(self, line_address: int) -> int:
-        """Bank (within its channel) servicing ``line_address``."""
-        lines_per_row = max(1, self.config.row_buffer_bytes // self.config.burst_bytes)
-        return (int(line_address) // (self.config.channels * lines_per_row)) % (
-            self.config.banks_per_channel
-        )
-
-    def row_buffer_hit_rate(self, line_addresses: np.ndarray) -> float:
-        """Fraction of accesses that hit an open row buffer.
-
-        Computed over a (possibly sampled) address trace by checking whether
-        consecutive accesses to the same channel fall into the same DRAM row.
-        Used by tests and by the ablation analysis of in-place vs packed
-        layouts; the phase-level timing uses :meth:`efficiency` instead.
-        """
-        line_addresses = np.asarray(line_addresses, dtype=np.int64)
-        if line_addresses.size < 2:
-            return 0.0
-        lines_per_row = max(1, self.config.row_buffer_bytes // self.config.burst_bytes)
-        open_rows: dict = {}
-        hits = 0
-        for line in line_addresses.tolist():
-            channel = line % self.config.channels
-            row = line // (self.config.channels * lines_per_row)
-            if open_rows.get(channel) == row:
-                hits += 1
-            open_rows[channel] = row
-        return hits / line_addresses.size

@@ -83,13 +83,11 @@ class EnergyTable:
         mac_pj: Energy per 32-bit multiply-accumulate, in picojoules.
         cache_access_pj: Energy per 64-byte cache access.
         dram_pj_per_byte: Energy per byte moved across the DRAM interface.
-        static_power_w: Idle/leakage power of the accelerator, in watts.
     """
 
     mac_pj: float = 1.2
     cache_access_pj: float = 28.0
     dram_pj_per_byte: float = 32.0
-    static_power_w: float = 0.8
 
     def breakdown(
         self,
@@ -103,12 +101,3 @@ class EnergyTable:
             cache_joules=cache_accesses * self.cache_access_pj * 1e-12,
             dram_joules=dram_bytes * self.dram_pj_per_byte * 1e-12,
         )
-
-    def average_power_w(
-        self, breakdown: EnergyBreakdown, cycles: float, frequency_ghz: float
-    ) -> float:
-        """Average power over an execution of ``cycles`` at ``frequency_ghz``."""
-        if cycles <= 0:
-            return self.static_power_w
-        seconds = cycles / (frequency_ghz * 1e9)
-        return breakdown.total_joules / seconds + self.static_power_w

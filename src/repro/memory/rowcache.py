@@ -8,9 +8,7 @@ measured in cachelines* captures the locality behaviour that matters — how
 many distinct rows fit on chip and how reuse distance compares to that — at a
 fraction of the cost.  :class:`repro.memory.replay.ReplayEngine` replays
 whole traces through this model; :class:`RowCacheStats` is what a replay
-reports.  The precise line-level simulator
-(:class:`repro.memory.cache.CacheSimulator`) remains available and is used by
-the unit tests to validate this model on small traces.
+reports.
 """
 
 from __future__ import annotations
@@ -34,15 +32,3 @@ class RowCacheStats:
         if self.accesses == 0:
             return 0.0
         return self.hits / self.accesses
-
-    @property
-    def line_hit_rate(self) -> float:
-        """Fraction of cachelines served from the cache."""
-        total = self.hit_lines + self.miss_lines
-        if total == 0:
-            return 0.0
-        return self.hit_lines / total
-
-    def miss_bytes(self, line_bytes: int = 64) -> int:
-        """DRAM fill traffic in bytes."""
-        return self.miss_lines * line_bytes

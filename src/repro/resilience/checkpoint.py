@@ -117,7 +117,7 @@ class SweepCheckpoint:
     def flush(self) -> Path:
         """Atomically write the checkpoint document; returns its path."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.path, self.to_dict())
+        atomic_write_json(self.path, self.to_dict())
         self._dirty = 0
         return self.path
 
@@ -161,12 +161,11 @@ class SweepCheckpoint:
         return set(completed)
 
 
-def _atomic_write_json(path: Path, payload: object) -> None:
+def atomic_write_json(path: Path, payload: object) -> None:
     """Temp-file + ``os.replace`` write; a crash never truncates the target.
 
-    Duplicated from :mod:`repro.experiments.store` rather than imported:
-    ``resilience`` sits below ``experiments`` in the layering and must not
-    import upward.
+    A payload ``json.dump`` rejects leaves the target's bytes unchanged and
+    no temp file behind.  The result store writes through this too.
     """
     handle = tempfile.NamedTemporaryFile(
         "w",
@@ -182,6 +181,9 @@ def _atomic_write_json(path: Path, payload: object) -> None:
             handle.write("\n")
         os.replace(handle.name, path)
     except (KeyboardInterrupt, SystemExit):
+        # Control-flow exceptions re-raise explicitly ahead of the broad
+        # cleanup clause: an interrupt must never be delayed or re-labelled
+        # by temp-file housekeeping.
         _unlink_quietly(handle.name)
         raise
     except BaseException:
@@ -201,4 +203,5 @@ __all__ = [
     "CHECKPOINT_KIND",
     "CHECKPOINT_SCHEMA_VERSION",
     "SweepCheckpoint",
+    "atomic_write_json",
 ]

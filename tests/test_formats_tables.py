@@ -63,9 +63,6 @@ def test_base_class_fallback_used_by_custom_layouts():
         def row_write_bytes(self, row):
             return 0
 
-        def storage_bytes(self):
-            return 0
-
     layout = TrivialLayout(num_rows=5, width=8)
     assert np.array_equal(layout.row_read_line_counts(), np.asarray([1, 2, 3, 4, 5]))
 

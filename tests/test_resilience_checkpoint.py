@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.experiments.store import export_summary_json
 from repro.resilience.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_SCHEMA_VERSION,
     SweepCheckpoint,
+    atomic_write_json,
 )
 
 
@@ -68,3 +72,23 @@ def test_unusable_checkpoints_load_as_absent(tmp_path):
     assert SweepCheckpoint.load(future) is None
 
     assert SweepCheckpoint.completed_ids(None) == set()
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        atomic_write_json,
+        lambda path, payload: export_summary_json(path, [payload]),
+    ],
+    ids=["checkpoint", "store"],
+)
+def test_rejected_payload_leaves_target_untouched(tmp_path, write):
+    path = tmp_path / "doc.json"
+    write(path, {"x": 1})
+    before = path.read_bytes()
+    # json.dump streams chunks, so the temp file already holds a partial
+    # document when it reaches the object it cannot encode.
+    with pytest.raises(TypeError):
+        write(path, {"x": object()})
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["doc.json"]
