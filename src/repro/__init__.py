@@ -13,8 +13,10 @@ Compressed-Sparse Features in Deep Graph Convolutional Network Accelerators"
 * ``repro.memory`` — the row-cache replay model, HBM DRAM model and energy
   tables, including the vectorized trace-replay engine
   (``repro.memory.replay``) behind the trace-driven aggregation simulation.
-* ``repro.accelerator`` — the SGCN accelerator model and baseline models of
-  GCNAX, HyGCN, AWB-GCN, EnGN, and I-GCN.
+* ``repro.accelerator`` — every accelerator as a frozen ``DesignPoint``:
+  SGCN, its ablations and the GCNAX, HyGCN, AWB-GCN, EnGN and I-GCN
+  baselines, named by a fixed table (``get_design``), plus the phase
+  pipeline that simulates any point, built-in or derived.
 * ``repro.core`` — configuration dataclasses, the canonical
   ``RunSpec``/``Session`` API, the classic ``simulate()`` shims, and
   result containers.
@@ -54,7 +56,7 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
-from repro.accelerator.registry import get_design, register_design
+from repro.accelerator.registry import get_design
 from repro.core.runspec import RunSpec, SUPPORTED_OVERRIDES, build_config
 from repro.core.session import Session, default_session, reset_default_session
 from repro.gcn.providers import (
@@ -67,7 +69,6 @@ from repro.gcn.providers import (
 from repro.memory.replay import ReplayEngine, TraceCache, replay_trace
 from repro.core.api import simulate, compare_accelerators, available_accelerators
 from repro.core.results import LayerResult, SimulationResult, ComparisonResult
-from repro.registry import Registry
 from repro.experiments.runner import RunOutcome, SweepReport, SweepRunner, run_scenario
 from repro.experiments.scenarios import available_packs, get_pack
 from repro.experiments.spec import Scenario, SweepSpec
@@ -112,7 +113,6 @@ __all__ = [
     "DESIGN_KNOBS",
     "DesignPoint",
     "get_design",
-    "register_design",
     "CacheConfig",
     "DRAMConfig",
     "EngineConfig",
@@ -128,7 +128,6 @@ __all__ = [
     "SyntheticSparsityProvider",
     "MeasuredSparsityProvider",
     "make_sparsity_provider",
-    "Registry",
     "ReplayEngine",
     "TraceCache",
     "replay_trace",

@@ -1,4 +1,9 @@
-"""Accelerator models: SGCN and the prior-work baselines it is compared to."""
+"""Accelerator models: SGCN and the prior-work baselines it is compared to.
+
+An accelerator is a :class:`DesignPoint` (:mod:`repro.accelerator.design`);
+:mod:`repro.accelerator.registry` names the nine built-in points, and
+:func:`simulate_design` (:mod:`repro.accelerator.pipeline`) runs any point.
+"""
 
 from __future__ import annotations
 
@@ -9,23 +14,16 @@ from repro.accelerator.design import (
     DESIGN_KNOBS,
     DesignPoint,
 )
-from repro.accelerator.pipeline import simulate_design
-from repro.accelerator.simulator import (
+from repro.accelerator.pipeline import (
     LayerWorkload,
     PhaseResult,
     build_workloads,
-    AcceleratorModel,
+    simulate_design,
 )
 from repro.accelerator.registry import (
-    ACCELERATORS,
     DESIGN_POINTS,
     available_accelerators,
-    get_accelerator,
     get_design,
-    register_accelerator,
-    register_design,
-    temporary_accelerator,
-    unregister_accelerator,
 )
 
 __all__ = [
@@ -34,18 +32,11 @@ __all__ = [
     "DESIGN_POINTS",
     "DesignPoint",
     "get_design",
-    "register_design",
     "simulate_design",
     "SIMDAggregationEngine",
     "SystolicArray",
     "LayerWorkload",
     "PhaseResult",
     "build_workloads",
-    "AcceleratorModel",
-    "ACCELERATORS",
     "available_accelerators",
-    "get_accelerator",
-    "register_accelerator",
-    "temporary_accelerator",
-    "unregister_accelerator",
 ]

@@ -9,16 +9,15 @@ the simulation machinery that executes them
 
 A design point is *pure data*: two points constructed with the same knobs —
 whether directly, via :meth:`DesignPoint.derive`, or via
-:meth:`DesignPoint.with_format` — compare and hash equal, so sessions can
-memoize model instances by design identity and a sweep over hypothetical
-designs (the ``design-space`` scenario pack) can deduplicate grid points.
+:meth:`DesignPoint.with_format` — compare and hash equal, so a sweep over
+hypothetical designs (the ``design-space`` scenario pack) can deduplicate
+grid points.
 
-The nine built-in accelerators are declared here as design points
-(:data:`BUILTIN_DESIGNS`), and this is the only way to declare one: the
-registry wraps each point in an
-:class:`~repro.accelerator.simulator.AcceleratorModel`, and a variant is a
-new point built with :meth:`DesignPoint.derive` or
-:meth:`DesignPoint.with_format`.
+A design point *is* the accelerator: the simulator runs points directly
+(:func:`repro.accelerator.pipeline.simulate_design`).  The nine built-in
+accelerators are declared here (:data:`BUILTIN_DESIGNS`) and named by the
+fixed table of :mod:`repro.accelerator.registry`; a variant is a new point
+built with :meth:`DesignPoint.derive` or :meth:`DesignPoint.with_format`.
 """
 
 from __future__ import annotations
@@ -90,9 +89,9 @@ class DesignPoint:
     """One point in the GCN-accelerator design space (paper Table I).
 
     Attributes:
-        name: Registry/report key of the design.
+        name: Lookup/report key of the design.
         display_name: Name used in tables and figures (defaults to ``name``).
-        feature_format: Feature-format registry name used for intermediate
+        feature_format: Name of the format used for intermediate
             features (normalised to the canonical instance name).
         slice_size: Unit slice size ``C`` for sliced formats (normalised to
             the format instance's resolved value; ``None`` for formats
@@ -181,9 +180,9 @@ class DesignPoint:
         if not self.display_name:
             object.__setattr__(self, "display_name", self.name)
 
-        # Normalise the format reference through the registry so two points
-        # that build the same format instance compare equal: the canonical
-        # instance name replaces aliases/odd spellings, and the slice size is
+        # Normalise the format reference through the format table so two
+        # points that build the same format instance compare equal: the
+        # canonical instance name replaces odd spellings, and the slice size is
         # resolved to the instance's actual value (e.g. plain "beicsr" and
         # "beicsr" with an explicit slice_size=96 are the same point, while
         # formats without a slice knob normalise it away entirely).
@@ -429,7 +428,7 @@ SGCN_PACKED_DESIGN = replace(
     feature_format="beicsr_packed",
 )
 
-#: The built-in designs by canonical registry name, in Table I order.
+#: The built-in designs by canonical name, in Table I order.
 BUILTIN_DESIGNS: Dict[str, DesignPoint] = {
     design.name: design
     for design in (

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -371,7 +371,7 @@ def _pass_access_overhead(
 def _typical_row_lines(fmt: FeatureFormat, width: int, nnz: int) -> float:
     """Cachelines per feature row for the given non-zero count."""
     layout = fmt.build_layout(np.asarray([nnz], dtype=np.int64), width)
-    return float(layout.row_read_lines(0).size)
+    return float(layout.row_read_line_counts()[0])
 
 
 def _select_pinned_vertices(
@@ -1056,7 +1056,6 @@ def simulate_design(
     max_sampled_layers: int = 6,
     seed: int = 0,
     trace_cache: Optional[TraceCache] = None,
-    feature_format: Optional[FeatureFormat] = None,
     sparsity: Optional[SparsityProvider] = None,
     capacity_spectrum: Sequence[int] = (),
 ) -> SimulationResult:
@@ -1077,8 +1076,6 @@ def simulate_design(
             depend only on the topology and the schedule — not on timing
             knobs — so a :class:`~repro.core.session.Session` passes its own
             cache here and a sweep builds each trace once.
-        feature_format: Pre-built format instance (``design.format_instance()``
-            when omitted; models pass their own so instances are shared).
         sparsity: Optional :class:`~repro.gcn.providers.SparsityProvider`
             replacing the synthetic per-layer profile and per-row draws with
             its own tables (e.g. measured from a trained
@@ -1095,7 +1092,7 @@ def simulate_design(
         A :class:`SimulationResult` covering every layer of the network.
     """
     config = config or SystemConfig()
-    fmt = feature_format if feature_format is not None else design.format_instance()
+    fmt = design.format_instance()
     dataset = resolve_sparsity_dataset(dataset, sparsity)
     workloads = build_workloads(dataset, variant=variant)
     with span("build_context"):

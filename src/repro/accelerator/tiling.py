@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -38,13 +38,15 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.accelerator.design import DesignPoint
+from repro.accelerator.pipeline import GCN_VARIANTS
+
 # available_accelerators is re-exported as part of this module's API.
 from repro.accelerator.registry import (
-    ACCELERATORS,
     PAPER_COMPARISON,
     available_accelerators,
+    canonical_accelerator,
 )
-from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
 from repro.core.config import SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
 from repro.core.runspec import DEFAULT_MAX_VERTICES, RunSpec
@@ -97,16 +99,16 @@ def _resolve_dataset(
 
 
 def _resolve_accelerator(
-    session: Session, accelerator: Union[AcceleratorModel, str]
-) -> AcceleratorModel:
-    if isinstance(accelerator, AcceleratorModel):
+    session: Session, accelerator: Union[DesignPoint, str]
+) -> DesignPoint:
+    if isinstance(accelerator, DesignPoint):
         return accelerator
     return session.accelerator(accelerator)
 
 
 def _shim_spec(
     dataset: Dataset,
-    accelerator: AcceleratorModel,
+    accelerator: DesignPoint,
     variant: str,
     max_sampled_layers: int,
     seed: int,
@@ -124,7 +126,7 @@ def _shim_spec(
 
 def simulate(
     dataset: Union[Dataset, str],
-    accelerator: Union[AcceleratorModel, str] = "sgcn",
+    accelerator: Union[DesignPoint, str] = "sgcn",
     config: Optional[SystemConfig] = None,
     variant: str = "gcn",
     max_vertices: Optional[int] = None,
@@ -144,7 +146,8 @@ def simulate(
 
     Args:
         dataset: A :class:`~repro.graphs.datasets.Dataset` or a dataset name.
-        accelerator: An accelerator model instance or registry name.
+        accelerator: A design point (any, built-in or derived) or an
+            accelerator name.
         config: System configuration (paper Table III defaults when omitted).
         variant: Aggregation variant (``"gcn"``, ``"gin"``, ``"sage"``).
         max_vertices: Scale cap applied when ``dataset`` is given by name
@@ -160,14 +163,14 @@ def simulate(
     session = default_session()
     variant = _validate_variant(variant)
     dataset_obj = _resolve_dataset(session, dataset, max_vertices)
-    model = _resolve_accelerator(session, accelerator)
-    spec = _shim_spec(dataset_obj, model, variant, max_sampled_layers, seed)
-    return session.run(spec, dataset=dataset_obj, accelerator=model, config=config)
+    design = _resolve_accelerator(session, accelerator)
+    spec = _shim_spec(dataset_obj, design, variant, max_sampled_layers, seed)
+    return session.run(spec, dataset=dataset_obj, accelerator=design, config=config)
 
 
 def compare_accelerators(
     dataset: Union[Dataset, str],
-    accelerators: Optional[Sequence[Union[AcceleratorModel, str]]] = None,
+    accelerators: Optional[Sequence[Union[DesignPoint, str]]] = None,
     config: Optional[SystemConfig] = None,
     variant: str = "gcn",
     baseline: str = "gcnax",
@@ -184,8 +187,10 @@ def compare_accelerators(
 
     Args:
         dataset: Dataset instance or name.
-        accelerators: Accelerators to compare; defaults to the paper's main
-            comparison set (GCNAX, HyGCN, AWB-GCN, EnGN, I-GCN, SGCN).
+        accelerators: Accelerators to compare, as names or design points
+            with distinct names;
+            defaults to the paper's main comparison set (GCNAX, HyGCN,
+            AWB-GCN, EnGN, I-GCN, SGCN).
         config: Shared system configuration.
         variant: Aggregation variant.
         baseline: Name used as the normalisation baseline.
@@ -202,7 +207,7 @@ def compare_accelerators(
     variant = _validate_variant(variant)
     dataset_obj = _resolve_dataset(session, dataset, max_vertices)
     if accelerators is None:
-        names: Iterable[Union[AcceleratorModel, str]] = PAPER_COMPARISON
+        names: Iterable[Union[DesignPoint, str]] = PAPER_COMPARISON
     else:
         names = list(accelerators)
         if not names:
@@ -213,22 +218,29 @@ def compare_accelerators(
             )
     # Resolve every entry up front: unknown names fail here, and the baseline
     # is checked against the resolved set before any simulation runs.  An
-    # exact match against the models' names (which pre-resolved custom
-    # instances may spell any way they like) wins; otherwise the baseline is
-    # canonicalised so alias spellings like "awb-gcn" work too.
-    models = [_resolve_accelerator(session, entry) for entry in names]
-    model_names = {model.name for model in models}
+    # exact match against the design names (which custom design points may
+    # spell any way they like) wins; otherwise the baseline is canonicalised
+    # so alias spellings like "awb-gcn" work too.
+    designs = [_resolve_accelerator(session, entry) for entry in names]
+    design_names = {design.name for design in designs}
+    if len(design_names) != len(designs):
+        # The comparison is keyed by design name (a derived point keeps its
+        # base's name), so a repeated name would silently drop a run.
+        raise SimulationError(
+            "compare_accelerators() needs one entry per design name; got "
+            f"{sorted(design.name for design in designs)}"
+        )
     baseline_key = (
-        baseline if baseline in model_names else ACCELERATORS.canonical(baseline)
+        baseline if baseline in design_names else canonical_accelerator(baseline)
     )
-    if baseline_key not in model_names:
+    if baseline_key not in design_names:
         raise SimulationError(
             f"baseline {baseline!r} was not among the simulated accelerators"
         )
     comparison = ComparisonResult(dataset=dataset_obj.name, baseline=baseline_key)
-    for model in models:
-        spec = _shim_spec(dataset_obj, model, variant, max_sampled_layers, seed)
+    for design in designs:
+        spec = _shim_spec(dataset_obj, design, variant, max_sampled_layers, seed)
         comparison.add(
-            session.run(spec, dataset=dataset_obj, accelerator=model, config=config)
+            session.run(spec, dataset=dataset_obj, accelerator=design, config=config)
         )
     return comparison

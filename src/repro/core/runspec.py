@@ -4,7 +4,7 @@ A :class:`RunSpec` is the *single* source of truth for everything that can
 change a simulation's output: dataset reference and scale caps, GCN depth,
 accelerator reference, aggregation variant, optional feature-format override,
 layer-sampling budget, seed, and flat :class:`~repro.core.config.SystemConfig`
-overrides.  It is plain data: validated against the library's registries,
+overrides.  It is plain data: validated against the library's name tables,
 hashable, deterministic in identity (:attr:`RunSpec.scenario_id`), JSON
 round-trippable (:meth:`to_dict` / :meth:`from_dict`), and cheap to pickle
 for multiprocessing sweeps.
@@ -33,11 +33,15 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS
-from repro.accelerator.registry import ACCELERATORS, resolve_design
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.registry import (
+    DESIGN_POINTS,
+    canonical_accelerator,
+    get_design,
+)
 from repro.core.config import HBM1, HBM2, DRAMConfig, SystemConfig
 from repro.errors import ConfigurationError
-from repro.formats.registry import FORMATS
+from repro.formats.registry import fold_name, get_format
 from repro.gcn.providers import fold_sparsity_mode, resolve_sparsity_mode
 from repro.graphs.datasets import DATASET_SPECS, DEFAULT_NUM_LAYERS
 
@@ -152,7 +156,7 @@ class RunSpec:
 
     Attributes:
         dataset: Dataset key (``"cora"``, ... — see Table II).
-        accelerator: Accelerator registry name (``"sgcn"``, ``"gcnax"``, ...).
+        accelerator: Accelerator name (``"sgcn"``, ``"gcnax"``, ...).
         variant: Aggregation variant (``"gcn"``, ``"gin"``, ``"sage"``).
         seed: Seed for topology generation and per-row sparsity draws.
         max_vertices: Scale cap applied when loading the dataset.
@@ -160,14 +164,14 @@ class RunSpec:
         num_layers: GCN depth (paper default 28).
         overrides: Flat :class:`SystemConfig` overrides (see
             :data:`SUPPORTED_OVERRIDES`); empty means Table III defaults.
-        feature_format: Optional feature-format registry name that replaces
+        feature_format: Optional feature-format name that replaces
             the accelerator's native intermediate-feature format (``None``
             keeps the design's own format and, for cache-compatibility, stays
             out of the run identity).
         design: Optional mapping of :class:`~repro.accelerator.design.DesignPoint`
             knob overrides applied on top of the accelerator's design point
             (see :data:`~repro.accelerator.design.DESIGN_KNOBS`).  ``None``
-            (or an empty mapping) runs the design as registered and — like
+            (or an empty mapping) runs the design as declared and — like
             ``feature_format`` — stays out of the run identity, so caches
             written before the axis existed keep hitting.
         sparsity: Optional sparsity mode (see
@@ -197,17 +201,17 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dataset", self.dataset.strip().lower())
-        # Fold accelerator spellings to the canonical registry key (including
+        # Fold accelerator spellings to the canonical name (including
         # aliases) so e.g. "i-gcn" and "igcn" share one run identity and
         # cache entry.
         object.__setattr__(
-            self, "accelerator", ACCELERATORS.canonical(self.accelerator)
+            self, "accelerator", canonical_accelerator(self.accelerator)
         )
         object.__setattr__(self, "variant", self.variant.strip().lower())
         object.__setattr__(self, "overrides", dict(self.overrides))
         if self.feature_format is not None:
             object.__setattr__(
-                self, "feature_format", FORMATS.canonical(self.feature_format)
+                self, "feature_format", fold_name(self.feature_format)
             )
         if self.sparsity is not None:
             # Case/alias-fold ("measured-residual" -> "measured") so
@@ -242,10 +246,10 @@ class RunSpec:
                 )
             if (
                 design
-                and self.accelerator in ACCELERATORS
+                and self.accelerator in DESIGN_POINTS
                 and set(design) <= set(DESIGN_KNOBS)
             ):
-                base = resolve_design(self.accelerator)
+                base = DESIGN_POINTS[self.accelerator]
                 derived = base.derive(**design)
                 if design.get("slice_size") is not None and derived.slice_size is None:
                     raise ConfigurationError(
@@ -269,7 +273,7 @@ class RunSpec:
 
     # ------------------------------------------------------------------ #
     def validate(self) -> "RunSpec":
-        """Check every field against the library's registries.
+        """Check every field against the library's name tables.
 
         Returns ``self`` so the call chains; raises
         :class:`ConfigurationError` (or :class:`~repro.errors.FormatError`
@@ -280,14 +284,14 @@ class RunSpec:
                 f"unknown dataset {self.dataset!r}; available: "
                 f"{', '.join(sorted(DATASET_SPECS))}"
             )
-        ACCELERATORS.factory(self.accelerator)
+        get_design(self.accelerator)
         if self.variant not in GCN_VARIANTS:
             raise ConfigurationError(
                 f"unknown GCN variant {self.variant!r}; supported: "
                 f"{', '.join(GCN_VARIANTS)}"
             )
         if self.feature_format is not None:
-            FORMATS.factory(self.feature_format)
+            get_format(self.feature_format)
         resolve_sparsity_mode(self.sparsity)
         if self.design:
             unknown = sorted(set(self.design) - set(DESIGN_KNOBS))
@@ -299,7 +303,7 @@ class RunSpec:
             # (The feature_format-axis vs design-format-knob conflict is
             # rejected in __post_init__, before normalisation could derive
             # against the wrong base format.)
-            resolve_design(self.accelerator).derive(**self.design)
+            get_design(self.accelerator).derive(**self.design)
         if self.num_layers <= 0:
             raise ConfigurationError("num_layers must be positive")
         if self.max_vertices < 2:

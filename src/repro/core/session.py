@@ -1,15 +1,16 @@
-"""Execution façade that owns registry lookups and per-run caching.
+"""Execution façade that resolves run specs and caches per-run work.
 
 A :class:`Session` turns :class:`~repro.core.runspec.RunSpec` descriptions
-into :class:`~repro.core.results.SimulationResult` objects.  It is the one
-place that touches the registries, and it memoizes the expensive
-spec-independent work across runs:
+into :class:`~repro.core.results.SimulationResult` objects.  It resolves a
+spec's accelerator to a :class:`~repro.accelerator.design.DesignPoint`, and
+it memoizes the expensive spec-independent work across runs:
 
 * :meth:`Session.load_dataset` — synthetic-dataset construction is cached
   (LRU) on ``(name, max_vertices, num_layers, seed)``, so a batch that sweeps
   accelerators over one dataset builds the topology once;
-* :meth:`Session.accelerator` — accelerator models (including optional
-  feature-format overrides) are instantiated once per session;
+* :meth:`Session.accelerator` — the design point of an accelerator name
+  (with optional feature-format and design overrides) is derived once per
+  session;
 * :attr:`Session.trace_cache` — aggregation access traces, their replay
   structures (:class:`repro.memory.replay.ReplayEngine`), and derived
   reordered/transposed graphs are memoized across runs; they depend only on
@@ -47,13 +48,13 @@ from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
-from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS, AcceleratorModel
+from repro.accelerator.pipeline import GCN_VARIANTS, simulate_design
+from repro.accelerator.registry import canonical_accelerator, get_design
 from repro.core.config import ScheduleConfig, SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
 from repro.core.runspec import RunSpec, build_config
 from repro.errors import ConfigurationError, SimulationError, SparsityHarvestError
-from repro.formats.registry import FORMATS
+from repro.formats.registry import fold_name
 from repro.gcn.providers import (
     MeasuredSparsityCache,
     SparsityProvider,
@@ -219,7 +220,7 @@ def topology_tasks(
 
 
 class Session:
-    """Executes :class:`RunSpec` runs with memoized registry resolution.
+    """Executes :class:`RunSpec` runs with memoized design resolution.
 
     Args:
         config: Base :class:`SystemConfig` applied to every run (spec
@@ -264,22 +265,10 @@ class Session:
         )
         self._sparsity_providers: Dict[str, SparsityProvider] = {}
         self._datasets: "OrderedDict[Tuple[str, int, int, int], Dataset]" = OrderedDict()
-        # (name, format, design overrides) -> (accelerator factory, format
-        # name, format factory, instance).  Both factories are kept so a
-        # cache hit can detect that either registration changed underneath
-        # it (unregister(), temporary() shadowing) and not serve a stale
-        # model.
-        self._accelerators: Dict[
+        # (canonical name, format, design overrides) -> design point.
+        self._designs: Dict[
             Tuple[str, Optional[str], Optional[Tuple[Tuple[str, object], ...]]],
-            Tuple[Callable[[], AcceleratorModel], str, Optional[object], AcceleratorModel],
-        ] = {}
-        # Resolved design point -> (accelerator factory, format factory,
-        # model): two differently-spelled requests that resolve to an equal
-        # DesignPoint (e.g. an accelerator's native format requested as an
-        # explicit feature_format override) share one model instance.
-        self._design_models: Dict[
-            Tuple[Callable[[], AcceleratorModel], DesignPoint],
-            Tuple[Optional[object], AcceleratorModel],
+            DesignPoint,
         ] = {}
         # Observability counters of the two session-local LRUs (the trace
         # and measurement caches carry their own); surfaced through
@@ -327,26 +316,21 @@ class Session:
         name: str,
         feature_format: Optional[str] = None,
         design: Optional[Mapping[str, object]] = None,
-    ) -> AcceleratorModel:
-        """Memoized accelerator instantiation (with optional overrides).
+    ) -> DesignPoint:
+        """Memoized design point of an accelerator (with optional overrides).
 
         Args:
-            name: Accelerator registry name (aliases accepted).
-            feature_format: Optional format registry name replacing the
-                design's native intermediate-feature format.
+            name: Accelerator name (aliases accepted).
+            feature_format: Optional format name replacing the design's
+                native intermediate-feature format.
             design: Optional :class:`~repro.accelerator.design.DesignPoint`
                 knob overrides applied to the accelerator's design.
 
-        Requests are memoized twice: by the (name, format, design) spelling,
-        and by the *resolved* design point — so a request that spells out an
-        accelerator's native configuration explicitly shares the plain
-        request's model instance instead of instantiating a duplicate.
+        Raises:
+            ConfigurationError: For an unknown accelerator or design knob, or
+                design format knobs next to a ``feature_format`` override.
         """
-        # Consult the registries on every call (not just misses): an unknown
-        # name must raise even if a model was cached while a temporary()
-        # registration was live, and a re-registered accelerator *or format*
-        # must rebuild instead of serving a stale instance.
-        factory = ACCELERATORS.factory(name)
+        base = get_design(name)
         if design:
             # Only simulation knobs may be overridden: identity/presentation
             # fields (name, display_name, ...) reaching derive() would make
@@ -362,7 +346,7 @@ class Session:
             if feature_format is not None and (
                 {"feature_format", "slice_size"} & set(design)
             ):
-                # use_format runs after use_design, so a design-axis format
+                # with_format runs after derive, so a design-axis format
                 # would be silently discarded while still labelling the run.
                 raise ConfigurationError(
                     "design format knobs conflict with the "
@@ -373,41 +357,20 @@ class Session:
             tuple(sorted(design.items())) if design else None
         )
         key = (
-            ACCELERATORS.canonical(name),
-            None if feature_format is None else FORMATS.canonical(feature_format),
+            canonical_accelerator(name),
+            None if feature_format is None else fold_name(feature_format),
             design_key,
         )
-        cached = self._accelerators.get(key)
-        if cached is not None:
-            cached_factory, format_name, format_factory, model = cached
-            if cached_factory is factory and (
-                self._format_factory(format_name) is format_factory
-            ):
-                self._accelerator_hits += 1
-                return model
+        point = self._designs.get(key)
+        if point is not None:
+            self._accelerator_hits += 1
+            return point
         self._accelerator_misses += 1
-        model = factory()
-        if design:
-            model = model.use_design(model.design.derive(**dict(design)))
+        point = base.derive(**dict(design)) if design else base
         if feature_format is not None:
-            model = model.use_format(feature_format)
-        format_name = FORMATS.canonical(model.feature_format.name)
-        format_factory = self._format_factory(format_name)
-        # Dedupe by resolved design point: an equal point built earlier (and
-        # with the same live registrations) is the same model.
-        point_key = (factory, model.design)
-        deduped = self._design_models.get(point_key)
-        if deduped is not None and deduped[0] is format_factory:
-            model = deduped[1]
-        else:
-            self._design_models[point_key] = (format_factory, model)
-        self._accelerators[key] = (factory, format_name, format_factory, model)
-        return model
-
-    @staticmethod
-    def _format_factory(format_name: str) -> Optional[object]:
-        """Current registry factory of ``format_name`` (None if unregistered)."""
-        return FORMATS.factory(format_name) if format_name in FORMATS else None
+            point = point.with_format(feature_format)
+        self._designs[key] = point
+        return point
 
     def config_for(self, spec: RunSpec) -> Optional[SystemConfig]:
         """Effective :class:`SystemConfig` of ``spec`` under this session.
@@ -454,10 +417,9 @@ class Session:
         return provider
 
     def clear_caches(self) -> None:
-        """Drop every memoized dataset, accelerator, trace, and measurement."""
+        """Drop every memoized dataset, design point, trace, and measurement."""
         self._datasets.clear()
-        self._accelerators.clear()
-        self._design_models.clear()
+        self._designs.clear()
         self._traces.clear()
         self._measurements.clear()
         self._sparsity_providers.clear()
@@ -498,7 +460,7 @@ class Session:
                     "hits": self._accelerator_hits,
                     "misses": self._accelerator_misses,
                     "evictions": 0,
-                    "entries": len(self._accelerators),
+                    "entries": len(self._designs),
                 },
                 "replay_memo": replay_memo,
             },
@@ -512,7 +474,7 @@ class Session:
         spec: RunSpec,
         *,
         dataset: Optional[Dataset] = None,
-        accelerator: Optional[AcceleratorModel] = None,
+        accelerator: Optional[DesignPoint] = None,
         config: Optional[SystemConfig] = None,
         annotate: bool = False,
         capacity_spectrum: Sequence[int] = (),
@@ -524,7 +486,7 @@ class Session:
             dataset: Pre-resolved dataset; bypasses the spec's dataset
                 reference and scale cap (used by the classic API shims when
                 the caller already holds a :class:`Dataset`).
-            accelerator: Pre-resolved accelerator model; bypasses the spec's
+            accelerator: Pre-resolved design point; bypasses the spec's
                 accelerator reference.
             config: Base config overriding the session's ``base_config`` for
                 this run (spec overrides still apply on top).
@@ -540,13 +502,13 @@ class Session:
         if accelerator is not None and spec.feature_format is not None:
             raise ConfigurationError(
                 f"feature_format={spec.feature_format!r} conflicts with a "
-                "pre-resolved accelerator instance; apply the override via "
+                "pre-resolved design point; apply the override via "
                 "Session.accelerator(name, feature_format=...) instead"
             )
         if accelerator is not None and spec.design:
             raise ConfigurationError(
                 f"design overrides {dict(spec.design)!r} conflict with a "
-                "pre-resolved accelerator instance; apply them via "
+                "pre-resolved design point; apply them via "
                 "Session.accelerator(name, design=...) instead"
             )
         if dataset is None and accelerator is None:
@@ -568,7 +530,7 @@ class Session:
                 seed=spec.seed,
             )
         )
-        model = (
+        point = (
             accelerator
             if accelerator is not None
             else self.accelerator(
@@ -581,7 +543,8 @@ class Session:
             spec, config if config is not None else self.base_config
         )
         try:
-            result = model.simulate(
+            result = simulate_design(
+                point,
                 dataset_obj,
                 config=effective,
                 variant=spec.variant,
@@ -603,7 +566,8 @@ class Session:
             logger.warning(
                 "degrading %s to synthetic sparsity: %s", spec.scenario_id, exc
             )
-            result = model.simulate(
+            result = simulate_design(
+                point,
                 dataset_obj,
                 config=effective,
                 variant=spec.variant,
@@ -628,7 +592,7 @@ class Session:
         progress: Optional[ProgressCallback] = None,
         on_error: Optional[ErrorCallback] = None,
     ) -> List[Optional[SimulationResult]]:
-        """Execute a batch of specs, reusing memoized datasets/accelerators.
+        """Execute a batch of specs, reusing memoized datasets/design points.
 
         The batch is partitioned into replay-knob equivalence classes
         (:func:`replay_classes`) and executed class by class: same-class runs
@@ -737,7 +701,7 @@ class Session:
                 "compare() needs one spec per accelerator; got duplicates in "
                 f"{names}"
             )
-        baseline_key = ACCELERATORS.canonical(baseline)
+        baseline_key = canonical_accelerator(baseline)
         if baseline_key not in names:
             raise SimulationError(
                 f"baseline {baseline!r} was not among the simulated accelerators"

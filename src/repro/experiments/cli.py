@@ -41,17 +41,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS
-from repro.accelerator.registry import (
-    available_accelerators,
-    resolve_design,
-)
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.registry import available_accelerators, get_design
 from repro.core.session import default_session
 from repro.errors import ReproError
-from repro.formats.registry import FORMATS, available_formats
+from repro.formats.registry import available_formats, fold_name
 from repro.gcn.providers import SPARSITY_MODES
 from repro.experiments.runner import RunOutcome, SweepRunner, run_scenario
-from repro.experiments.scenarios import SCENARIO_PACKS, available_packs, get_pack
+from repro.experiments.scenarios import available_packs, get_pack
 from repro.experiments.spec import SUPPORTED_OVERRIDES, Scenario
 from repro.experiments.store import (
     ResultStore,
@@ -175,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "replace the accelerator's native intermediate-feature format "
-            f"with a registry format ({', '.join(available_formats())})"
+            f"with another format ({', '.join(available_formats())})"
         ),
     )
     run_parser.add_argument(
@@ -516,7 +513,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_accelerators(args: argparse.Namespace) -> int:
     for name in available_accelerators():
-        design = resolve_design(name)
+        design = get_design(name)
         if not args.describe:
             OUT.data(f"{name:<16} {design.display_name}")
             continue
@@ -541,9 +538,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # together; the feature_format axis cannot carry a slice).
     if "feature_format" in design_overrides and "slice_size" not in design_overrides:
         spelled = str(design_overrides.pop("feature_format"))
-        if feature_format is not None and FORMATS.canonical(
-            feature_format
-        ) != FORMATS.canonical(spelled):
+        if feature_format is not None and fold_name(feature_format) != fold_name(
+            spelled
+        ):
             raise ReproError(
                 f"--set feature_format={spelled!r} conflicts with "
                 f"--feature-format {feature_format!r}"

@@ -99,7 +99,7 @@ def run_scenario(
     metadata for downstream exports.
 
     Args:
-        scenario: The run to execute (validated against the registries).
+        scenario: The run to execute (validated against the name tables).
         session: Session to execute under; the process-wide default session
             when omitted, so repeated calls share memoized datasets.
         capacity_spectrum: Cache capacities (bytes) of the scenario's

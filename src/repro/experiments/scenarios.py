@@ -284,7 +284,7 @@ def design_space_pack(
     )
 
 
-#: Registry of the built-in packs by CLI name.
+#: The built-in packs by CLI name.
 SCENARIO_PACKS: Dict[str, Callable[..., SweepSpec]] = {
     "paper-comparison": paper_comparison_pack,
     "cache-size": cache_size_pack,

@@ -47,7 +47,7 @@ class SweepSpec:
     Attributes:
         name: Sweep name (used for output directories).
         datasets: Dataset keys to sweep.
-        accelerators: Accelerator registry names to sweep.
+        accelerators: Accelerator names to sweep.
         variants: Aggregation variants to sweep.
         seeds: RNG seeds to sweep.
         depths: GCN depths (``num_layers``) to sweep.

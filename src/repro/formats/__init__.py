@@ -19,9 +19,6 @@ from repro.formats.registry import (
     FORMATS,
     available_formats,
     get_format,
-    register_format,
-    temporary_format,
-    unregister_format,
 )
 
 __all__ = [
@@ -39,7 +36,4 @@ __all__ = [
     "FORMATS",
     "available_formats",
     "get_format",
-    "register_format",
-    "temporary_format",
-    "unregister_format",
 ]

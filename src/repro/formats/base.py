@@ -105,6 +105,11 @@ class FeatureLayout(ABC):
         """Bytes written to DRAM when producing row ``row`` as a layer output."""
 
     # -- helpers ---------------------------------------------------------- #
+    def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
+        """Absolute cacheline addresses of :func:`span_lines` for one access."""
+        lines = span_lines(start_byte, num_bytes)
+        return np.arange(lines.start, lines.stop, dtype=np.int64) + self.base_line
+
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.num_rows:
             raise FormatError(f"row {row} out of range (0..{self.num_rows - 1})")
@@ -113,7 +118,7 @@ class FeatureLayout(ABC):
 class FeatureFormat(ABC):
     """A feature compression format, modelled by the layout it builds."""
 
-    #: Short name used by the registry and in result tables.
+    #: Short name used by the format table and in result tables.
     name: str = "abstract"
 
     #: Whether layer outputs can be written in parallel without serialising

@@ -180,13 +180,6 @@ class PackedBEICSRLayout(FeatureLayout):
         self.data_base = bytes_to_lines(pointer_bytes) * CACHELINE_BYTES
         self.row_bytes = row_bytes
 
-    def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
-        if num_bytes <= 0:
-            return np.zeros(0, dtype=np.int64)
-        first = start_byte // CACHELINE_BYTES
-        last = (start_byte + num_bytes - 1) // CACHELINE_BYTES
-        return np.arange(first, last + 1, dtype=np.int64) + self.base_line
-
     def row_read_lines(self, row: int) -> np.ndarray:
         self._check_row(row)
         pointer_lines = self._span(self.pointer_base + row * POINTER_BYTES, 2 * POINTER_BYTES)

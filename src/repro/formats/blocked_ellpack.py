@@ -68,14 +68,6 @@ class BlockedEllpackLayout(FeatureLayout):
         # the stride stays aligned.
         self.blockrow_data_lines = bytes_to_lines(self.blocks_per_blockrow * block_bytes)
         self.block_bytes = block_bytes
-        self.num_block_rows = num_block_rows
-
-    def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
-        if num_bytes <= 0:
-            return np.zeros(0, dtype=np.int64)
-        first = start_byte // CACHELINE_BYTES
-        last = (start_byte + num_bytes - 1) // CACHELINE_BYTES
-        return np.arange(first, last + 1, dtype=np.int64) + self.base_line
 
     def row_read_lines(self, row: int) -> np.ndarray:
         self._check_row(row)

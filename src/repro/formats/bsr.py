@@ -85,13 +85,6 @@ class BSRLayout(FeatureLayout):
         self.data_base = self.idx_base + bytes_to_lines(idx_bytes) * CACHELINE_BYTES
         self.block_bytes = block_bytes
 
-    def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
-        if num_bytes <= 0:
-            return np.zeros(0, dtype=np.int64)
-        first = start_byte // CACHELINE_BYTES
-        last = (start_byte + num_bytes - 1) // CACHELINE_BYTES
-        return np.arange(first, last + 1, dtype=np.int64) + self.base_line
-
     def row_read_lines(self, row: int) -> np.ndarray:
         self._check_row(row)
         block_row = row // self.block_rows

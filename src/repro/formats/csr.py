@@ -50,13 +50,6 @@ class CSRLayout(FeatureLayout):
         colidx_bytes = total_nnz * INDEX_BYTES
         self.values_base = self.colidx_base + bytes_to_lines(colidx_bytes) * CACHELINE_BYTES
 
-    def _span(self, start_byte: int, num_bytes: int) -> np.ndarray:
-        if num_bytes <= 0:
-            return np.zeros(0, dtype=np.int64)
-        first = start_byte // CACHELINE_BYTES
-        last = (start_byte + num_bytes - 1) // CACHELINE_BYTES
-        return np.arange(first, last + 1, dtype=np.int64) + self.base_line
-
     def row_read_lines(self, row: int) -> np.ndarray:
         self._check_row(row)
         nnz = int(self.row_nnz[row])

@@ -30,7 +30,6 @@ class DenseLayout(FeatureLayout):
     def __init__(self, num_rows: int, width: int, base_line: int = 0) -> None:
         super().__init__(num_rows, width, base_line)
         self.row_lines = bytes_to_lines(width * ELEMENT_BYTES)
-        self.row_bytes = width * ELEMENT_BYTES
 
     def row_read_lines(self, row: int) -> np.ndarray:
         self._check_row(row)

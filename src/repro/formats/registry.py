@@ -1,16 +1,16 @@
-"""Registry of feature formats by name.
+"""The feature formats by name: a fixed table of format factories.
 
 The experiment harness refers to formats by short names (as the paper's
 Fig. 3 legend does); this module maps those names to configured format
-instances and lets users register their own formats for comparison.  It is a
-thin instantiation of the generic :class:`repro.registry.Registry`, so
-formats and accelerators share one extension mechanism (aliases, case
-folding, ``register``/``unregister``/``temporary``).
+instances.  Names fold case, dashes and spaces (``"Blocked-Ellpack"`` is
+``blocked_ellpack``), the same folding the accelerator table applies.  The
+table is read-only: the eight formats are the ones the paper compares.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional
 
 from repro.errors import FormatError
 from repro.formats.base import FeatureFormat
@@ -20,65 +20,52 @@ from repro.formats.bsr import BSRFeatureFormat
 from repro.formats.coo import COOFeatureFormat
 from repro.formats.csr import CSRFeatureFormat
 from repro.formats.dense import DenseFormat
-from repro.registry import Registry
 
-#: The feature-format family registry (the single extension point for new
-#: format backends).
-FORMATS: Registry[FeatureFormat] = Registry("format", FormatError)
+#: Factory of every feature format, by canonical name.
+FORMATS: Mapping[str, Callable[[], FeatureFormat]] = MappingProxyType(
+    {
+        "dense": DenseFormat,
+        "csr": CSRFeatureFormat,
+        "coo": COOFeatureFormat,
+        "bsr": BSRFeatureFormat,
+        "blocked_ellpack": BlockedEllpackFormat,
+        "beicsr": lambda: BEICSRFormat(slice_size=96),
+        "beicsr_nonsliced": lambda: BEICSRFormat(slice_size=None),
+        "beicsr_packed": lambda: BEICSRFormat(slice_size=96, in_place=False),
+    }
+)
 
-FORMATS.register("dense", DenseFormat)
-FORMATS.register("csr", CSRFeatureFormat)
-FORMATS.register("coo", COOFeatureFormat)
-FORMATS.register("bsr", BSRFeatureFormat)
-FORMATS.register("blocked_ellpack", BlockedEllpackFormat)
-FORMATS.register("beicsr", lambda: BEICSRFormat(slice_size=96))
-FORMATS.register("beicsr_nonsliced", lambda: BEICSRFormat(slice_size=None))
-FORMATS.register("beicsr_packed", lambda: BEICSRFormat(slice_size=96, in_place=False))
+
+def fold_name(name: str) -> str:
+    """Normalise spelling: lower-case, dashes/spaces become underscores."""
+    return name.strip().lower().replace("-", "_").replace(" ", "_")
 
 
 def available_formats() -> List[str]:
-    """Names of all registered feature formats."""
-    return FORMATS.names()
-
-
-def register_format(name: str, factory: Callable[[], FeatureFormat]) -> None:
-    """Register a custom format factory under ``name``.
-
-    Raises:
-        FormatError: If ``name`` is already registered.
-    """
-    FORMATS.register(name, factory)
-
-
-def unregister_format(name: str) -> None:
-    """Remove a registered format (see :meth:`Registry.unregister`)."""
-    FORMATS.unregister(name)
-
-
-def temporary_format(name: str, factory: Callable[[], FeatureFormat]):
-    """Context manager registering a format for a ``with`` block only."""
-    return FORMATS.temporary(name, factory)
+    """Names of all feature formats."""
+    return sorted(FORMATS)
 
 
 def get_format(name: str, slice_size: Optional[int] = None) -> FeatureFormat:
     """Instantiate a feature format by name.
 
     Args:
-        name: Registered format name (case-insensitive).
+        name: Format name (case-insensitive).
         slice_size: Override the BEICSR unit slice size (ignored by other
             formats).
+
+    Raises:
+        FormatError: If ``name`` is not a known format.
     """
-    instance = FORMATS.get(name)
+    factory = FORMATS.get(fold_name(name))
+    if factory is None:
+        raise FormatError(
+            f"unknown format {name!r}; available: {', '.join(available_formats())}"
+        )
+    instance = factory()
     if slice_size is not None and isinstance(instance, BEICSRFormat) and instance.slice_size:
         instance = BEICSRFormat(slice_size=slice_size, in_place=instance.in_place)
     return instance
 
 
-__all__ = [
-    "FORMATS",
-    "available_formats",
-    "get_format",
-    "register_format",
-    "temporary_format",
-    "unregister_format",
-]
+__all__ = ["FORMATS", "available_formats", "fold_name", "get_format"]

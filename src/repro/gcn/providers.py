@@ -142,7 +142,7 @@ def depth_scaled_average_sparsity(
 class SparsityProvider:
     """Source of the per-layer / per-row / per-slice sparsity of a run."""
 
-    #: Registry-style name (``"synthetic"`` / ``"measured"`` / ...).
+    #: Canonical mode name (``"synthetic"`` / ``"measured"`` / ...).
     name: str = "abstract"
 
     def layer_profile(self, dataset: "Dataset") -> Optional[List[float]]:

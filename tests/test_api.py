@@ -76,11 +76,11 @@ def test_explicit_cap_with_dataset_instance_raises(tiny_dataset):
 
 
 def test_compare_baseline_checked_before_any_simulation(tiny_dataset, monkeypatch):
-    from repro.accelerator.simulator import AcceleratorModel
+    import repro.core.session as session_module
 
-    def explode(self, *args, **kwargs):
+    def explode(*args, **kwargs):
         raise AssertionError("simulated before baseline validation")
 
-    monkeypatch.setattr(AcceleratorModel, "simulate", explode)
+    monkeypatch.setattr(session_module, "simulate_design", explode)
     with pytest.raises(SimulationError, match="baseline 'gcnax' was not among"):
         compare_accelerators(tiny_dataset, ["sgcn", "hygcn"], baseline="gcnax")

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.accelerator.pipeline import (
+    GCN_VARIANTS,
     build_context,
     build_workloads,
     energy,
@@ -26,8 +27,7 @@ from repro.accelerator.pipeline import (
     simulate_design,
     timing,
 )
-from repro.accelerator.registry import ACCELERATORS, DESIGN_POINTS
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.registry import DESIGN_POINTS, available_accelerators
 from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
 from repro.core.runspec import RunSpec
@@ -48,7 +48,7 @@ def test_results_byte_identical_to_pre_refactor(dataset_name):
     session = Session()
     mismatches = []
     for variant in GCN_VARIANTS:
-        for accelerator in sorted(ACCELERATORS.names()):
+        for accelerator in available_accelerators():
             spec = RunSpec(
                 dataset=dataset_name,
                 accelerator=accelerator,

@@ -16,8 +16,8 @@ import pytest
 
 from oracles import RowCache, pinned_partition_replay
 from repro.accelerator.pipeline import build_context, schedule, simulate_design
-from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.registry import available_accelerators
 from repro.core.config import SystemConfig
 from repro.core.runspec import RunSpec
 from repro.core.session import Session
@@ -28,7 +28,7 @@ from repro.memory.replay import ReplayEngine
 #: engine interleaving, pinned partitions, and every feature format.
 GOLDEN_MAX_VERTICES = 96
 
-ALL_ACCELERATORS = tuple(sorted(ACCELERATORS.names()))
+ALL_ACCELERATORS = tuple(available_accelerators())
 
 
 def stats_tuple(stats):
@@ -47,13 +47,11 @@ def test_simulation_results_byte_identical(dataset_name, variant):
             max_vertices=GOLDEN_MAX_VERTICES,
         )
         shared = session.run(spec).to_dict()
-        model = session.accelerator(accelerator)
         uncached = simulate_design(
-            model.design,
+            session.accelerator(accelerator),
             session.load_dataset(dataset_name, max_vertices=GOLDEN_MAX_VERTICES),
             variant=variant,
             trace_cache=None,
-            feature_format=model.feature_format,
         ).to_dict()
         assert json.dumps(shared, sort_keys=True) == json.dumps(
             uncached, sort_keys=True
@@ -69,12 +67,11 @@ def test_rowcache_stats_bit_identical_on_real_traces(accelerator):
     """
     session = Session()
     dataset = session.load_dataset("pubmed", max_vertices=192)
-    model = session.accelerator(accelerator)
+    design = session.accelerator(accelerator)
+    fmt = design.format_instance()
     config = SystemConfig()
-    context = build_context(model.design, model.feature_format, dataset, config)
-    plan = schedule(
-        model.design, model.feature_format, dataset, context.graph, config.schedule
-    )
+    context = build_context(design, fmt, dataset, config)
+    plan = schedule(design, fmt, dataset, context.graph, config.schedule)
     if plan.trace.size == 0:
         pytest.skip("column-product design replays no trace")
     pinned = plan.pinned_vertices

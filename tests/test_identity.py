@@ -18,7 +18,7 @@ import pytest
 
 from repro.accelerator import pipeline
 from repro.accelerator.pipeline import RunContext, schedule
-from repro.accelerator.registry import ACCELERATORS
+from repro.accelerator.registry import available_accelerators
 from repro.core.config import SystemConfig
 from repro.core.runspec import SUPPORTED_OVERRIDES, RunSpec
 from repro.core.session import Session, replay_class_key
@@ -85,7 +85,7 @@ def schedules():
     table = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "schedule", recording)
-        for accelerator in ACCELERATORS.names():
+        for accelerator in available_accelerators():
             for key, values in OVERRIDE_VALUES.items():
                 for value in values:
                     spec = RunSpec(
@@ -104,7 +104,7 @@ def schedules():
 def misgrouped_overrides(schedules, class_key):
     """Override keys whose two values share a class but not a schedule."""
     found = set()
-    for accelerator in ACCELERATORS.names():
+    for accelerator in available_accelerators():
         for key, (first, second) in OVERRIDE_VALUES.items():
             spec_a, plan_a = schedules[accelerator, key, first]
             spec_b, plan_b = schedules[accelerator, key, second]

@@ -146,26 +146,8 @@ def test_session_memoizes_accelerator_instances():
     assert session.accelerator("sgcn") is session.accelerator("SGCN")
     assert session.accelerator("i-gcn") is session.accelerator("igcn")
     overridden = session.accelerator("gcnax", feature_format="csr")
-    assert overridden is not session.accelerator("gcnax")
-    assert overridden.feature_format.name == "csr"
-
-
-def test_session_cache_does_not_outlive_registry_entries():
-    from repro.accelerator.design import SGCN_DESIGN, DesignPoint
-    from repro.accelerator.registry import temporary_accelerator
-    from repro.accelerator.simulator import AcceleratorModel
-
-    session = Session()
-    with temporary_accelerator("mockacc", lambda: AcceleratorModel(SGCN_DESIGN)):
-        assert session.accelerator("mockacc").name == "sgcn"
-    # The registration is gone; the session must not serve its cached model.
-    with pytest.raises(ConfigurationError, match="unknown accelerator"):
-        session.accelerator("mockacc")
-
-    other = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "other"})
-    with temporary_accelerator("mockacc", lambda: AcceleratorModel(other)):
-        # Re-registered under a different factory: the cache must rebuild.
-        assert session.accelerator("mockacc").design == other
+    assert overridden != session.accelerator("gcnax")
+    assert overridden.feature_format == "csr"
 
 
 def test_session_compare_rejects_mixed_datasets_and_duplicates():
@@ -182,27 +164,6 @@ def test_session_compare_rejects_mixed_datasets_and_duplicates():
     ]
     with pytest.raises(SimulationError, match="one spec per accelerator"):
         session.compare(duplicated, baseline="gcnax")
-
-
-def test_session_detects_format_reregistration():
-    from repro.formats.base import FeatureFormat
-    from repro.formats.csr import CSRFeatureFormat
-    from repro.formats.registry import temporary_format
-
-    session = Session()
-    real = session.accelerator("gcnax", feature_format="csr")
-    assert isinstance(real.feature_format, CSRFeatureFormat)
-
-    class MockCSR(CSRFeatureFormat):
-        pass
-
-    with temporary_format("csr", MockCSR):
-        shadowed = session.accelerator("gcnax", feature_format="csr")
-        assert isinstance(shadowed.feature_format, MockCSR)
-    # Restored registration: the cache rebuilds with the real format again.
-    assert not isinstance(
-        session.accelerator("gcnax", feature_format="csr").feature_format, MockCSR
-    )
 
 
 def test_run_rejects_format_override_with_preresolved_accelerator():
@@ -234,15 +195,24 @@ def test_config_for_layers_overrides_on_session_base():
 
 def test_compare_shim_accepts_custom_instance_baseline():
     from repro.accelerator.design import SGCN_DESIGN, DesignPoint
-    from repro.accelerator.simulator import AcceleratorModel
 
     my_accel = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "My-Accel"})
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
     comparison = compare_accelerators(
-        dataset, [AcceleratorModel(my_accel), "gcnax"], baseline="My-Accel"
+        dataset, [my_accel, "gcnax"], baseline="My-Accel"
     )
     assert comparison.baseline == "My-Accel"
     assert comparison.speedups("My-Accel")["My-Accel"] == pytest.approx(1.0)
+
+
+def test_compare_shim_rejects_repeated_design_names():
+    from repro.accelerator.registry import get_design
+
+    dataset = load_dataset("cora", max_vertices=64, num_layers=4)
+    half = get_design("gcnax").derive(tiling_fill_fraction=0.5)
+    for entries in ([half, "gcnax"], ["sgcn", "SGCN"]):
+        with pytest.raises(SimulationError, match="one entry per design name"):
+            compare_accelerators(dataset, entries, baseline="gcnax")
 
 
 def test_compare_shim_accepts_alias_baseline():
@@ -257,13 +227,13 @@ def test_compare_shim_accepts_alias_baseline():
 def test_use_format_copies_instead_of_mutating_cached_models():
     session = Session()
     native = session.accelerator("sgcn")
-    native_format = native.feature_format.name
-    overridden = native.use_format("csr")
+    native_format = native.feature_format
+    overridden = native.with_format("csr")
     assert overridden is not native
-    assert overridden.feature_format.name == "csr"
-    # The session's memoized instance is untouched, so later runs with no
+    assert overridden.feature_format == "csr"
+    # The session's memoized point is untouched, so later runs with no
     # format override still use the design's native format.
-    assert session.accelerator("sgcn").feature_format.name == native_format
+    assert session.accelerator("sgcn").feature_format == native_format
 
 
 def test_feature_format_override_changes_traffic():
@@ -350,12 +320,12 @@ def test_run_many_annotates_results_with_spec_identity():
 
 
 def test_session_compare_fails_fast_on_missing_baseline(monkeypatch):
-    from repro.accelerator.simulator import AcceleratorModel
+    import repro.core.session as session_module
 
-    def explode(self, *args, **kwargs):
+    def explode(*args, **kwargs):
         raise AssertionError("simulated before baseline validation")
 
-    monkeypatch.setattr(AcceleratorModel, "simulate", explode)
+    monkeypatch.setattr(session_module, "simulate_design", explode)
     session = Session()
     specs = [RunSpec(dataset="cora", accelerator="sgcn", **TINY)]
     with pytest.raises(SimulationError, match="baseline"):

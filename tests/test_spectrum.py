@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from oracles import pinned_partition_replay
-from repro.accelerator.registry import ACCELERATORS
-from repro.accelerator.simulator import GCN_VARIANTS
+from repro.accelerator.pipeline import GCN_VARIANTS
+from repro.accelerator.registry import available_accelerators
 from repro.core.config import CacheConfig, SystemConfig
 from repro.core.runspec import RunSpec, build_config
 from repro.core.session import (
@@ -628,7 +628,7 @@ class TestGroupedGoldenDigests:
                 max_vertices=GOLDEN["max_vertices"],
             )
             for variant in GCN_VARIANTS
-            for accelerator in sorted(ACCELERATORS.names())
+            for accelerator in available_accelerators()
         ]
         siblings = [
             RunSpec(
