@@ -15,7 +15,9 @@ it memoizes the expensive spec-independent work across runs:
   structures (:class:`repro.memory.replay.ReplayEngine`), and derived
   reordered/transposed graphs are memoized across runs; they depend only on
   the topology and the schedule knobs, so a sweep over N accelerators x M
-  cache sizes builds each trace once instead of N x M times;
+  cache sizes builds each trace once instead of N x M times.  A sweep
+  scopes them to one topology task (:meth:`Session.enter_topology`);
+  library calls keep them across topologies;
 * :meth:`Session.run` / :meth:`Session.run_many` — execute one spec or a
   batch, optionally annotating results with the spec's identity for
   downstream exports;
@@ -140,6 +142,11 @@ def replay_classes(
 Topology = Tuple[str, int, int]
 
 
+def spec_topology(spec: RunSpec) -> Topology:
+    """The topology ``spec`` runs on."""
+    return (spec.dataset, spec.max_vertices, spec.seed)
+
+
 class TopologyTask(NamedTuple):
     """Pending runs on one topology, dispatched as one unit.
 
@@ -195,9 +202,9 @@ def topology_tasks(
     groups: "OrderedDict[Topology, List[Tuple[List[int], Tuple[int, ...]]]]"
     groups = OrderedDict()
     for members, spectrum in replay_classes(specs, base_config):
-        first = specs[members[0]]
-        topology = (first.dataset, first.max_vertices, first.seed)
-        groups.setdefault(topology, []).append((members, spectrum))
+        groups.setdefault(spec_topology(specs[members[0]]), []).append(
+            (members, spectrum)
+        )
 
     def task(
         topology: Topology, classes: List[Tuple[List[int], Tuple[int, ...]]]
@@ -234,7 +241,8 @@ class Session:
             reordered/transposed graphs).  Entries depend only on
             (topology, tiling plan, engine partition) — never on timing
             knobs — so a sweep over N accelerators x M cache sizes builds
-            each trace once instead of N x M times.
+            each trace once instead of N x M times.  In a sweep, entries
+            live for one topology task (:meth:`enter_topology`).
         max_cached_measurements: LRU capacity of the measured-sparsity cache
             (trained :class:`~repro.gcn.model.DeepGCN` models plus their
             harvested non-zero masks); each entry covers every
@@ -254,6 +262,9 @@ class Session:
         self.base_config = config
         self.max_cached_datasets = max_cached_datasets
         self._traces = TraceCache(max_entries=max_cached_traces)
+        # Topology of the sweep task the trace cache is scoped to, see
+        # enter_topology().
+        self._topology: Optional[Topology] = None
         # Measured-sparsity harvests (trained DeepGCN + non-zero masks) are
         # memoized per (topology fingerprint, depth, hidden width, residual,
         # epochs, calibration, seed) — see MeasuredSparsityProvider.measure —
@@ -392,6 +403,21 @@ class Session:
     def trace_cache(self) -> TraceCache:
         """The session's cross-run trace/replay-structure memo."""
         return self._traces
+
+    def enter_topology(self, topology: Topology) -> None:
+        """Scope the trace cache to the sweep task about to run.
+
+        Every trace-cache key carries its graph's fingerprint, so no entry
+        built on one topology is ever hit by a run on another.  A sweep runs
+        one topology task at a time, so when the next task's topology
+        differs from the last one's the cache holds only dead entries, and
+        they are dropped here (counted as evictions).  Library calls
+        (:meth:`run`, :meth:`run_many`, :meth:`compare`) never call this and
+        keep caching across topologies.
+        """
+        if topology != self._topology:
+            self._traces.clear()
+            self._topology = topology
 
     @property
     def measurement_cache(self) -> MeasuredSparsityCache:
@@ -758,6 +784,7 @@ __all__ = [
     "replay_class_key",
     "replay_classes",
     "reset_default_session",
+    "spec_topology",
     "topology_cost",
     "topology_tasks",
 ]

@@ -52,7 +52,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.results import SimulationResult
-from repro.core.session import Session, TopologyTask, default_session, topology_tasks
+from repro.core.session import (
+    Session,
+    TopologyTask,
+    default_session,
+    spec_topology,
+    topology_tasks,
+)
 from repro.errors import ConfigurationError, RunTimeoutError
 from repro.experiments.spec import Scenario
 from repro.experiments.store import ResultStore
@@ -236,7 +242,9 @@ def _worker_execute_group(
     replay class of one topology as a single task pins it to one worker
     session, so the dataset, traces, replay engines, and spectrum-seeded
     replay memo are built once instead of once per worker the classes
-    happened to land on.  Each scenario still produces its own
+    happened to land on.  The worker session keeps trace-cache entries
+    for one topology at a time (:meth:`Session.enter_topology`).  Each
+    scenario still produces its own
     :func:`_execute_payload` dictionary (telemetry deltas, retries, and
     errors stay per-scenario).
     """
@@ -262,11 +270,13 @@ def _worker_execute_group(
             }
             results.append((index, payload))
             continue
+        session = _worker_session()
+        session.enter_topology(spec_topology(scenario))
         results.append(
             (
                 index,
                 _execute_payload(
-                    _worker_session(),
+                    session,
                     scenario,
                     profile,
                     policy,
@@ -520,7 +530,9 @@ class SweepRunner:
     the whole task on one pool worker — so the dataset and the
     trace/schedule/replay structures build once per topology, and each
     capacity-sweep replay class answers its spectrum in a single replay
-    evaluation.  Results, checkpointing, and per-scenario
+    evaluation.  The session drops a topology's traces and engines when
+    the next task's topology differs, so replay memory is held for one
+    topology at a time.  Results, checkpointing, and per-scenario
     telemetry do not depend on the tasks; only the execution order does.
     """
 
@@ -775,6 +787,7 @@ class SweepRunner:
         token = arm_faults(self.faults) if self.faults is not None else None
         try:
             for task in tasks:
+                session.enter_topology(task.topology)
                 for index, spectrum in task.members:
                     payload = _execute_payload(
                         session,

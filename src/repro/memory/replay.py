@@ -31,13 +31,15 @@ in-window occurrence of each distinct row).  The tree's permutations and
 query positions depend only on the *trace*, not on the sizes, so the
 structure is built once per trace (:class:`ReplayEngine`) — top down, one
 stable left/right split per level starting from the repeat accesses in
-previous-occurrence order, with the query entries grouped by a counting
-sort, so no composite-key sort or search is needed — and each
-evaluation — per feature pass, per layer, per capacity, per pinned set — is
-a handful of gathers and cumulative sums.  :class:`TraceCache` memoizes the
-engines (and the traces they replay) across runs; a sweep over N
-accelerators x M cache sizes builds each trace structure once instead of
-N x M times.
+previous-occurrence order, with the query entries kept in that level
+order, so no composite-key sort, search or grouping pass is needed — and
+each evaluation — per feature pass, per layer, per capacity, per pinned
+set — is a handful of gathers from the per-row weight table, cumulative
+sums and one ``np.bincount``.  Those sums run in float64, exact while
+``levels x total lines < 2**53`` (checked; :class:`ConfigurationError`
+above it).  :class:`TraceCache` memoizes the engines (and the traces they
+replay) across runs; a sweep over N accelerators x M cache sizes builds
+each trace structure once instead of N x M times.
 """
 
 from __future__ import annotations
@@ -54,9 +56,16 @@ from repro.memory.rowcache import RowCacheStats
 from repro.telemetry.spans import span
 
 #: Index dtype of the precomputed tree structure.  Traces are bounded far
-#: below 2**31 accesses (they are per-pass edge counts), so 32-bit indices
-#: halve the structure's footprint.
+#: below 2**31 accesses (they are per-pass edge counts) and row ids are
+#: vertex ids, so 32-bit indices halve the structure's footprint.
 _INDEX_DTYPE = np.int32
+_INDEX_MAX = int(np.iinfo(_INDEX_DTYPE).max)
+
+#: Evaluation sums line counts in float64 (the tree prefix sums and the
+#: ``np.bincount`` reduction), which is exact while every partial sum stays
+#: below 2**53.  Each tree level holds every access at most once, so
+#: ``levels x total lines`` bounds them all.
+_EXACT_FLOAT_BOUND = 2**53
 
 
 def _previous_occurrences(trace: np.ndarray) -> np.ndarray:
@@ -92,13 +101,17 @@ class ReplayEngine:
             trace = np.ascontiguousarray(trace, dtype=np.int64)
             if trace.ndim != 1:
                 raise ConfigurationError("trace must be a one-dimensional array")
+            if trace.size and not 0 <= int(trace.min()) <= int(trace.max()) <= _INDEX_MAX:
+                raise ConfigurationError(
+                    f"trace row ids must lie in [0, {_INDEX_MAX}]"
+                )
             self.trace = trace
             prev = _previous_occurrences(trace)
             # Eval-loop constants: clipped previous-occurrence index (+1, for
             # the exclusive prefix-sum lookup) and the repeat-access mask.
             self._prev_plus1 = (np.where(prev >= 0, prev, 0) + 1).astype(_INDEX_DTYPE)
             self._seen_before = prev >= 0
-            self._build_structure(trace.size, prev)
+            self._build_structure(trace, prev)
         # Result memo keyed by (size-table digest, capacity, pinned-set
         # digest).  Dense-style formats feed the same constant table for
         # every layer and pass of a run, so most evaluations of an engine
@@ -118,7 +131,7 @@ class ReplayEngine:
     # ------------------------------------------------------------------ #
     # Structure construction (trace-only, size-independent)
     # ------------------------------------------------------------------ #
-    def _build_structure(self, n: int, prev: np.ndarray) -> None:
+    def _build_structure(self, trace: np.ndarray, prev: np.ndarray) -> None:
         """Flattened mergesort tree for the windowed distinct-footprint sums.
 
         Every (contributor ``j``, query ``i``) pair with ``j < i`` is
@@ -140,51 +153,58 @@ class ReplayEngine:
         left elements before it, ``hi`` = left elements through the end of
         its block; the query is live iff ``hi > lo``), and the stable
         left/right split of each block, which is the next level's ordering.
-        The per-level query entries are then grouped by position with a
-        counting sort, each group filled from its end so that a query's
-        entries run from level 1 up.
 
-        All levels are concatenated into one workspace so that an
+        The levels are concatenated root first into one workspace, so an
         evaluation is a handful of large array operations rather than a few
-        small ones per level: one gather of the weights through
-        ``_gather``, one cumulative sum (prefix sums taken strictly inside
-        one segment, so concatenation never leaks across blocks), one
-        suffix-sum lookup per query via ``_lo``/``_hi``, and one exact
-        integer segment reduction (``np.add.reduceat``) that folds the
-        per-level contributions of each query together (``_reduce_starts``
-        / ``_query_rows``).  Everything here depends only on the trace,
-        never on the size tables.
+        small ones per level:
+
+        * ``_segment`` — the contributors' *row ids* (``int32``), so an
+          evaluation gathers their weights straight from the per-row weight
+          table;
+        * ``_qpos`` / ``_lo`` — one entry per live query in the build's
+          level order: its trace position and the start of its suffix;
+        * ``_run_hi`` / ``_run_length`` — the queries of one (level, block)
+          are consecutive entries sharing one suffix end, stored once per
+          run.
+
+        An evaluation takes one cumulative sum over the gathered segment
+        (prefix sums are taken strictly inside one block's run, so
+        concatenation never leaks across blocks), one suffix sum per entry
+        and one ``np.bincount`` over ``_qpos`` that folds the per-level
+        contributions of each query together.  Everything here depends only
+        on the trace, never on the size tables.
         """
+        n = trace.size
         repeats = np.flatnonzero(prev >= 0)
-        if n < 2 or not repeats.size:
-            self._gather = np.zeros(0, dtype=_INDEX_DTYPE)
-            self._reduce_starts = np.zeros(0, dtype=_INDEX_DTYPE)
-            self._query_rows = np.zeros(0, dtype=_INDEX_DTYPE)
-            self._lo = np.zeros(0, dtype=_INDEX_DTYPE)
-            self._hi = np.zeros(0, dtype=_INDEX_DTYPE)
+        self._levels = max(1, int(np.ceil(np.log2(max(n, 1)))))
+        if not repeats.size:
+            for name in ("_segment", "_qpos", "_lo", "_run_hi", "_run_length"):
+                setattr(self, name, np.zeros(0, dtype=_INDEX_DTYPE))
             return
 
-        num_levels = max(1, int(np.ceil(np.log2(n))))
         by_prev = np.full(n, -1, dtype=_INDEX_DTYPE)
         by_prev[prev[repeats]] = repeats
         order = by_prev[by_prev >= 0]
         del by_prev, repeats
+        rows = trace.astype(_INDEX_DTYPE)
         m = order.size
         ramp = np.arange(m, dtype=_INDEX_DTYPE)
         left_before = np.zeros(m + 1, dtype=_INDEX_DTYPE)
 
         segments: List[np.ndarray] = []
-        level_queries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        query_counts = np.zeros(n, dtype=_INDEX_DTYPE)
+        queries: List[np.ndarray] = []
+        starts: List[np.ndarray] = []
+        run_ends: List[np.ndarray] = []
+        run_lengths: List[np.ndarray] = []
         offset = 0
-        for level in range(num_levels, 0, -1):
+        for level in range(self._levels, 0, -1):
             # Level l has blocks pos >> l; bit l-1 picks the half.
             is_left = ((order >> (level - 1)) & 1) == 0
             np.cumsum(is_left, dtype=_INDEX_DTYPE, out=left_before[1:])
             block_sizes = np.bincount(order >> level)
             block_end = np.cumsum(block_sizes)
             contributors = order[is_left]
-            segments.append(contributors)
+            segments.append(rows[contributors])
 
             # Right elements are the level's queries.  The k-th one, at
             # ordering index right[k], has right[k] - k left elements before
@@ -192,12 +212,18 @@ class ReplayEngine:
             # (hi).
             right = np.flatnonzero(~is_left)
             right_pos = order[right]
-            hi = left_before[block_end][right_pos >> level]
+            block_hi = left_before[block_end]
+            hi = block_hi[right_pos >> level]
             lo = (right - ramp[: right.size]).astype(_INDEX_DTYPE)
             live = hi > lo
             q_pos = right_pos[live]
-            query_counts[q_pos] += 1
-            level_queries.append((q_pos, lo[live] + offset, hi[live] + offset))
+            queries.append(q_pos)
+            starts.append(lo[live] + offset)
+            # Live queries come in block order: one run per block with any.
+            per_block = np.bincount(q_pos >> level, minlength=block_hi.size)
+            has_run = per_block > 0
+            run_ends.append(block_hi[has_run] + offset)
+            run_lengths.append(per_block[has_run].astype(_INDEX_DTYPE))
             offset += int(left_before[m])
 
             if level > 1:
@@ -215,32 +241,28 @@ class ReplayEngine:
                 split[hi + ramp[: right.size]] = right_pos
                 order = split
 
-        # Counting sort of the query entries by position.  Levels arrive
-        # root first and each position is a query at most once per level,
-        # so filling every group from its end leaves level 1 first.
-        cursor = np.cumsum(query_counts, dtype=_INDEX_DTYPE)
-        total = int(cursor[-1])
-        lo_grouped = np.empty(total, dtype=_INDEX_DTYPE)
-        hi_grouped = np.empty(total, dtype=_INDEX_DTYPE)
-        for q_pos, lo, hi in level_queries:
-            slots = cursor[q_pos] - 1
-            cursor[q_pos] = slots
-            lo_grouped[slots] = lo
-            hi_grouped[slots] = hi
-        has_query = query_counts > 0
-        self._gather = np.concatenate(segments)
-        self._reduce_starts = cursor[has_query]
-        self._query_rows = np.flatnonzero(has_query).astype(_INDEX_DTYPE)
-        self._lo = lo_grouped
-        self._hi = hi_grouped
+        del rows, order
+        self._segment = np.concatenate(segments)
+        del segments
+        self._qpos = np.concatenate(queries)
+        del queries
+        self._lo = np.concatenate(starts)
+        del starts
+        self._run_hi = np.concatenate(run_ends)
+        self._run_length = np.concatenate(run_lengths)
 
     def structure_bytes(self) -> int:
-        """Memory footprint of every array the engine holds."""
+        """Memory footprint of the arrays the engine owns.
+
+        The trace itself is borrowed — it is the caller's array, which the
+        session's trace cache holds as its own entry — so it is not counted
+        here and the cache's bytes gauge counts each buffer once.
+        """
         return int(
             sum(
                 value.nbytes
-                for value in vars(self).values()
-                if isinstance(value, np.ndarray)
+                for name, value in vars(self).items()
+                if isinstance(value, np.ndarray) and name != "trace"
             )
         )
 
@@ -297,10 +319,11 @@ class ReplayEngine:
         ]
         tokens = [self._table_token(table) for table in tables]
         pinned_token: Optional[str] = None
-        pinned_mask: Optional[np.ndarray] = None
         if pinned is not None and len(pinned):
             pinned = np.ascontiguousarray(pinned, dtype=np.int64)
             pinned_token = self._table_token(pinned)
+        else:
+            pinned = None
         unique_caps = list(dict.fromkeys(caps))
 
         # Resolve per distinct table *content*: equal-content tables
@@ -322,11 +345,9 @@ class ReplayEngine:
                     results[capacity] = cached
             if len(results) == len(unique_caps):
                 continue
-            if pinned_token is not None and pinned_mask is None:
-                pinned_mask = np.isin(self.trace, pinned)
             with span("replay_evaluate"):
                 computed = self._evaluate_spectrum(
-                    table, sorted(set(unique_caps) - set(results)), pinned_mask
+                    table, sorted(set(unique_caps) - set(results)), pinned
                 )
             for capacity, stats in computed.items():
                 self.memo_misses += 1
@@ -369,46 +390,61 @@ class ReplayEngine:
             "entries": len(self._memo),
         }
 
-    def _footprint(self, sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Distinct in-window footprint per access for one weight vector.
+    def _footprint(self, sizes: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
+        """Distinct in-window footprint per access for one weight table.
 
-        Depends on the capacity only through ``weights`` (the streaming
-        threshold ``sizes <= cap``), so every capacity with the same weight
-        vector shares one call.
+        ``row_weights`` is the per-row ``float64`` weight table (a row's
+        size, or 0 if it streams or is pinned).  It depends on the capacity
+        only through the streaming threshold ``sizes <= cap``, so every
+        capacity with the same weight table shares one call.  The sums are
+        exact under the bound :meth:`_evaluate_spectrum` checks.
         """
         n = self.trace.size
-        cumulative = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(weights, out=cumulative[1:])
+        # Every index is in range (the caller's ``table[trace]`` checked it),
+        # and mode="clip" lets np.take write straight into ``out`` where the
+        # default mode would buffer a copy.
+        cumulative = np.empty(n + 1, dtype=np.float64)
+        cumulative[0] = 0.0
+        np.take(row_weights, self.trace, out=cumulative[1:], mode="clip")
+        np.cumsum(cumulative[1:], out=cumulative[1:])
         # footprint = (interval sum) - duplicates = distinct in-window sizes
         footprint = cumulative[:-1] - cumulative[self._prev_plus1]
         footprint += sizes
+        del cumulative
 
-        # Duplicate-occurrence sums via the flattened tree: one gather, one
-        # cumulative sum, one suffix-sum lookup, one exact segment reduction.
-        if self._gather.size:
-            permuted = weights[self._gather]
-            tree_cumulative = np.zeros(permuted.size + 1, dtype=np.int64)
-            np.cumsum(permuted, out=tree_cumulative[1:])
-            contributions = tree_cumulative[self._hi]
-            contributions -= tree_cumulative[self._lo]
-            footprint[self._query_rows] -= np.add.reduceat(
-                contributions, self._reduce_starts
-            )
+        # Duplicate-occurrence sums via the flattened tree: the segment's
+        # weights gathered into its prefix-sum buffer and summed in place,
+        # one suffix sum per query entry, one reduction per position.
+        if self._segment.size:
+            tree = np.empty(self._segment.size + 1, dtype=np.float64)
+            tree[0] = 0.0
+            np.take(row_weights, self._segment, out=tree[1:], mode="clip")
+            np.cumsum(tree[1:], out=tree[1:])
+            contributions = np.repeat(tree[self._run_hi], self._run_length)
+            contributions -= tree[self._lo]
+            del tree
+            footprint -= np.bincount(self._qpos, contributions, minlength=n)
         return footprint
 
     def _evaluate_spectrum(
-        self, table: np.ndarray, caps: List[int], pinned_mask: Optional[np.ndarray]
+        self, table: np.ndarray, caps: List[int], pinned: Optional[np.ndarray]
     ) -> Dict[int, RowCacheStats]:
-        """Evaluate distinct capacities grouped by shared weight vector.
+        """Evaluate distinct capacities grouped by shared weight table.
 
         The capacity enters only through the streaming threshold
         (``sizes <= cap``) and the final ``footprint <= cap`` compare.  Two
-        capacities produce identical weight vectors iff no access size lies
-        strictly between them, so the capacities are grouped by
-        ``searchsorted`` over the unique access sizes: one footprint
-        computation per group, then one cheap hit test per capacity.  In the
-        common case — every row fits in every queried capacity — that is a
-        single group for the whole vector.
+        capacities produce identical weight tables iff no accessed row's
+        size lies strictly between them, so several capacities are grouped
+        by ``searchsorted`` over the distinct sizes of the rows present in
+        the trace: one footprint computation per group, then one cheap hit
+        test per capacity.  In the common case — every row fits in every
+        queried capacity — that is a single group for the whole vector.
+
+        Pinned rows get weight 0 in the row table and a forced hit.
+
+        Raises:
+            ConfigurationError: If ``levels x total lines`` reaches 2**53,
+                past which the float64 sums could round.
         """
         n = self.trace.size
         if n == 0:
@@ -416,21 +452,37 @@ class ReplayEngine:
 
         sizes = table[self.trace]  # true per-access sizes
         total_lines = int(sizes.sum())
-        unique_sizes = np.unique(sizes)
+        if self._levels * total_lines >= _EXACT_FLOAT_BOUND:
+            raise ConfigurationError(
+                f"replay of {total_lines} lines over {self._levels} tree levels "
+                "exceeds the exact float64 range (levels x lines < 2**53)"
+            )
+        pinned_hit: Optional[np.ndarray] = None
+        if pinned is not None:
+            pinned = pinned[(pinned >= 0) & (pinned < table.size)]
+            is_pinned = np.zeros(table.size, dtype=bool)
+            is_pinned[pinned] = True
+            pinned_hit = is_pinned[self.trace]
         caps_arr = np.asarray(caps, dtype=np.int64)
-        group_of = np.searchsorted(unique_sizes, caps_arr, side="right")
+        group_of = np.zeros(caps_arr.size, dtype=np.int64)
+        if caps_arr.size > 1:
+            # First occurrences list every row present exactly once.
+            present_sizes = np.unique(sizes[~self._seen_before])
+            group_of = np.searchsorted(present_sizes, caps_arr, side="right")
         out: Dict[int, RowCacheStats] = {}
         for group in np.unique(group_of):
             group_caps = caps_arr[group_of == group]
-            weights = np.where(sizes <= int(group_caps[0]), sizes, 0)
-            if pinned_mask is not None:
-                weights[pinned_mask] = 0
-            footprint = self._footprint(sizes, weights)
+            row_weights = np.where(table <= int(group_caps[0]), table, 0).astype(
+                np.float64
+            )
+            if pinned is not None:
+                row_weights[pinned] = 0.0
+            footprint = self._footprint(sizes, row_weights)
             for capacity in group_caps.tolist():
                 hit = footprint <= capacity
                 hit &= self._seen_before
-                if pinned_mask is not None:
-                    hit |= pinned_mask
+                if pinned_hit is not None:
+                    hit |= pinned_hit
                 hits = int(np.count_nonzero(hit))
                 hit_lines = int(sizes.sum(where=hit, initial=0))
                 out[capacity] = RowCacheStats(
@@ -477,7 +529,11 @@ class TraceCache:
     accelerator's *timing* knobs — so a sweep over N accelerator
     configurations x M cache sizes rebuilds each entry once instead of
     N x M times.  :class:`repro.core.session.Session` owns one instance and
-    threads it through every run.
+    threads it through every run.  Every key carries its graph's
+    fingerprint, so no entry is shared across topologies; a sweep therefore
+    keeps entries for one topology task only and clears the cache when the
+    next task's topology differs
+    (:meth:`repro.core.session.Session.enter_topology`).
 
     Besides the hit/miss counters the cache tracks evictions and an
     approximate resident-bytes gauge (:func:`_entry_bytes` per entry), all

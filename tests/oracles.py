@@ -173,10 +173,10 @@ def replay_structure_reference(trace: np.ndarray) -> Dict[str, np.ndarray]:
     """Composite-key reference of ``ReplayEngine._build_structure``.
 
     Materializes the ``levels x n`` contributor/query side matrix, sorts
-    every contributor by one ``(heap node, prev)`` composite key, locates
-    each live query with ``searchsorted`` and groups the query entries by
-    position with a stable ``argsort``.  Returns the five structure arrays
-    keyed by the engine's attribute names.
+    every contributor and every query by one ``(heap node, prev)``
+    composite key, locates each live query with ``searchsorted`` and cuts
+    the query entries into one run per heap node.  Returns the five
+    structure arrays keyed by the engine's attribute names.
     """
     trace = np.asarray(trace, dtype=np.int64)
     n = trace.size
@@ -185,13 +185,13 @@ def replay_structure_reference(trace: np.ndarray) -> Dict[str, np.ndarray]:
     for position, row in enumerate(trace.tolist()):
         prev[position] = last_seen.get(row, -1)
         last_seen[row] = position
-    names = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi")
+    names = ("_segment", "_qpos", "_lo", "_run_hi", "_run_length")
     if n < 2 or not np.any(prev >= 0):
         return {name: np.zeros(0, dtype=np.int32) for name in names}
 
     # Position j is a contributor at level l (half-width 2**(l-1)) iff bit
     # l-1 of j is 0, a query iff it is 1; (level, block) pairs are numbered
-    # like heap nodes so the whole tree flattens into one sort.
+    # like heap nodes (root first) so the whole tree flattens into one sort.
     num_levels = max(1, int(np.ceil(np.log2(n))))
     levels = np.arange(1, num_levels + 1, dtype=np.int64)
     positions = np.arange(n, dtype=np.int64)
@@ -209,34 +209,34 @@ def replay_structure_reference(trace: np.ndarray) -> Dict[str, np.ndarray]:
     key_span = np.int64(n) + 2
     key = node_of * key_span + (prev[pos_of] + 1)
     order = np.argsort(key, kind="stable")
-    gather = pos_of[order]
+    contributors = pos_of[order]
     sorted_key = key[order]
     node_sorted = node_of[order]
 
     # A query is live iff some contributor of its node has a larger prev.
     node_max_prev = np.full(node_space, -2, dtype=np.int64)
-    node_max_prev[node_sorted] = prev[gather]
+    node_max_prev[node_sorted] = prev[contributors]
     live = prev[q_pos] < node_max_prev[q_node]
     q_pos, q_node = q_pos[live], q_node[live]
+    q_key = q_node * key_span + (prev[q_pos] + 1)
+    by_key = np.argsort(q_key, kind="stable")
+    q_pos, q_node, q_key = q_pos[by_key], q_node[by_key], q_key[by_key]
 
-    lo = np.searchsorted(
-        sorted_key, q_node * key_span + (prev[q_pos] + 1), side="right"
-    )
+    lo = np.searchsorted(sorted_key, q_key, side="right")
     max_node = int(node_sorted[-1]) if node_sorted.size else 0
     segment_ends = np.cumsum(np.bincount(node_sorted, minlength=max_node + 2))
     hi = segment_ends[np.minimum(q_node, max_node + 1)]
 
-    grouping = np.argsort(q_pos, kind="stable")
-    grouped = q_pos[grouping]
-    is_start = np.ones(grouped.size, dtype=bool)
-    if grouped.size:
-        is_start[1:] = grouped[1:] != grouped[:-1]
+    is_start = np.ones(q_node.size, dtype=bool)
+    if q_node.size:
+        is_start[1:] = q_node[1:] != q_node[:-1]
+    run_starts = np.flatnonzero(is_start)
     arrays = (
-        gather,
-        np.flatnonzero(is_start),
-        grouped[is_start],
-        lo[grouping],
-        hi[grouping],
+        trace[contributors],
+        q_pos,
+        lo,
+        hi[run_starts],
+        np.diff(np.append(run_starts, q_node.size)),
     )
     return {name: array.astype(np.int32) for name, array in zip(names, arrays)}
 

@@ -51,6 +51,24 @@ class TestReplayEquivalence:
         assert stats.hit_lines == 6
         assert stats.miss_lines == 6
 
+    def test_float64_sums_are_bounded_exactly(self):
+        # Four accesses build a two-level tree, so the float64 sums are exact
+        # while 2 x total lines < 2**53; at the bound the engine refuses
+        # rather than returning rounded stats.
+        trace = np.asarray([0, 1, 0, 1], dtype=np.int64)
+        below = np.full(2, 2**50 - 1, dtype=np.int64)
+        capacity = 2**51
+        got = replay_trace(trace, below, capacity)
+        assert stats_tuple(got) == stats_tuple(reference_stats(trace, below, capacity))
+        assert got.hits == 2
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            replay_trace(trace, np.full(2, 2**50, dtype=np.int64), capacity)
+
+    def test_row_ids_must_fit_the_int32_segment(self):
+        for trace in ([0, -1, 0], [0, 2**31, 0]):
+            with pytest.raises(ConfigurationError, match="row ids"):
+                ReplayEngine(np.asarray(trace, dtype=np.int64))
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             replay_trace(np.asarray([0]), np.asarray([1]), 0)
@@ -196,7 +214,7 @@ def _boundary_traces(rng):
 class TestStructureConstruction:
     """The top-down tree build against the composite-key reference."""
 
-    STRUCTURE = ("_gather", "_reduce_starts", "_query_rows", "_lo", "_hi")
+    STRUCTURE = ("_segment", "_qpos", "_lo", "_run_hi", "_run_length")
 
     def assert_same_structure(self, trace):
         engine = ReplayEngine(trace)
@@ -229,12 +247,22 @@ class TestStructureConstruction:
                 assert stats_tuple(stats) == stats_tuple(want), (trace.size, capacity)
 
     def test_structure_bytes_counts_every_array(self):
+        # Every array the engine owns, and not the trace it borrows: the
+        # trace cache holds that array as an entry of its own, so the cache's
+        # bytes gauge counts each buffer once.
         trace = np.random.default_rng(4).integers(0, 30, size=700).astype(np.int64)
         engine = ReplayEngine(trace)
-        arrays = [
-            value for value in vars(engine).values() if isinstance(value, np.ndarray)
+        assert engine.trace is trace
+        owned = [
+            value
+            for name, value in vars(engine).items()
+            if isinstance(value, np.ndarray) and name != "trace"
         ]
-        assert engine.structure_bytes() == sum(array.nbytes for array in arrays)
+        assert engine.structure_bytes() == sum(array.nbytes for array in owned)
+        cache = TraceCache()
+        cache.get(("trace",), lambda: trace)
+        cache.get(("engine",), lambda: engine)
+        assert cache.stats()["bytes"] == trace.nbytes + engine.structure_bytes()
         assert not hasattr(engine, "prev")
         assert engine._prev_plus1.dtype == np.int32
 

@@ -102,6 +102,76 @@ def test_pool_loads_and_builds_once_per_topology():
     assert orders == [["cora", "citeseer", "pubmed"], ["pubmed", "cora", "citeseer"]]
 
 
+def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
+    """Serial and pooled sweeps hold one topology's traces at a time.
+
+    Every trace-cache lookup is logged with the topology its session is
+    scoped to, whether it hit, and the topology the key was first built
+    under (in that process).  No key is built twice in a serial sweep, no
+    key built under one topology is hit under another, the cache is empty
+    whenever a session moves to a new topology, and the summaries are
+    byte-identical.
+    """
+    import json
+    import os
+
+    from repro.core.session import Session
+    from repro.experiments.scenarios import get_pack
+    from repro.experiments.store import export_summary_csv, summary_row
+    from repro.memory.replay import TraceCache
+
+    log = tmp_path / "trace-cache.jsonl"
+    scoped: dict = {}  # id(trace cache) -> topology; copied into forked workers
+    built: dict = {}  # key -> topology it was first built under
+
+    def write(*record) -> None:
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps([os.getpid(), *record]) + "\n")
+
+    def enter_topology(self, topology):
+        moved = scoped.get(id(self.trace_cache)) != list(topology)
+        enter(self, topology)
+        scoped[id(self.trace_cache)] = list(topology)
+        write("enter", moved, len(self.trace_cache))
+
+    def get(self, key, builder):
+        topology = scoped.get(id(self))
+        hit = key in self
+        write("get", topology, hit, built.get(key, topology) if hit else None,
+              not hit and key in built)
+        built.setdefault(key, topology)
+        return lookup(self, key, builder)
+
+    enter, lookup = Session.enter_topology, TraceCache.get
+    monkeypatch.setattr(Session, "enter_topology", enter_topology)
+    monkeypatch.setattr(TraceCache, "get", get)
+
+    scenarios = get_pack("paper-comparison", max_vertices=64).expand()
+    summaries = []
+    for workers in (1, 2):
+        log.unlink(missing_ok=True)
+        scoped.clear()
+        built.clear()
+        report = SweepRunner(workers=workers, mp_context="fork").run(scenarios)
+        assert report.num_failed == 0
+        rows = [summary_row(o.scenario, o.result) for o in report.outcomes]
+        summaries.append(export_summary_csv(tmp_path / f"{workers}.csv", rows).read_bytes())
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        gets = [record[2:] for record in records if record[1] == "get"]
+        assert all(topology is not None for topology, *_ in gets)
+        assert len({tuple(topology) for topology, *_ in gets}) >= 3
+        assert any(hit for _, hit, _, _ in gets)
+        # A hit's key was built under the topology that hits it.
+        assert all(owner == topology for topology, hit, owner, _ in gets if hit)
+        enters = [record[2:] for record in records if record[1] == "enter"]
+        assert all(count == 0 for moved, count in enters if moved)
+        if workers == 1:
+            assert not any(rebuilt for *_, rebuilt in gets)
+        else:
+            assert len({record[0] for record in records}) == 2
+    assert summaries[0] == summaries[1]
+
+
 def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
     from repro.core.session import Session
     from repro.experiments import runner
