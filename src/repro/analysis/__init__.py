@@ -1,9 +1,11 @@
 """Static-analysis gate: the repo's invariants, enforced mechanically.
 
-Six PRs of conventions — seeded RNG everywhere, sorted iteration in identity
-paths, identity-neutral telemetry, a single CLI print funnel, setter-only
-module globals, a closed worker wire protocol — are promoted here from
-review lore to lint rules.  ``repro lint src`` runs the battery and exits
+The repo's conventions — seeded RNG everywhere, sorted iteration in
+identity paths, identity-neutral telemetry, a single CLI print funnel,
+setter-only module globals, un-keyed state kept off memoized paths — are
+promoted here from review lore to lint rules.  (The worker wire protocol
+needs no rule: its payloads are frozen records, see
+:mod:`repro.experiments.runner`.)  ``repro lint src`` runs the battery and exits
 non-zero on findings; CI runs it next to a per-module mypy gate.
 
 Layers:
@@ -11,8 +13,8 @@ Layers:
 * :mod:`repro.analysis.engine` — file loading, per-rule dispatch,
   :class:`Finding` records, ``# repro: noqa[RULE]`` suppression;
 * :mod:`repro.analysis.rules` — the battery (D1/D2 determinism, N1/N2
-  identity-neutrality, W1 worker safety, S1–S3 general safety, C1
-  cross-module contracts, R1 resilience, F3 memo-key purity);
+  identity-neutrality, W1 worker safety, S1–S3 general safety, R1
+  resilience, F3 memo-key purity);
 * :mod:`repro.analysis.flow` — the interprocedural layer under F3: project
   call graph plus each function's ambient (global, environment,
   undeclared ``self``) reads;

@@ -12,7 +12,7 @@ Two rule scopes:
 * :meth:`Rule.check_module` runs once per parsed file — the shape of almost
   every rule (unseeded RNG, stray prints, bare excepts, ...);
 * :meth:`Rule.check_project` runs once over the whole module set, for
-  cross-module contracts (the worker-payload schema check).
+  whole-program rules (F3's call graph).
 
 Suppression: a finding is dropped when a ``# repro: noqa[RULE]`` comment
 naming the rule's id or name (comma separated for several rules) appears in

@@ -366,13 +366,33 @@ class ProjectFlow:
 # --------------------------------------------------------------------------- #
 # Module-level binding classification (F3)
 # --------------------------------------------------------------------------- #
+#: Methods that change a list, dict or set in place.
+_MUTATORS = frozenset(
+    ("add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+     "remove", "reverse", "setdefault", "sort", "update")
+)
+
+
 def _module_bindings(module: LintModule) -> Dict[str, str]:
     """Top-level name -> kind: ``constant``/``logger``/``def``/``other``.
 
     ``other`` is the interesting kind — a module-level binding that is
     neither an UPPER_CASE constant, a logger, a TypeVar/ContextVar, nor a
-    def/class: i.e. plausible mutable module state.
+    def/class: i.e. plausible mutable module state.  An UPPER_CASE name the
+    module rebinds (``global``), stores into, or mutates in place is not a
+    constant either.
     """
+    mutated: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Global):
+            mutated.update(node.names)
+        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+            node.value, ast.Name
+        ):
+            if not isinstance(node.ctx, ast.Load) or (
+                isinstance(node, ast.Attribute) and node.attr in _MUTATORS
+            ):
+                mutated.add(node.value.id)
     table: Dict[str, str] = {}
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -387,13 +407,15 @@ def _module_bindings(module: LintModule) -> Dict[str, str]:
         for target in targets:
             if not isinstance(target, ast.Name):
                 continue
-            table[target.id] = _binding_kind(module, target.id, value)
+            table[target.id] = _binding_kind(module, target.id, value, mutated)
     return table
 
 
-def _binding_kind(module: LintModule, name: str, value: Optional[ast.expr]) -> str:
+def _binding_kind(
+    module: LintModule, name: str, value: Optional[ast.expr], mutated: Set[str]
+) -> str:
     if name == name.upper():
-        return "constant"
+        return "other" if name in mutated else "constant"
     if isinstance(value, ast.Call):
         dotted = module.resolve(value.func)
         if dotted is not None:
@@ -586,14 +608,14 @@ class _FunctionSummarizer(ast.NodeVisitor):
         if dotted is not None and (
             dotted == "os.environ" or dotted.startswith("os.environ.")
         ):
-            self.info.global_reads.append(
-                GlobalRead(
-                    kind="env",
-                    subject="env:os.environ",
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                )
-            )
+            self._record("env", "env:os.environ", node)
+
+    def _record(self, kind: str, subject: str, node: ast.expr) -> None:
+        # ``os.environ.get(...)`` is seen as two attributes and a call, all
+        # at one position: report it once.
+        read = GlobalRead(kind, subject, node.lineno, node.col_offset + 1)
+        if read not in self.info.global_reads:
+            self.info.global_reads.append(read)
 
     def _record_member_access(self, base: ClassKey, node: ast.Attribute) -> None:
         attr = node.attr
@@ -606,16 +628,8 @@ class _FunctionSummarizer(ast.NodeVisitor):
         if attr.startswith("__") and attr.endswith("__"):
             return
         if kind == "unknown" and self._is_self_read(node, base):
-            declared = self.flow.class_declares(base, attr)
-            if declared is False:
-                self.info.global_reads.append(
-                    GlobalRead(
-                        kind="self",
-                        subject=f"{base[1]}.{attr}",
-                        line=node.lineno,
-                        col=node.col_offset + 1,
-                    )
-                )
+            if self.flow.class_declares(base, attr) is False:
+                self._record("self", f"{base[1]}.{attr}", node)
 
     def _is_self_read(self, node: ast.Attribute, base: ClassKey) -> bool:
         return (
@@ -633,7 +647,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
         if isinstance(func, ast.Name):
             dotted = self.module.resolve(func)
             if dotted == "os.getenv":
-                self._record_env(node)
+                self._record("env", "env:os.environ", node)
                 return
             if dotted is not None:
                 self._link_dotted(dotted)
@@ -641,7 +655,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
         if isinstance(func, ast.Attribute):
             resolved = self.module.resolve(func)
             if resolved in ("os.getenv", "os.environ.get"):
-                self._record_env(node)
+                self._record("env", "env:os.environ", node)
                 return
             base = self.expr_class(func.value)
             if base is not None:
@@ -656,16 +670,6 @@ class _FunctionSummarizer(ast.NodeVisitor):
             unique = self.flow.unique_method(func.attr)
             if unique is not None:
                 self.info.calls.add(unique)
-
-    def _record_env(self, node: ast.Call) -> None:
-        self.info.global_reads.append(
-            GlobalRead(
-                kind="env",
-                subject="env:os.getenv",
-                line=node.lineno,
-                col=node.col_offset + 1,
-            )
-        )
 
     def _link_dotted(self, dotted: str) -> bool:
         callee = self._function_for_dotted(dotted)
@@ -695,14 +699,7 @@ class _FunctionSummarizer(ast.NodeVisitor):
             self.flow.module_names[self.module.display_path], {}
         )
         if bindings.get(node.id) == "other" and node.id not in self.module.imports():
-            self.info.global_reads.append(
-                GlobalRead(
-                    kind="global",
-                    subject=f"global:{node.id}",
-                    line=node.lineno,
-                    col=node.col_offset + 1,
-                )
-            )
+            self._record("global", f"global:{node.id}", node)
 
     # ------------------------------------------------------------------ #
     # Scoping

@@ -19,7 +19,9 @@ from repro.analysis.engine import LintReport
 #: rules.
 #: v4: F1 and F2 left the battery (cache keys are records by construction;
 #: see INVARIANTS.md), leaving F3.
-LINT_SCHEMA_VERSION = 4
+#: v5: the worker-payload contract rule left the battery (sweep payloads are
+#: frozen records).
+LINT_SCHEMA_VERSION = 5
 
 #: ``kind`` value of the findings document.
 LINT_DOCUMENT_KIND = "lint-findings"

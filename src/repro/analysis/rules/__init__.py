@@ -1,9 +1,9 @@
 """The rule battery: every invariant the lint gate enforces.
 
 Rules are instantiated once, in a stable order (determinism, neutrality,
-worker safety, general safety, contracts, resilience, memo-key purity);
-``repro lint`` runs all of them unless ``--rule`` narrows the set.  INVARIANTS.md catalogues what each rule
-protects and how to suppress it.
+worker safety, general safety, resilience, memo-key purity); ``repro lint``
+runs all of them unless ``--rule`` narrows the set.  INVARIANTS.md
+catalogues what each rule protects and how to suppress it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.engine import Rule
-from repro.analysis.rules.contracts import WorkerPayloadContractRule
 from repro.analysis.rules.determinism import (
     UnseededRngRule,
     UnsortedIdentityIterationRule,
@@ -40,7 +39,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     MutableDefaultArgRule(),
     BareExceptRule(),
     FrozenSetattrRule(),
-    WorkerPayloadContractRule(),
     AdHocRetryRule(),
     MemoKeyPurityRule(),
 )
@@ -88,6 +86,5 @@ __all__ = [
     "UnseededRngRule",
     "UnsortedIdentityIterationRule",
     "WorkerGlobalWriteRule",
-    "WorkerPayloadContractRule",
     "get_rules",
 ]

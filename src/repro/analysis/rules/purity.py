@@ -1,14 +1,15 @@
 """F3: memo-key purity, checked over the whole program's call graph.
 
-Like C1, the rule arms itself only when its endpoints are inside the linted
-module set — linting a single file never produces whole-program noise.
+The rule arms itself only when its endpoints are inside the linted module
+set — linting a single file never produces whole-program noise.
 
 * **F3 ``memo-key-purity``** — functions feeding a memoized/cached path
   (the five stages plus the ``ReplayEngine``/``TraceCache`` methods) must
-  not read mutable module globals, environment variables, or undeclared
-  ``self`` state: anything outside the blessed setter/registry surfaces
-  either joins a cache key or carries a ``# repro: noqa[F3] reason``
-  comment explaining why it cannot change results.
+  not read mutable module globals (an UPPER_CASE name its module mutates
+  included), environment variables, or undeclared ``self`` state: such a
+  read either joins a cache key or carries a ``# repro: noqa[F3] reason``
+  comment explaining why it cannot change results.  The blessed setters
+  themselves may read the state they set.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ class MemoKeyPurityRule(Rule):
         else:
             what = f"reads mutable module global {read.subject.split(':', 1)[1]!r}"
         return (
-            f"{function} feeds a memoized path but {what}; key it, move it "
-            "behind a blessed setter surface, or suppress it with "
-            "'# repro: noqa[F3] reason'"
+            f"{function} feeds a memoized path but {what}; key it or "
+            "suppress it with '# repro: noqa[F3] reason'"
         )
 
 

@@ -67,10 +67,13 @@ from repro.graphs.datasets import DATASET_SPECS, DEFAULT_NUM_LAYERS, Dataset
 from repro.graphs.datasets import load_dataset as _load_dataset
 from repro.memory.replay import ReplayEngine, TraceCache
 from repro.resilience.policy import active_policy
-from repro.telemetry.metrics import METRICS_SCHEMA_VERSION
+from repro.telemetry.metrics import MetricsSnapshot
 from repro.telemetry.spans import is_enabled, span_snapshot
 
 logger = logging.getLogger(__name__)
+
+#: Counters of the ``replay_memo`` block of :meth:`Session.metrics_snapshot`.
+_REPLAY_MEMO_COUNTERS = ("hits", "misses", "evictions", "entries", "engines")
 
 #: ``progress`` callback signature of :meth:`Session.run_many`:
 #: ``(index, spec, result)``.
@@ -263,8 +266,12 @@ class Session:
         self.max_cached_datasets = max_cached_datasets
         self._traces = TraceCache(max_entries=max_cached_traces)
         # Topology of the sweep task the trace cache is scoped to, see
-        # enter_topology().
+        # enter_topology(), and the replay-memo counters of the engines its
+        # clears dropped.
         self._topology: Optional[Topology] = None
+        self._dropped_replay_memo: Dict[str, int] = dict.fromkeys(
+            _REPLAY_MEMO_COUNTERS, 0
+        )
         # Measured-sparsity harvests (trained DeepGCN + non-zero masks) are
         # memoized per (topology fingerprint, depth, hidden width, residual,
         # epochs, calibration, seed) — see MeasuredSparsityProvider.measure —
@@ -411,11 +418,14 @@ class Session:
         built on one topology is ever hit by a run on another.  A sweep runs
         one topology task at a time, so when the next task's topology
         differs from the last one's the cache holds only dead entries, and
-        they are dropped here (counted as evictions).  Library calls
-        (:meth:`run`, :meth:`run_many`, :meth:`compare`) never call this and
-        keep caching across topologies.
+        they are dropped here (counted as evictions).  The dropped engines'
+        replay-memo counters stay in :meth:`metrics_snapshot`, so a clear
+        moves no counter backwards.  Library calls (:meth:`run`,
+        :meth:`run_many`, :meth:`compare`) never call this and keep caching
+        across topologies.
         """
         if topology != self._topology:
+            self._dropped_replay_memo = self._replay_memo_counters()
             self._traces.clear()
             self._topology = topology
 
@@ -453,7 +463,7 @@ class Session:
     # ------------------------------------------------------------------ #
     # Observability
     # ------------------------------------------------------------------ #
-    def metrics_snapshot(self) -> Dict[str, object]:
+    def metrics_snapshot(self) -> MetricsSnapshot:
         """Current telemetry state of this session (metrics schema v1).
 
         The snapshot combines the process-global span tree (empty unless
@@ -461,19 +471,13 @@ class Session:
         hit/miss/eviction counters of every session cache.  Counters are
         always maintained — they cost one integer increment per lookup — so
         the cache section is meaningful even when spans are off.
+        ``replay_memo`` counts every engine this session built, including
+        those :meth:`enter_topology` dropped.
         """
-        replay_memo = {"hits": 0, "misses": 0, "evictions": 0, "entries": 0,
-                       "engines": 0}
-        for value in self._traces.values():
-            if isinstance(value, ReplayEngine):
-                replay_memo["engines"] += 1
-                for counter, count in value.memo_stats().items():
-                    replay_memo[counter] += count
-        return {
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "telemetry_enabled": is_enabled(),
-            "spans": span_snapshot(),
-            "caches": {
+        return MetricsSnapshot(
+            telemetry_enabled=is_enabled(),
+            spans=span_snapshot(),
+            caches={
                 "trace": self._traces.stats(),
                 "measurement": self._measurements.stats(),
                 "dataset": {
@@ -488,9 +492,18 @@ class Session:
                     "evictions": 0,
                     "entries": len(self._designs),
                 },
-                "replay_memo": replay_memo,
+                "replay_memo": self._replay_memo_counters(),
             },
-        }
+        )
+
+    def _replay_memo_counters(self) -> Dict[str, int]:
+        counters = dict(self._dropped_replay_memo)
+        for value in self._traces.values():
+            if isinstance(value, ReplayEngine):
+                counters["engines"] += 1
+                for counter, count in value.memo_stats().items():
+                    counters[counter] += count
+        return counters
 
     # ------------------------------------------------------------------ #
     # Execution

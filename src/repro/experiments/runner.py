@@ -10,20 +10,21 @@ objects into :class:`RunOutcome` records:
   ``(dataset, max_vertices, seed)``) and run in-process in that order, or on
   a ``multiprocessing`` pool longest predicted task first, with at most one
   ``apply_async`` task per worker in flight; completions wake the parent
-  through a queue.  Scenarios cross the process boundary as plain
-  dictionaries and results come back as ``to_dict()`` payloads, so the
-  parent reconstructs identical :class:`SimulationResult` objects whether a
-  run happened in-process (``workers=1``) or in a worker;
+  through a queue.  Scenarios cross the process boundary as ``to_dict()``
+  documents and each run comes back as a frozen :class:`RunPayload` record;
 * each worker run is wrapped in its own try/except, so one failing scenario
   reports an error outcome instead of killing the sweep.
 
 Serial and pool paths share one executor (:func:`_execute_payload`), so both
-produce byte-identical payload dictionaries: results round-trip through
-``to_dict()``/``from_dict()``, errors ship as structured
-``{type, message, traceback}`` blocks, and — under ``profile=True`` — each
-run carries its own telemetry delta (span tree + cache-counter changes, see
-:mod:`repro.telemetry`).  The parent merges the per-run deltas into the sweep
-aggregate exposed by :meth:`SweepReport.metrics_document`.
+produce equal :class:`RunPayload` records: the result travels as its
+``to_dict()`` document, so the parent reconstructs identical
+:class:`SimulationResult` objects whether a run happened in-process
+(``workers=1``) or in a worker; a failure travels as a :class:`RunError`
+with its traceback; and under ``profile=True`` each run carries its own
+:class:`~repro.telemetry.metrics.TelemetryDelta` (span tree + cache-counter
+changes).  The parent merges the per-run deltas into the sweep aggregate
+exposed by :meth:`SweepReport.metrics_document`; records become dictionaries
+only where ``metrics.json`` and ``checkpoint.json`` are written.
 
 Failure handling is declarative (:mod:`repro.resilience`): an
 :class:`~repro.resilience.policy.ExecutionPolicy` governs per-run retries
@@ -49,7 +50,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.results import SimulationResult
 from repro.core.session import (
@@ -72,6 +73,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.policy import ExecutionPolicy, deadline_scope, policy_scope
 from repro.telemetry.metrics import (
+    TelemetryDelta,
     cache_hit_ratios,
     diff_counters,
     merge_counters,
@@ -83,9 +85,50 @@ logger = logging.getLogger(__name__)
 
 ProgressCallback = Callable[["RunOutcome", int, int], None]
 
+
+@dataclass(frozen=True)
+class RunError:
+    """A failed run's exception, as it crosses the process boundary."""
+
+    type: str
+    message: str
+    traceback: str = ""
+
+    @classmethod
+    def from_exception(cls, exc: BaseException) -> "RunError":
+        return cls(
+            type=type(exc).__name__,
+            message=str(exc),
+            traceback="".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class RunPayload:
+    """What executing one scenario sends back to the sweep (serial or pool).
+
+    Exactly one of ``result`` (the run's ``to_dict()`` document) and
+    ``error`` is set.  ``attempts`` counts the tries under the policy's
+    :class:`~repro.resilience.policy.RetryPolicy`, ``timed_out`` marks a
+    final failure by a blown wall-clock budget, ``degraded`` a run that fell
+    back to synthetic sparsity, and ``telemetry`` is the run's own delta
+    under ``profile=True``.
+    """
+
+    result: Optional[Dict[str, Any]] = None
+    error: Optional[RunError] = None
+    elapsed_s: float = 0.0
+    attempts: int = 1
+    timed_out: bool = False
+    degraded: bool = False
+    telemetry: Optional[TelemetryDelta] = None
+
+
 #: What a pool task delivers: the worker's ``(index, payload)`` list, or the
 #: exception the pool raised in its place.
-_TaskAnswer = Union[List[Tuple[int, Dict[str, object]]], BaseException]
+_TaskAnswer = Union[List[Tuple[int, RunPayload]], BaseException]
 
 #: Longest the parent blocks waiting for a pool completion before it checks
 #: reclamation budgets and worker deaths (seconds).
@@ -128,33 +171,20 @@ def _worker_session() -> Session:
     return _WORKER_SESSION
 
 
-def _error_block(exc: BaseException) -> Dict[str, object]:
-    return {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-    }
-
-
 def _execute_payload(
     session: Session,
     scenario: Scenario,
     profile: bool,
     policy: Optional[ExecutionPolicy] = None,
     capacity_spectrum: Sequence[int] = (),
-) -> Dict[str, object]:
-    """Run one scenario and build the wire payload (serial and pool path).
+) -> RunPayload:
+    """Run one scenario and build its :class:`RunPayload` (serial and pool path).
 
-    Success payloads carry the result as a ``to_dict()`` document; failures
-    carry a structured ``{"type", "message", "traceback"}`` error block.
-    Every payload reports ``attempts`` (total tries under the policy's
-    :class:`~repro.resilience.policy.RetryPolicy`), ``timed_out`` (the final
-    failure was a blown wall-clock budget), and ``degraded`` (the run fell
-    back to synthetic sparsity).  Under ``profile=True`` the payload
-    additionally ships a ``telemetry`` delta: the span tree recorded during
-    this run plus the change in the session's cache counters — both
+    The session first scopes its trace cache to the scenario's topology
+    (:meth:`Session.enter_topology`), inside the telemetry window, so a
+    profiled run counts the entries that scoping drops.  Under
+    ``profile=True`` the payload's telemetry delta (the span tree recorded
+    during this run plus the change in the session's cache counters) is
     attributable to exactly this scenario, so the parent can merge worker
     telemetry without double counting.
 
@@ -165,7 +195,8 @@ def _execute_payload(
     if policy is None:
         policy = ExecutionPolicy()
     retry = policy.retry
-    before = session.metrics_snapshot()["caches"] if profile else None
+    before = session.metrics_snapshot() if profile else None
+    session.enter_topology(spec_topology(scenario))
     previous_enabled: Optional[bool] = None
     if profile:
         previous_enabled = set_enabled(True)
@@ -174,6 +205,9 @@ def _execute_payload(
     attempts = 0
     timed_out = False
     degraded = False
+    document: Optional[Dict[str, Any]] = None
+    error: Optional[RunError] = None
+    telemetry: Optional[TelemetryDelta] = None
     try:
         with policy_scope(policy):
             while True:
@@ -199,30 +233,30 @@ def _execute_payload(
                         retry.sleep_before(attempts, scenario.scenario_id)
                     else:
                         timed_out = isinstance(exc, RunTimeoutError)
-                        payload = {"ok": False, "error": _error_block(exc)}
+                        error = RunError.from_exception(exc)
                         break
                 else:
                     degraded = bool(result.metadata.get("degraded", False))
-                    payload = {"ok": True, "result": result.to_dict()}
+                    document = result.to_dict()
                     break
     finally:
-        payload_elapsed = time.perf_counter() - started  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
-        if profile:
-            telemetry = {
-                "spans": span_snapshot(),
-                "caches": diff_counters(
-                    before, session.metrics_snapshot()["caches"]
-                ),
-            }
+        elapsed = time.perf_counter() - started  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
+        if before is not None:
+            telemetry = TelemetryDelta(
+                spans=span_snapshot(),
+                caches=diff_counters(before.caches, session.metrics_snapshot().caches),
+            )
             reset_spans()
             set_enabled(previous_enabled)
-    payload["elapsed_s"] = payload_elapsed
-    payload["attempts"] = attempts
-    payload["timed_out"] = timed_out
-    payload["degraded"] = degraded
-    if profile:
-        payload["telemetry"] = telemetry
-    return payload
+    return RunPayload(
+        result=document,
+        error=error,
+        elapsed_s=elapsed,
+        attempts=attempts,
+        timed_out=timed_out,
+        degraded=degraded,
+        telemetry=telemetry,
+    )
 
 
 def _worker_execute_group(
@@ -234,7 +268,7 @@ def _worker_execute_group(
         Optional[Dict[str, object]],
         List[List[int]],
     ]
-) -> List[Tuple[int, Dict[str, object]]]:
+) -> List[Tuple[int, RunPayload]]:
     """Pool entry point: run one topology's scenarios on one worker, never raise.
 
     ``wire`` is ``(indices, scenario dicts, profile, fault plan, policy,
@@ -244,9 +278,8 @@ def _worker_execute_group(
     replay memo are built once instead of once per worker the classes
     happened to land on.  The worker session keeps trace-cache entries
     for one topology at a time (:meth:`Session.enter_topology`).  Each
-    scenario still produces its own
-    :func:`_execute_payload` dictionary (telemetry deltas, retries, and
-    errors stay per-scenario).
+    scenario still produces its own :class:`RunPayload` (telemetry deltas,
+    retries, and errors stay per-scenario).
     """
     indices, scenario_dicts, profile, plan_dict, policy_dict, spectra = wire
     if plan_dict is not None and active_faults() is None:
@@ -254,29 +287,23 @@ def _worker_execute_group(
     policy = (
         ExecutionPolicy.from_dict(policy_dict) if policy_dict is not None else None
     )
-    results: List[Tuple[int, Dict[str, object]]] = []
+    results: List[Tuple[int, RunPayload]] = []
     for index, scenario_dict, spectrum in zip(indices, scenario_dicts, spectra):
         started = time.perf_counter()  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
         try:
             scenario = Scenario.from_dict(scenario_dict)
         except Exception as exc:  # noqa: BLE001 — a bad payload must not kill the pool
-            payload = {
-                "ok": False,
-                "error": _error_block(exc),
-                "elapsed_s": time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
-                "attempts": 1,
-                "timed_out": False,
-                "degraded": False,
-            }
+            payload = RunPayload(
+                error=RunError.from_exception(exc),
+                elapsed_s=time.perf_counter() - started,  # repro: noqa[N1] run/sweep wall-clock reporting; never enters simulated results
+            )
             results.append((index, payload))
             continue
-        session = _worker_session()
-        session.enter_topology(spec_topology(scenario))
         results.append(
             (
                 index,
                 _execute_payload(
-                    session,
+                    _worker_session(),
                     scenario,
                     profile,
                     policy,
@@ -300,8 +327,8 @@ class RunOutcome:
             boundary intact, so pool failures debug like serial ones).
         cached: Whether the result came from the store without simulating.
         elapsed_s: Wall-clock seconds the run took (0 for cache hits).
-        telemetry: Per-run telemetry delta (``{"spans", "caches"}``) when the
-            sweep ran with ``profile=True``; ``None`` otherwise.
+        telemetry: Per-run telemetry delta when the sweep ran with
+            ``profile=True``; ``None`` otherwise.
         attempts: Total execution attempts under the retry policy (1 when
             the first try settled it).
         timed_out: The run failed by exceeding its wall-clock budget (either
@@ -318,7 +345,7 @@ class RunOutcome:
     traceback: Optional[str] = None
     cached: bool = False
     elapsed_s: float = 0.0
-    telemetry: Optional[Dict[str, object]] = None
+    telemetry: Optional[TelemetryDelta] = None
     attempts: int = 1
     timed_out: bool = False
     degraded: bool = False
@@ -400,16 +427,16 @@ class SweepReport:
         """Per-run span trees merged across every profiled outcome."""
         spans: Dict[str, Dict[str, object]] = {}
         for outcome in self.outcomes:
-            if outcome.telemetry:
-                merge_spans(spans, outcome.telemetry.get("spans", {}))
+            if outcome.telemetry is not None:
+                merge_spans(spans, outcome.telemetry.spans)
         return spans
 
     def cache_totals(self) -> Dict[str, object]:
         """Per-run cache-counter deltas summed across profiled outcomes."""
         caches: Dict[str, object] = {}
         for outcome in self.outcomes:
-            if outcome.telemetry:
-                merge_counters(caches, outcome.telemetry.get("caches", {}))
+            if outcome.telemetry is not None:
+                merge_counters(caches, outcome.telemetry.caches)
         return caches
 
     def task_costs(self) -> List[Dict[str, object]]:
@@ -720,17 +747,13 @@ class SweepRunner:
         self,
         index: int,
         scenario: Scenario,
-        payload: Dict[str, object],
+        payload: RunPayload,
         record: Callable[[int, RunOutcome], None],
     ) -> None:
-        elapsed = float(payload.get("elapsed_s", 0.0))
-        telemetry = payload.get("telemetry")
-        attempts = int(payload.get("attempts", 1))
-        timed_out = bool(payload.get("timed_out", False))
-        degraded = bool(payload.get("degraded", False))
-        if payload["ok"]:
-            result = SimulationResult.from_dict(payload["result"])
-            if not degraded:
+        error = payload.error
+        if error is None:
+            result = SimulationResult.from_dict(payload.result)
+            if not payload.degraded:
                 # A degraded result is a valid answer to *this* sweep but
                 # not to the scenario's nominal identity; caching it would
                 # serve the fallback to future non-degraded requests.
@@ -740,31 +763,29 @@ class SweepRunner:
                 RunOutcome(
                     scenario=scenario,
                     result=result,
-                    elapsed_s=elapsed,
-                    telemetry=telemetry,
-                    attempts=attempts,
-                    timed_out=timed_out,
-                    degraded=degraded,
+                    elapsed_s=payload.elapsed_s,
+                    telemetry=payload.telemetry,
+                    attempts=payload.attempts,
+                    timed_out=payload.timed_out,
+                    degraded=payload.degraded,
                 ),
             )
         else:
-            error = payload["error"]
-            error_type = str(error.get("type", "Exception"))
-            message = str(error.get("message", ""))
-            trace = str(error.get("traceback", ""))
-            summary = f"{error_type}: {message}" if message else error_type
-            logger.error("scenario %s failed:\n%s", scenario.label(), trace or summary)
+            summary = f"{error.type}: {error.message}" if error.message else error.type
+            logger.error(
+                "scenario %s failed:\n%s", scenario.label(), error.traceback or summary
+            )
             record(
                 index,
                 RunOutcome(
                     scenario=scenario,
                     error=summary,
-                    error_type=error_type,
-                    traceback=trace or None,
-                    elapsed_s=elapsed,
-                    telemetry=telemetry,
-                    attempts=attempts,
-                    timed_out=timed_out,
+                    error_type=error.type,
+                    traceback=error.traceback or None,
+                    elapsed_s=payload.elapsed_s,
+                    telemetry=payload.telemetry,
+                    attempts=payload.attempts,
+                    timed_out=payload.timed_out,
                 ),
             )
 
@@ -777,17 +798,14 @@ class SweepRunner:
         """Run the pending tasks in-process through one shared session.
 
         Each scenario goes through the same :func:`_execute_payload` path as
-        a pool worker, so serial and parallel sweeps produce identical
-        payload dictionaries (results round-trip through ``to_dict()`` /
-        ``from_dict()``, failures carry structured tracebacks, telemetry
-        deltas attribute to single runs).  KeyboardInterrupt/SystemExit
-        propagate and abort the sweep.
+        a pool worker, so serial and parallel sweeps produce equal
+        :class:`RunPayload` records.  KeyboardInterrupt/SystemExit propagate
+        and abort the sweep.
         """
         session = Session()
         token = arm_faults(self.faults) if self.faults is not None else None
         try:
             for task in tasks:
-                session.enter_topology(task.topology)
                 for index, spectrum in task.members:
                     payload = _execute_payload(
                         session,
@@ -815,34 +833,20 @@ class SweepRunner:
         which fails every member.
         """
         if isinstance(answer, BaseException):
-            error = _error_block(answer)
-            elapsed = time.monotonic() - task.dispatched_at  # repro: noqa[N1] pool dispatch bookkeeping; never enters simulated results
-            payloads = {
-                index: {
-                    "ok": False,
-                    "error": error,
-                    "elapsed_s": elapsed,
-                    "attempts": 1,
-                }
-                for index, _ in task.members
-            }
+            failed = RunPayload(
+                error=RunError.from_exception(answer),
+                elapsed_s=time.monotonic() - task.dispatched_at,  # repro: noqa[N1] pool dispatch bookkeeping; never enters simulated results
+            )
+            payloads = {index: failed for index, _ in task.members}
         else:
             payloads = dict(answer)
+        missing = RunPayload(
+            error=RunError("RuntimeError", "worker returned no payload for this scenario")
+        )
         for index, _ in task.members:
-            payload = payloads.get(
-                index,
-                {
-                    "ok": False,
-                    "error": {
-                        "type": "RuntimeError",
-                        "message": "worker returned no payload for this scenario",
-                        "traceback": "",
-                    },
-                    "elapsed_s": 0.0,
-                    "attempts": 1,
-                },
+            self._finish(
+                index, scenarios[index], payloads.get(index, missing), record
             )
-            self._finish(index, scenarios[index], payload, record)
 
     def _run_pool(
         self,
@@ -944,20 +948,15 @@ class SweepRunner:
                         self._finish(
                             index,
                             scenario,
-                            {
-                                "ok": False,
-                                "error": {
-                                    "type": "RunTimeoutError",
-                                    "message": (
-                                        "worker produced no result within "
-                                        f"{budget:.1f}s; task reclaimed"
-                                    ),
-                                    "traceback": "",
-                                },
-                                "elapsed_s": now - task.dispatched_at,
-                                "attempts": 1,
-                                "timed_out": True,
-                            },
+                            RunPayload(
+                                error=RunError(
+                                    "RunTimeoutError",
+                                    "worker produced no result within "
+                                    f"{budget:.1f}s; task reclaimed",
+                                ),
+                                elapsed_s=now - task.dispatched_at,
+                                timed_out=True,
+                            ),
                             record,
                         )
                 pids = _pool_pids(pool)
@@ -994,7 +993,7 @@ class SweepRunner:
             pool.join()
         if lost:
             session = Session()
-            for index, spectrum in sorted(lost):
+            for index, spectrum in lost:
                 scenario = scenarios[index]
                 logger.warning(
                     "re-running %s serially after worker death", scenario.scenario_id
@@ -1009,4 +1008,11 @@ class SweepRunner:
                 self._finish(index, scenario, payload, record)
 
 
-__all__ = ["RunOutcome", "SweepReport", "SweepRunner", "run_scenario"]
+__all__ = [
+    "RunError",
+    "RunOutcome",
+    "RunPayload",
+    "SweepReport",
+    "SweepRunner",
+    "run_scenario",
+]

@@ -21,9 +21,9 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Set, Union
+from typing import Any, Dict, Mapping, Optional, Set, Union
 
-from repro.telemetry.metrics import merge_counters, merge_spans
+from repro.telemetry.metrics import TelemetryDelta, merge_counters, merge_spans
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ class SweepCheckpoint:
         self.flush_interval = max(1, int(flush_interval))
         self.completed: Dict[str, Dict[str, object]] = {}
         self.failures: Dict[str, Dict[str, object]] = {}
-        self.telemetry: Dict[str, Dict[str, object]] = {"spans": {}, "caches": {}}
+        self.telemetry: Dict[str, Dict[str, Any]] = {"spans": {}, "caches": {}}
         self._dirty = 0
 
     # ------------------------------------------------------------------ #
@@ -60,7 +60,7 @@ class SweepCheckpoint:
         scenario_id: str,
         status: str = "ok",
         attempts: int = 1,
-        telemetry: Optional[Mapping[str, object]] = None,
+        telemetry: Optional[TelemetryDelta] = None,
     ) -> None:
         """Record a completed scenario (``ok`` / ``cached`` / ``degraded``)."""
         self.completed[scenario_id] = {"status": status, "attempts": attempts}
@@ -77,7 +77,7 @@ class SweepCheckpoint:
         error: str,
         attempts: int = 1,
         timed_out: bool = False,
-        telemetry: Optional[Mapping[str, object]] = None,
+        telemetry: Optional[TelemetryDelta] = None,
     ) -> None:
         """Record a failed scenario (kept so ``--resume`` retries it)."""
         self.failures[scenario_id] = {
@@ -92,15 +92,10 @@ class SweepCheckpoint:
         if self._dirty >= self.flush_interval:
             self.flush()
 
-    def _absorb_telemetry(self, telemetry: Optional[Mapping[str, object]]) -> None:
-        if not telemetry:
-            return
-        spans = telemetry.get("spans")
-        if isinstance(spans, dict):
-            merge_spans(self.telemetry["spans"], spans)
-        caches = telemetry.get("caches")
-        if isinstance(caches, dict):
-            merge_counters(self.telemetry["caches"], caches)
+    def _absorb_telemetry(self, telemetry: Optional[TelemetryDelta]) -> None:
+        if telemetry is not None:
+            merge_spans(self.telemetry["spans"], telemetry.spans)
+            merge_counters(self.telemetry["caches"], telemetry.caches)
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:

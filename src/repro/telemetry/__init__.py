@@ -11,7 +11,7 @@ Three pieces:
   pipeline, the replay engine, the measured-sparsity harvest, and the result
   store time themselves through;
 * :mod:`repro.telemetry.metrics` — the stable schema-v1 metrics documents:
-  ``Session.metrics_snapshot()`` blocks, worker telemetry payloads,
+  the ``Session.metrics_snapshot()`` and per-run telemetry-delta records,
   ``metrics.json`` artifacts, and the ``repro stats`` renderer;
 * :mod:`repro.telemetry.logs` — configuration of the ``repro.*`` structured
   logger tree (``--log-level`` / ``REPRO_LOG_LEVEL``).

@@ -3,11 +3,11 @@
 Everything observable funnels into one shape, the **metrics document**
 (``schema_version`` 1):
 
-* ``Session.metrics_snapshot()`` produces the per-process building block —
-  the span tree plus every cache's counters;
-* sweep workers ship per-run snapshot *deltas* back through the worker dict
-  protocol, and :meth:`~repro.experiments.runner.SweepReport.metrics_document`
-  merges them into a per-pack aggregate;
+* ``Session.metrics_snapshot()`` produces the per-process building block, a
+  :class:`MetricsSnapshot`: the span tree plus every cache's counters;
+* each sweep run ships a :class:`TelemetryDelta` back with its payload,
+  and :meth:`~repro.experiments.runner.SweepReport.metrics_document` merges
+  the deltas into a per-pack aggregate;
 * ``repro run --profile`` / ``repro sweep --profile`` write the document as a
   ``metrics.json`` artifact next to the result store, and ``repro stats``
   pretty-prints it (:func:`render_metrics`).
@@ -24,15 +24,42 @@ a per-run attribution wants.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-#: Schema version of every metrics document (``metrics.json``, worker
-#: telemetry payloads, ``Session.metrics_snapshot()``).
+#: Schema version of every metrics document (``metrics.json`` and
+#: :class:`MetricsSnapshot`).
 METRICS_SCHEMA_VERSION = 1
 
 #: ``kind`` values of a top-level metrics document.
 METRICS_KINDS = ("snapshot", "run-profile", "sweep-profile")
+
+
+# --------------------------------------------------------------------------- #
+# Records
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class MetricsSnapshot:
+    """One session's telemetry state: the span tree and every cache's counters."""
+
+    telemetry_enabled: bool
+    spans: Dict[str, Dict[str, Any]]
+    caches: Dict[str, Dict[str, Any]]
+    schema_version: int = METRICS_SCHEMA_VERSION
+
+
+@dataclass(frozen=True)
+class TelemetryDelta:
+    """What one run added to its session's telemetry.
+
+    ``spans`` is the span tree recorded during the run and ``caches`` the
+    change in the cache counters (:func:`diff_counters`), so the deltas of
+    many runs, from any number of processes, merge without double counting.
+    """
+
+    spans: Dict[str, Dict[str, Any]]
+    caches: Dict[str, Any]
 
 
 # --------------------------------------------------------------------------- #
@@ -119,15 +146,15 @@ def cache_hit_ratios(
 # Documents
 # --------------------------------------------------------------------------- #
 def run_metrics_document(
-    snapshot: Mapping[str, Any], scenario_id: Optional[str] = None
+    snapshot: MetricsSnapshot, scenario_id: Optional[str] = None
 ) -> Dict[str, Any]:
     """``metrics.json`` document of one profiled ``repro run``."""
     document: Dict[str, Any] = {
-        "schema_version": METRICS_SCHEMA_VERSION,
+        "schema_version": snapshot.schema_version,
         "kind": "run-profile",
-        "spans": snapshot.get("spans", {}),
-        "caches": snapshot.get("caches", {}),
-        "cache_hit_ratios": cache_hit_ratios(snapshot.get("caches", {})),
+        "spans": snapshot.spans,
+        "caches": snapshot.caches,
+        "cache_hit_ratios": cache_hit_ratios(snapshot.caches),
     }
     if scenario_id is not None:
         document["scenario_id"] = scenario_id
@@ -238,6 +265,8 @@ def render_metrics(document: Mapping[str, Any]) -> str:
 __all__ = [
     "METRICS_KINDS",
     "METRICS_SCHEMA_VERSION",
+    "MetricsSnapshot",
+    "TelemetryDelta",
     "cache_hit_ratios",
     "diff_counters",
     "hit_ratio",

@@ -109,8 +109,9 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
     scoped to, whether it hit, and the topology the key was first built
     under (in that process).  No key is built twice in a serial sweep, no
     key built under one topology is hit under another, the cache is empty
-    whenever a session moves to a new topology, and the summaries are
-    byte-identical.
+    whenever a session moves to a new topology, the profiled trace-cache
+    evictions are exactly the entries those moves dropped, and the summaries
+    are byte-identical.
     """
     import json
     import os
@@ -130,9 +131,10 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
 
     def enter_topology(self, topology):
         moved = scoped.get(id(self.trace_cache)) != list(topology)
+        dropped = len(self.trace_cache) if moved else 0
         enter(self, topology)
         scoped[id(self.trace_cache)] = list(topology)
-        write("enter", moved, len(self.trace_cache))
+        write("enter", moved, len(self.trace_cache), dropped)
 
     def get(self, key, builder):
         topology = scoped.get(id(self))
@@ -152,7 +154,9 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
         log.unlink(missing_ok=True)
         scoped.clear()
         built.clear()
-        report = SweepRunner(workers=workers, mp_context="fork").run(scenarios)
+        report = SweepRunner(
+            workers=workers, mp_context="fork", profile=True
+        ).run(scenarios)
         assert report.num_failed == 0
         rows = [summary_row(o.scenario, o.result) for o in report.outcomes]
         summaries.append(export_summary_csv(tmp_path / f"{workers}.csv", rows).read_bytes())
@@ -164,7 +168,10 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
         # A hit's key was built under the topology that hits it.
         assert all(owner == topology for topology, hit, owner, _ in gets if hit)
         enters = [record[2:] for record in records if record[1] == "enter"]
-        assert all(count == 0 for moved, count in enters if moved)
+        assert all(count == 0 for moved, count, _ in enters if moved)
+        dropped = sum(count for *_, count in enters)
+        assert dropped > 0
+        assert report.cache_totals()["trace"]["evictions"] == dropped
         if workers == 1:
             assert not any(rebuilt for *_, rebuilt in gets)
         else:
@@ -173,7 +180,6 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
 
 
 def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
-    from repro.core.session import Session
     from repro.experiments import runner
 
     # The pool entry builds a per-process session; keep it out of this one.
@@ -190,15 +196,31 @@ def test_group_pool_entry_isolates_a_malformed_scenario_dict(monkeypatch):
     )
     payloads = dict(runner._worker_execute_group(wire))
     assert sorted(payloads) == [0, 1, 2]
-    assert payloads[1]["ok"] is False
-    assert payloads[0]["ok"] is True and payloads[2]["ok"] is True
-    # The bad-payload dict speaks the same wire protocol as a failed run.
-    failed = runner._execute_payload(
-        Session(), Scenario(dataset="atlantis", accelerator="sgcn", **TINY), False
-    )
-    assert failed["ok"] is False
-    assert set(payloads[1]) == set(failed)
-    assert set(payloads[1]["error"]) == set(failed["error"])
+    assert all(type(payload) is runner.RunPayload for payload in payloads.values())
+    assert payloads[0].error is None and payloads[2].error is None
+    failed = payloads[1]
+    assert failed.result is None
+    assert type(failed.error) is runner.RunError
+    assert failed.error.type == "KeyError"
+    assert "Traceback (most recent call last)" in failed.error.traceback
+
+
+def test_spawn_pool_matches_serial():
+    """The payload records pickle into freshly imported (spawned) workers."""
+    scenarios = [
+        Scenario(dataset=dataset, accelerator=accelerator, **TINY)
+        for dataset in ("cora", "citeseer")
+        for accelerator in ("sgcn", "gcnax")
+    ] + [Scenario(dataset="atlantis", accelerator="sgcn", **TINY)]
+    serial = SweepRunner(workers=1, profile=True).run(scenarios)
+    spawned = SweepRunner(workers=2, mp_context="spawn", profile=True).run(scenarios)
+    for report in (serial, spawned):
+        assert [o.error_type for o in report.outcomes] == [None] * 4 + ["ConfigurationError"]
+        assert all(o.telemetry is not None for o in report.outcomes)
+        assert report.phase_totals()["replay"]["count"] == 4
+    assert [o.result.to_dict() for o in serial.outcomes[:4]] == [
+        o.result.to_dict() for o in spawned.outcomes[:4]
+    ]
 
 
 def test_keyboard_interrupt_aborts_serial_sweep(monkeypatch):

@@ -16,6 +16,7 @@ from repro.experiments.store import export_summary_csv, summary_row
 from repro.memory.replay import TraceCache
 from repro.telemetry.metrics import (
     METRICS_SCHEMA_VERSION,
+    MetricsSnapshot,
     cache_hit_ratios,
     diff_counters,
     hit_ratio,
@@ -114,7 +115,7 @@ class TestCounters:
         session.load_dataset("cora", **TINY)  # hit
         session.load_dataset("citeseer", **TINY)
         session.load_dataset("pubmed", **TINY)  # evicts cora
-        caches = session.metrics_snapshot()["caches"]
+        caches = session.metrics_snapshot().caches
         assert caches["dataset"] == {
             "hits": 1, "misses": 3, "evictions": 1, "entries": 2,
         }
@@ -124,24 +125,37 @@ class TestCounters:
         session.accelerator("sgcn")
         session.accelerator("sgcn")
         session.accelerator("gcnax")
-        accel = session.metrics_snapshot()["caches"]["accelerator"]
+        accel = session.metrics_snapshot().caches["accelerator"]
         assert accel["hits"] == 1
         assert accel["misses"] == 2
         assert accel["entries"] == 2
+
+    def test_topology_clear_keeps_replay_memo_counters(self):
+        session = Session()
+        session.run(RunSpec(dataset="cora", accelerator="sgcn", **TINY))
+        before = session.metrics_snapshot().caches
+        session.enter_topology(("citeseer", 64, 0))
+        after = session.metrics_snapshot().caches
+        assert after["replay_memo"] == before["replay_memo"]
+        assert after["replay_memo"]["engines"] >= 1
+        assert after["trace"]["entries"] == 0
+        assert after["trace"]["evictions"] == (
+            before["trace"]["evictions"] + before["trace"]["entries"]
+        )
 
     def test_metrics_snapshot_schema(self):
         session = Session()
         session.run(RunSpec(dataset="cora", accelerator="sgcn", **TINY))
         snapshot = session.metrics_snapshot()
-        assert snapshot["schema_version"] == METRICS_SCHEMA_VERSION
-        assert snapshot["telemetry_enabled"] is False
-        assert snapshot["spans"] == {}  # disabled: counters only
+        assert snapshot.schema_version == METRICS_SCHEMA_VERSION
+        assert snapshot.telemetry_enabled is False
+        assert snapshot.spans == {}  # disabled: counters only
         expected_caches = {
             "trace", "measurement", "dataset", "accelerator", "replay_memo",
         }
-        assert set(snapshot["caches"]) == expected_caches
-        assert snapshot["caches"]["replay_memo"]["engines"] >= 1
-        assert snapshot["caches"]["trace"]["bytes"] > 0
+        assert set(snapshot.caches) == expected_caches
+        assert snapshot.caches["replay_memo"]["engines"] >= 1
+        assert snapshot.caches["trace"]["bytes"] > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -181,7 +195,11 @@ class TestMetricsAlgebra:
     def test_metrics_document_golden_shape(self, tmp_path):
         """Schema v1 golden: the exact top-level shape of both document kinds."""
         run_doc = run_metrics_document(
-            {"spans": {}, "caches": {"trace": {"hits": 1, "misses": 1}}},
+            MetricsSnapshot(
+                telemetry_enabled=True,
+                spans={},
+                caches={"trace": {"hits": 1, "misses": 1}},
+            ),
             scenario_id="abc123",
         )
         assert run_doc == {
@@ -220,7 +238,7 @@ class TestSweepProfiling:
         assert report.num_failed == 0
         for outcome in report.outcomes:
             assert outcome.telemetry is not None
-            assert outcome.telemetry["spans"]  # each run carries its own spans
+            assert outcome.telemetry.spans  # each run carries its own spans
         document = report.metrics_document(pack="test")
         assert document["pack"] == "test"
         assert document["total_runs"] == 2
