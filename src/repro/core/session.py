@@ -15,12 +15,12 @@ it memoizes the expensive spec-independent work across runs:
   structures (:class:`repro.memory.replay.ReplayEngine`), and derived
   reordered/transposed graphs are memoized across runs; they depend only on
   the topology and the schedule knobs, so a sweep over N accelerators x M
-  cache sizes builds each trace once instead of N x M times.  A sweep
-  scopes them to one topology task (:meth:`Session.enter_topology`);
-  library calls keep them across topologies;
+  cache sizes builds each trace once instead of N x M times.  They are
+  held for one graph at a time: :meth:`Session.run` drops them when its
+  graph differs from the previous run's;
 * :meth:`Session.run` / :meth:`Session.run_many` — execute one spec or a
-  batch, optionally annotating results with the spec's identity for
-  downstream exports;
+  batch (one topology at a time, :func:`topology_tasks`), optionally
+  annotating results with the spec's identity for downstream exports;
 * :meth:`Session.compare` — run one spec per accelerator and collect a
   normalised :class:`~repro.core.results.ComparisonResult`.
 
@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 import logging
 from collections import OrderedDict
-from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
@@ -74,10 +73,6 @@ logger = logging.getLogger(__name__)
 
 #: Counters of the ``replay_memo`` block of :meth:`Session.metrics_snapshot`.
 _REPLAY_MEMO_COUNTERS = ("hits", "misses", "evictions", "entries", "engines")
-
-#: ``progress`` callback signature of :meth:`Session.run_many`:
-#: ``(index, spec, result)``.
-ProgressCallback = Callable[[int, RunSpec, SimulationResult], None]
 
 #: ``on_error`` callback signature of :meth:`Session.run_many`:
 #: ``(index, spec, exception)``.
@@ -244,8 +239,8 @@ class Session:
             reordered/transposed graphs).  Entries depend only on
             (topology, tiling plan, engine partition) — never on timing
             knobs — so a sweep over N accelerators x M cache sizes builds
-            each trace once instead of N x M times.  In a sweep, entries
-            live for one topology task (:meth:`enter_topology`).
+            each trace once instead of N x M times.  Entries live while
+            consecutive runs share one graph (see :meth:`run`).
         max_cached_measurements: LRU capacity of the measured-sparsity cache
             (trained :class:`~repro.gcn.model.DeepGCN` models plus their
             harvested non-zero masks); each entry covers every
@@ -265,10 +260,9 @@ class Session:
         self.base_config = config
         self.max_cached_datasets = max_cached_datasets
         self._traces = TraceCache(max_entries=max_cached_traces)
-        # Topology of the sweep task the trace cache is scoped to, see
-        # enter_topology(), and the replay-memo counters of the engines its
-        # clears dropped.
-        self._topology: Optional[Topology] = None
+        # Fingerprint of the graph the trace cache is scoped to (see run()),
+        # and the replay-memo counters of the engines its drops released.
+        self._graph: Optional[str] = None
         self._dropped_replay_memo: Dict[str, int] = dict.fromkeys(
             _REPLAY_MEMO_COUNTERS, 0
         )
@@ -296,6 +290,7 @@ class Session:
         self._dataset_evictions = 0
         self._accelerator_hits = 0
         self._accelerator_misses = 0
+        self._accelerator_evictions = 0
 
     # ------------------------------------------------------------------ #
     # Memoized resolution
@@ -411,24 +406,6 @@ class Session:
         """The session's cross-run trace/replay-structure memo."""
         return self._traces
 
-    def enter_topology(self, topology: Topology) -> None:
-        """Scope the trace cache to the sweep task about to run.
-
-        Every trace-cache key carries its graph's fingerprint, so no entry
-        built on one topology is ever hit by a run on another.  A sweep runs
-        one topology task at a time, so when the next task's topology
-        differs from the last one's the cache holds only dead entries, and
-        they are dropped here (counted as evictions).  The dropped engines'
-        replay-memo counters stay in :meth:`metrics_snapshot`, so a clear
-        moves no counter backwards.  Library calls (:meth:`run`,
-        :meth:`run_many`, :meth:`compare`) never call this and keep caching
-        across topologies.
-        """
-        if topology != self._topology:
-            self._dropped_replay_memo = self._replay_memo_counters()
-            self._traces.clear()
-            self._topology = topology
-
     @property
     def measurement_cache(self) -> MeasuredSparsityCache:
         """The session's cross-run measured-sparsity harvest memo."""
@@ -453,12 +430,23 @@ class Session:
         return provider
 
     def clear_caches(self) -> None:
-        """Drop every memoized dataset, design point, trace, and measurement."""
+        """Drop every memoized dataset, design point, trace, and measurement.
+
+        Dropped entries count as evictions, so no counter of
+        :meth:`metrics_snapshot` moves backwards.
+        """
+        self._dataset_evictions += len(self._datasets)
         self._datasets.clear()
+        self._accelerator_evictions += len(self._designs)
         self._designs.clear()
-        self._traces.clear()
+        self._drop_traces()
         self._measurements.clear()
         self._sparsity_providers.clear()
+
+    def _drop_traces(self) -> None:
+        """Empty the trace cache, keeping the dropped engines' memo counters."""
+        self._dropped_replay_memo = self._replay_memo_counters()
+        self._traces.clear()
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -472,7 +460,7 @@ class Session:
         always maintained — they cost one integer increment per lookup — so
         the cache section is meaningful even when spans are off.
         ``replay_memo`` counts every engine this session built, including
-        those :meth:`enter_topology` dropped.
+        those dropped since.
         """
         return MetricsSnapshot(
             telemetry_enabled=is_enabled(),
@@ -489,7 +477,7 @@ class Session:
                 "accelerator": {
                     "hits": self._accelerator_hits,
                     "misses": self._accelerator_misses,
-                    "evictions": 0,
+                    "evictions": self._accelerator_evictions,
                     "entries": len(self._designs),
                 },
                 "replay_memo": self._replay_memo_counters(),
@@ -519,6 +507,14 @@ class Session:
         capacity_spectrum: Sequence[int] = (),
     ) -> SimulationResult:
         """Execute one :class:`RunSpec` and return its result.
+
+        Every trace-cache key carries its graph's fingerprint, so no entry
+        serves two graphs.  When this run's graph differs from the previous
+        run's, the cache holds only dead entries and is emptied first
+        (counted as evictions; the dropped engines' replay-memo counters
+        stay in :meth:`metrics_snapshot`).  The session therefore holds one
+        graph's traces and replay engines at a time, and a caller who
+        alternates graphs rebuilds them on each switch.
 
         Args:
             spec: The run description.
@@ -581,6 +577,10 @@ class Session:
         effective = self._effective_config(
             spec, config if config is not None else self.base_config
         )
+        graph = dataset_obj.graph.fingerprint()
+        if graph != self._graph:
+            self._drop_traces()
+            self._graph = graph
         try:
             result = simulate_design(
                 point,
@@ -628,29 +628,28 @@ class Session:
         specs: Sequence[RunSpec],
         *,
         annotate: bool = True,
-        progress: Optional[ProgressCallback] = None,
         on_error: Optional[ErrorCallback] = None,
     ) -> List[Optional[SimulationResult]]:
-        """Execute a batch of specs, reusing memoized datasets/design points.
+        """Execute a batch of specs, one topology at a time.
 
-        The batch is partitioned into replay-knob equivalence classes
-        (:func:`replay_classes`) and executed class by class: same-class runs
-        share every trace-cache entry while it is hottest, and a class
-        sweeping the cache capacity passes the whole capacity vector to its
-        runs so the first one answers the spectrum in a single replay
-        evaluation (:meth:`ReplayEngine.evaluate`).  Results are
-        byte-identical to input-order execution and are returned in input
-        order; only the execution (and therefore ``progress``) order
-        follows the classes, with original indices reported.
+        The batch runs task by task in :func:`topology_tasks` order, the
+        order a serial sweep runs: each topology's runs go back to back, so
+        its dataset, traces and replay engines are built once and dropped
+        when the next topology starts (see :meth:`run`).  Inside a topology
+        the runs visit their replay classes (:func:`replay_classes`) back to
+        back, and a class sweeping the cache capacity passes the whole
+        capacity vector to its runs, so the first one answers the spectrum in
+        a single replay evaluation (:meth:`ReplayEngine.evaluate`).  Results
+        are byte-identical to input-order execution and are returned in
+        input order.
 
         Args:
             specs: Run descriptions.
             annotate: Record each spec's identity in its result metadata.
-            progress: Called as ``(index, spec, result)`` after each success,
-                with ``index`` the spec's position in ``specs``.
-            on_error: Called as ``(index, spec, exception)`` when a run fails;
-                the failed slot becomes ``None`` and the batch continues.
-                Without it the first failure propagates.
+            on_error: Called as ``(index, spec, exception)`` when a run fails,
+                with ``index`` the spec's position in ``specs``; the failed
+                slot becomes ``None`` and the batch continues.  Without it
+                the first failure propagates.
 
         Returns:
             One result per spec (``None`` for isolated failures), in input
@@ -658,57 +657,18 @@ class Session:
         """
         specs = list(specs)
         results: List[Optional[SimulationResult]] = [None] * len(specs)
-        for members, spectrum in replay_classes(specs, self.base_config):
-            for index in members:
+        for task in topology_tasks(specs, self.base_config):
+            for index, spectrum in task.members:
                 spec = specs[index]
                 try:
-                    result = self.run(
+                    results[index] = self.run(
                         spec, annotate=annotate, capacity_spectrum=spectrum
                     )
                 except Exception as exc:  # noqa: BLE001 — isolation is opt-in
                     if on_error is None:
                         raise
                     on_error(index, spec, exc)
-                    continue
-                if progress is not None:
-                    progress(index, spec, result)
-                results[index] = result
         return results
-
-    def run_spectrum(
-        self,
-        spec: RunSpec,
-        capacities: Sequence[int],
-        *,
-        annotate: bool = True,
-    ) -> List[SimulationResult]:
-        """Run one spec at each cache capacity, sharing everything else.
-
-        Builds one sibling spec per capacity (``cache_capacity_bytes``
-        override, in bytes) and executes them as one replay-knob class:
-        topology, schedule, trace, and replay structure are built once, and
-        the replay itself is answered for the whole capacity vector in one
-        evaluation.  Results are byte-identical to running each capacity
-        through :meth:`run` individually.
-
-        Args:
-            spec: The base run description; an existing
-                ``cache_capacity_bytes`` override is replaced per capacity.
-            capacities: Cache capacities in bytes, in the order the results
-                should come back (duplicates allowed).
-            annotate: Record each sibling spec's identity in its result
-                metadata.
-
-        Returns:
-            One :class:`SimulationResult` per requested capacity, in order.
-        """
-        siblings = []
-        for capacity in capacities:
-            overrides = dict(spec.overrides)
-            overrides["cache_capacity_bytes"] = int(capacity)
-            siblings.append(_dc_replace(spec, overrides=overrides))
-        results = self.run_many(siblings, annotate=annotate)
-        return [result for result in results if result is not None]
 
     def compare(
         self, specs: Sequence[RunSpec], baseline: str = "gcnax"
@@ -720,25 +680,31 @@ class Session:
         whole batch.
 
         Raises:
-            SimulationError: If ``specs`` is empty, spans more than one
-                dataset, repeats an accelerator (the comparison is keyed by
-                accelerator, so a duplicate would silently drop a run), or
-                ``baseline`` is not among the specs' accelerators.
+            SimulationError: If ``specs`` is empty, repeats an accelerator
+                (the comparison is keyed by accelerator, so a duplicate would
+                silently drop a run), spans more than one topology
+                (:func:`spec_topology`: speedups across scales or seeds
+                compare different graphs), or ``baseline`` is not among the
+                specs' accelerators.
         """
         specs = list(specs)
         if not specs:
             raise SimulationError("compare() needs at least one run spec")
-        datasets = {spec.dataset for spec in specs}
-        if len(datasets) > 1:
-            raise SimulationError(
-                "compare() needs every spec on the same dataset; got "
-                f"{', '.join(sorted(datasets))}"
-            )
         names = [spec.accelerator for spec in specs]
         if len(set(names)) != len(names):
             raise SimulationError(
                 "compare() needs one spec per accelerator; got duplicates in "
                 f"{names}"
+            )
+        topologies = sorted({spec_topology(spec) for spec in specs})
+        if len(topologies) > 1:
+            raise SimulationError(
+                "compare() needs every spec on the same dataset, max_vertices "
+                "and seed; got "
+                + ", ".join(
+                    f"{name}@{vertices} seed {seed}"
+                    for name, vertices, seed in topologies
+                )
             )
         baseline_key = canonical_accelerator(baseline)
         if baseline_key not in names:
@@ -750,27 +716,6 @@ class Session:
             assert result is not None  # run_many without on_error raises
             comparison.add(result)
         return comparison
-
-    def run_pack(
-        self,
-        name: str,
-        max_vertices: Optional[int] = None,
-        *,
-        progress: Optional[ProgressCallback] = None,
-        on_error: Optional[ErrorCallback] = None,
-    ) -> List[Tuple[RunSpec, Optional[SimulationResult]]]:
-        """Expand a built-in scenario pack and run it through this session.
-
-        A convenience wrapper over :meth:`run_many` for interactive use; the
-        multiprocessing sweep path with result caching remains
-        :class:`repro.experiments.runner.SweepRunner`.
-        """
-        # Imported lazily: repro.experiments sits above repro.core.
-        from repro.experiments.scenarios import get_pack
-
-        specs = get_pack(name, max_vertices=max_vertices).expand()
-        results = self.run_many(specs, progress=progress, on_error=on_error)
-        return list(zip(specs, results))
 
 
 _DEFAULT_SESSION: Optional[Session] = None

@@ -57,7 +57,6 @@ from repro.core.session import (
     Session,
     TopologyTask,
     default_session,
-    spec_topology,
     topology_tasks,
 )
 from repro.errors import ConfigurationError, RunTimeoutError
@@ -180,13 +179,13 @@ def _execute_payload(
 ) -> RunPayload:
     """Run one scenario and build its :class:`RunPayload` (serial and pool path).
 
-    The session first scopes its trace cache to the scenario's topology
-    (:meth:`Session.enter_topology`), inside the telemetry window, so a
-    profiled run counts the entries that scoping drops.  Under
-    ``profile=True`` the payload's telemetry delta (the span tree recorded
-    during this run plus the change in the session's cache counters) is
-    attributable to exactly this scenario, so the parent can merge worker
-    telemetry without double counting.
+    Under ``profile=True`` the payload's telemetry delta (the span tree
+    recorded during this run plus the change in the session's cache
+    counters) is attributable to exactly this scenario, so the parent can
+    merge worker telemetry without double counting.  The counters are
+    snapshotted before the run, so the delta includes the trace-cache
+    entries :meth:`Session.run` drops when the scenario's graph differs
+    from the previous run's.
 
     Only ordinary :class:`Exception` is isolated: KeyboardInterrupt /
     SystemExit must still abort the sweep (especially in serial mode, where
@@ -196,7 +195,6 @@ def _execute_payload(
         policy = ExecutionPolicy()
     retry = policy.retry
     before = session.metrics_snapshot() if profile else None
-    session.enter_topology(spec_topology(scenario))
     previous_enabled: Optional[bool] = None
     if profile:
         previous_enabled = set_enabled(True)
@@ -276,10 +274,10 @@ def _worker_execute_group(
     replay class of one topology as a single task pins it to one worker
     session, so the dataset, traces, replay engines, and spectrum-seeded
     replay memo are built once instead of once per worker the classes
-    happened to land on.  The worker session keeps trace-cache entries
-    for one topology at a time (:meth:`Session.enter_topology`).  Each
-    scenario still produces its own :class:`RunPayload` (telemetry deltas,
-    retries, and errors stay per-scenario).
+    happened to land on.  The worker session holds one graph's trace-cache
+    entries at a time (:meth:`Session.run`), so they live for the task.
+    Each scenario still produces its own :class:`RunPayload` (telemetry
+    deltas, retries, and errors stay per-scenario).
     """
     indices, scenario_dicts, profile, plan_dict, policy_dict, spectra = wire
     if plan_dict is not None and active_faults() is None:
@@ -557,9 +555,11 @@ class SweepRunner:
     the whole task on one pool worker — so the dataset and the
     trace/schedule/replay structures build once per topology, and each
     capacity-sweep replay class answers its spectrum in a single replay
-    evaluation.  The session drops a topology's traces and engines when
-    the next task's topology differs, so replay memory is held for one
-    topology at a time.  Results, checkpointing, and per-scenario
+    evaluation.  The session drops a topology's traces and engines when a
+    run's graph differs from the previous run's (:meth:`Session.run`, the
+    rule every session follows), so replay memory is held for one topology
+    at a time.  The serial path runs tasks in the order
+    :meth:`Session.run_many` does.  Results, checkpointing, and per-scenario
     telemetry do not depend on the tasks; only the execution order does.
     """
 

@@ -279,20 +279,13 @@ class MeasuredSparsityCache(TraceCache):
     these alongside its :class:`~repro.memory.replay.TraceCache` so sweeps
     over accelerators / cache sizes / formats train each
     ``(topology, depth, residual, seed)`` cell once.  The LRU mechanics are
-    :class:`~repro.memory.replay.TraceCache`'s; only the default capacity
-    (each entry holds a trained model plus its masks) and counter-resetting
-    :meth:`clear` differ.
+    :class:`~repro.memory.replay.TraceCache`'s, including :meth:`clear`
+    counting the dropped harvests as evictions; only the default capacity
+    (each entry holds a trained model plus its masks) differs.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
         super().__init__(max_entries=max_entries)
-
-    def clear(self) -> None:
-        """Drop every memoized harvest (counters included)."""
-        super().clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class MeasuredSparsityProvider(SparsityProvider):

@@ -530,10 +530,9 @@ class TraceCache:
     configurations x M cache sizes rebuilds each entry once instead of
     N x M times.  :class:`repro.core.session.Session` owns one instance and
     threads it through every run.  Every key carries its graph's
-    fingerprint, so no entry is shared across topologies; a sweep therefore
-    keeps entries for one topology task only and clears the cache when the
-    next task's topology differs
-    (:meth:`repro.core.session.Session.enter_topology`).
+    fingerprint, so no entry is shared across topologies; the session
+    therefore clears the cache when a run's graph differs from the previous
+    run's (:meth:`repro.core.session.Session.run`).
 
     Besides the hit/miss counters the cache tracks evictions and an
     approximate resident-bytes gauge (:func:`_entry_bytes` per entry), all

@@ -105,13 +105,15 @@ def test_pool_loads_and_builds_once_per_topology():
 def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
     """Serial and pooled sweeps hold one topology's traces at a time.
 
-    Every trace-cache lookup is logged with the topology its session is
-    scoped to, whether it hit, and the topology the key was first built
-    under (in that process).  No key is built twice in a serial sweep, no
-    key built under one topology is hit under another, the cache is empty
-    whenever a session moves to a new topology, the profiled trace-cache
-    evictions are exactly the entries those moves dropped, and the summaries
-    are byte-identical.
+    Every run is logged with whether it moves its session to a new topology
+    and how many entries the cache held then, and every trace-cache lookup
+    with the topology of the run making it, whether it hit, the topology
+    the key was first built under (in that process), and the cache size.
+    No key is built twice in a serial sweep, no key built under one
+    topology is hit under another, the cache is empty at the first lookup
+    after a session moves to a new topology, the profiled trace-cache
+    evictions are exactly the entries those moves dropped, and the
+    summaries are byte-identical.
     """
     import json
     import os
@@ -129,23 +131,23 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(json.dumps([os.getpid(), *record]) + "\n")
 
-    def enter_topology(self, topology):
-        moved = scoped.get(id(self.trace_cache)) != list(topology)
-        dropped = len(self.trace_cache) if moved else 0
-        enter(self, topology)
-        scoped[id(self.trace_cache)] = list(topology)
-        write("enter", moved, len(self.trace_cache), dropped)
+    def run(self, spec, **kwargs):
+        topology = [spec.dataset, spec.max_vertices, spec.seed]
+        moved = scoped.get(id(self.trace_cache)) != topology
+        write("run", moved, len(self.trace_cache) if moved else 0)
+        scoped[id(self.trace_cache)] = topology
+        return execute(self, spec, **kwargs)
 
     def get(self, key, builder):
         topology = scoped.get(id(self))
         hit = key in self
         write("get", topology, hit, built.get(key, topology) if hit else None,
-              not hit and key in built)
+              len(self), not hit and key in built)
         built.setdefault(key, topology)
         return lookup(self, key, builder)
 
-    enter, lookup = Session.enter_topology, TraceCache.get
-    monkeypatch.setattr(Session, "enter_topology", enter_topology)
+    execute, lookup = Session.run, TraceCache.get
+    monkeypatch.setattr(Session, "run", run)
     monkeypatch.setattr(TraceCache, "get", get)
 
     scenarios = get_pack("paper-comparison", max_vertices=64).expand()
@@ -164,12 +166,18 @@ def test_sweeps_scope_the_trace_cache_to_one_topology(tmp_path, monkeypatch):
         gets = [record[2:] for record in records if record[1] == "get"]
         assert all(topology is not None for topology, *_ in gets)
         assert len({tuple(topology) for topology, *_ in gets}) >= 3
-        assert any(hit for _, hit, _, _ in gets)
+        assert any(hit for _, hit, *_ in gets)
         # A hit's key was built under the topology that hits it.
-        assert all(owner == topology for topology, hit, owner, _ in gets if hit)
-        enters = [record[2:] for record in records if record[1] == "enter"]
-        assert all(count == 0 for moved, count, _ in enters if moved)
-        dropped = sum(count for *_, count in enters)
+        assert all(owner == topology for topology, hit, owner, *_ in gets if hit)
+        # A session that moved finds the cache empty at its next lookup.
+        moved_pids = set()
+        for pid, kind, *fields in records:
+            if kind == "run" and fields[0]:
+                moved_pids.add(pid)
+            elif kind == "get" and pid in moved_pids:
+                moved_pids.discard(pid)
+                assert fields[3] == 0
+        dropped = sum(record[3] for record in records if record[1] == "run")
         assert dropped > 0
         assert report.cache_totals()["trace"]["evictions"] == dropped
         if workers == 1:

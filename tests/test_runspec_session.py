@@ -164,6 +164,19 @@ def test_session_compare_rejects_mixed_datasets_and_duplicates():
     ]
     with pytest.raises(SimulationError, match="one spec per accelerator"):
         session.compare(duplicated, baseline="gcnax")
+    # One dataset at two scales is two graphs: their "speedups" mean nothing.
+    scales = [
+        RunSpec(dataset="cora", accelerator="gcnax", max_vertices=64, num_layers=4),
+        RunSpec(dataset="cora", accelerator="sgcn", max_vertices=256, num_layers=4),
+    ]
+    with pytest.raises(SimulationError, match="cora@64 seed 0, cora@256 seed 0"):
+        session.compare(scales, baseline="gcnax")
+    seeds = [
+        RunSpec(dataset="cora", accelerator="gcnax", seed=0, **TINY),
+        RunSpec(dataset="cora", accelerator="sgcn", seed=1, **TINY),
+    ]
+    with pytest.raises(SimulationError, match="seed 0, cora@64 seed 1"):
+        session.compare(seeds, baseline="gcnax")
 
 
 def test_run_rejects_format_override_with_preresolved_accelerator():
@@ -332,11 +345,3 @@ def test_session_compare_fails_fast_on_missing_baseline(monkeypatch):
         session.compare(specs, baseline="gcnax")
     with pytest.raises(SimulationError, match="at least one"):
         session.compare([], baseline="gcnax")
-
-
-def test_run_pack_routes_through_run_many():
-    session = Session()
-    pairs = session.run_pack("depth-sweep", max_vertices=48)
-    assert pairs and all(result is not None for _, result in pairs)
-    spec, result = pairs[0]
-    assert result.metadata["scenario_id"] == spec.scenario_id

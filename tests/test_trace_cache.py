@@ -49,6 +49,48 @@ class TestSessionTraceCache:
         session.run(spec)
         assert session.trace_cache.stats()["misses"] == misses_after_first
 
+    def test_run_many_holds_one_graph_at_a_time(self, monkeypatch):
+        # Two topologies interleaved in the input: run_many runs each one's
+        # specs back to back, so no trace-cache key is built twice, the cache
+        # ends holding only the last graph's entries, and every result equals
+        # a fresh session's.
+        from repro.memory.replay import TraceCache
+
+        specs = [
+            RunSpec(dataset=dataset, accelerator=accelerator, max_vertices=64,
+                    num_layers=4)
+            for accelerator in ("sgcn", "igcn", "gcnax")
+            for dataset in ("cora", "citeseer")
+        ]
+        session = Session()
+        built = {}  # key -> dataset of the run that built it
+        running = []
+        run, lookup = Session.run, TraceCache.get
+
+        def logged_run(self, spec, **kwargs):
+            running.append(spec.dataset)
+            return run(self, spec, **kwargs)
+
+        def logged_get(self, key, builder):
+            if key not in self:
+                assert key not in built, key
+                built[key] = running[-1]
+            return lookup(self, key, builder)
+
+        monkeypatch.setattr(Session, "run", logged_run)
+        monkeypatch.setattr(TraceCache, "get", logged_get)
+        results = session.run_many(specs)
+        monkeypatch.undo()
+        assert running == ["cora"] * 3 + ["citeseer"] * 3
+        resident = [key for key in built if key in session.trace_cache]
+        assert len(resident) == len(session.trace_cache) > 0
+        assert {built[key] for key in resident} == {"citeseer"}
+        assert "cora" in built.values()
+        fresh = [Session().run(spec, annotate=True) for spec in specs]
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in results] == [
+            json.dumps(r.to_dict(), sort_keys=True) for r in fresh
+        ]
+
     def test_clear_caches_drops_traces(self):
         session = Session()
         session.run(RunSpec(dataset="cora", accelerator="gcnax", max_vertices=128))
