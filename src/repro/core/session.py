@@ -64,7 +64,7 @@ from repro.gcn.providers import (
 )
 from repro.graphs.datasets import DATASET_SPECS, DEFAULT_NUM_LAYERS, Dataset
 from repro.graphs.datasets import load_dataset as _load_dataset
-from repro.memory.replay import ReplayEngine, TraceCache
+from repro.memory.replay import ROUTES, ReplayEngine, TraceCache
 from repro.resilience.policy import active_policy
 from repro.telemetry.metrics import MetricsSnapshot
 from repro.telemetry.spans import is_enabled, span_snapshot
@@ -72,7 +72,7 @@ from repro.telemetry.spans import is_enabled, span_snapshot
 logger = logging.getLogger(__name__)
 
 #: Counters of the ``replay_memo`` block of :meth:`Session.metrics_snapshot`.
-_REPLAY_MEMO_COUNTERS = ("hits", "misses", "evictions", "entries", "engines")
+_REPLAY_MEMO_COUNTERS = ("hits", "misses", "evictions", "entries", "engines", *ROUTES)
 
 #: ``on_error`` callback signature of :meth:`Session.run_many`:
 #: ``(index, spec, exception)``.

@@ -23,23 +23,45 @@ every replay in this repository works, the per-pass size table — the
 condition is exact.  The test suite pins it bit for bit against a
 per-access ``OrderedDict`` cache (``tests/oracles.py``).
 
-The distinct-footprint sums are reuse-interval computations.  We evaluate
-them with an offline mergesort tree: for every access ``i`` with previous
-occurrence ``p``, the sum of ``w[j]`` over window positions ``p < j < i``
-whose own previous occurrence lies at or before ``p`` (i.e. the first
-in-window occurrence of each distinct row).  The tree's permutations and
-query positions depend only on the *trace*, not on the sizes, so the
-structure is built once per trace (:class:`ReplayEngine`) — top down, one
-stable left/right split per level starting from the repeat accesses in
-previous-occurrence order, with the query entries kept in that level
-order, so no composite-key sort, search or grouping pass is needed — and
-each evaluation — per feature pass, per layer, per capacity, per pinned
-set — is a handful of gathers from the per-row weight table, cumulative
-sums and one ``np.bincount``.  Those sums run in float64, exact while
-``levels x total lines < 2**53`` (checked; :class:`ConfigurationError`
-above it).  :class:`TraceCache` memoizes the engines (and the traces they
-replay) across runs; a sweep over N accelerators x M cache sizes builds
-each trace structure once instead of N x M times.
+The hit test needs ``U`` only as far as the compare with the capacity, so
+an evaluation resolves each repeat access in up to three steps, cheapest
+first, and every step is exact:
+
+1. *Distinct-row bounds.*  For every access the engine stores ``D``, the
+   number of distinct rows accessed strictly between it and its previous
+   occurrence.  ``U`` sums the weights of those ``D`` rows, so it lies
+   between ``w_min * D`` and ``w_max * D``, with ``w_min`` and ``w_max``
+   taken over the weights of the rows present in the trace (a pinned or
+   streaming row weighs 0, which can only lower ``w_min``).  The access
+   hits if ``size + w_max * D`` fits and misses if ``size + w_min * D``
+   does not.  Both tests are integer arithmetic (``D <= room // w``), so
+   nothing rounds.  A uniform size table, and every access whose window is
+   empty, is settled here.
+2. *Window sums.*  The accesses the bounds leave open get ``U`` summed
+   directly over the first in-window occurrences of their windows, in
+   int64, when those windows add up to fewer positions than the tree's
+   segment, where the two steps break even in time and memory.
+3. *Tree pass.*  Otherwise one pass over the mergesort tree below gives
+   the exact ``U`` of every access, and the open ones take it.
+
+The distinct-footprint sums are reuse-interval computations.  The tree
+evaluates them offline: for every access ``i`` with previous occurrence
+``p``, the sum of ``w[j]`` over window positions ``p < j < i`` whose own
+previous occurrence lies at or before ``p`` (i.e. the first in-window
+occurrence of each distinct row).  The tree's permutations and query
+positions depend only on the *trace*, not on the sizes, so the structure
+— and ``D``, counted from it — is built once per trace
+(:class:`ReplayEngine`): top down, one stable left/right split per level
+starting from the repeat accesses in previous-occurrence order, with the
+query entries kept in that level order, so no composite-key sort, search
+or grouping pass is needed.  A tree pass — per feature pass, per layer,
+per capacity group, per pinned set — is a handful of gathers from the
+per-row weight table, cumulative sums and one ``np.bincount``.  Those sums
+run in float64, exact while ``levels x total lines < 2**53`` (checked
+before any step runs; :class:`ConfigurationError` above it).
+:class:`TraceCache` memoizes the engines (and the traces they replay)
+across runs; a sweep over N accelerators x M cache sizes builds each trace
+structure once instead of N x M times.
 """
 
 from __future__ import annotations
@@ -61,19 +83,29 @@ from repro.telemetry.spans import span
 _INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(_INDEX_DTYPE).max)
 
-#: Evaluation sums line counts in float64 (the tree prefix sums and the
+#: A tree pass sums line counts in float64 (the tree prefix sums and the
 #: ``np.bincount`` reduction), which is exact while every partial sum stays
 #: below 2**53.  Each tree level holds every access at most once, so
 #: ``levels x total lines`` bounds them all.
 _EXACT_FLOAT_BOUND = 2**53
 
+#: How a computed result was resolved: every repeat access decided by the
+#: distinct-row bounds, the rest by window sums, or by a tree pass.
+ROUTES = ("by_bounds", "by_windows", "by_tree")
+
 
 def _previous_occurrences(trace: np.ndarray) -> np.ndarray:
-    """Index of each access's previous occurrence of the same row (-1 if none)."""
+    """Index of each access's previous occurrence of the same row (-1 if none).
+
+    ``trace`` holds non-negative row ids.  When they all fit in 16 bits the
+    stable sort runs on ``uint16`` keys, for which numpy sorts by radix.
+    """
     n = trace.size
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
+    if int(trace.max()) < 2**16:
+        trace = trace.astype(np.uint16)
     order = np.argsort(trace, kind="stable")
     sorted_rows = trace[order]
     same = sorted_rows[1:] == sorted_rows[:-1]
@@ -122,6 +154,8 @@ class ReplayEngine:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
+        # How each computed result was resolved (see _evaluate_spectrum).
+        self.routes: Dict[str, int] = dict.fromkeys(ROUTES, 0)
         # Array digest memo keyed by object identity.  The strong reference
         # to the array keeps its id() from being recycled; tables are never
         # mutated in place by the simulator, so identity implies content
@@ -154,9 +188,9 @@ class ReplayEngine:
         its block; the query is live iff ``hi > lo``), and the stable
         left/right split of each block, which is the next level's ordering.
 
-        The levels are concatenated root first into one workspace, so an
-        evaluation is a handful of large array operations rather than a few
-        small ones per level:
+        The levels are written root first into one preallocated workspace,
+        so an evaluation is a handful of large array operations rather than
+        a few small ones per level:
 
         * ``_segment`` — the contributors' *row ids* (``int32``), so an
           evaluation gathers their weights straight from the per-row weight
@@ -165,7 +199,10 @@ class ReplayEngine:
           level order: its trace position and the start of its suffix;
         * ``_run_hi`` / ``_run_length`` — the queries of one (level, block)
           are consecutive entries sharing one suffix end, stored once per
-          run.
+          run;
+        * ``_distinct`` — per access, the number of distinct rows accessed
+          strictly between it and its previous occurrence: the window
+          length minus every live entry's duplicate count ``hi - lo``.
 
         An evaluation takes one cumulative sum over the gathered segment
         (prefix sums are taken strictly inside one block's run, so
@@ -176,55 +213,90 @@ class ReplayEngine:
         """
         n = trace.size
         repeats = np.flatnonzero(prev >= 0)
-        self._levels = max(1, int(np.ceil(np.log2(max(n, 1)))))
+        levels = self._levels = max(1, int(np.ceil(np.log2(max(n, 1)))))
+        self._distinct = np.zeros(n, dtype=_INDEX_DTYPE)
         if not repeats.size:
             for name in ("_segment", "_qpos", "_lo", "_run_hi", "_run_length"):
                 setattr(self, name, np.zeros(0, dtype=_INDEX_DTYPE))
             return
+        self._distinct[repeats] = repeats - prev[repeats] - 1
 
+        # Every level holds each repeat once, split by bit (level - 1) of its
+        # position into a left (contributor) and a right (query) half.
+        # Folding the repeat mask pairwise counts both halves of every block
+        # of every level, which sizes the workspace before the first level is
+        # written.  A query can only be live if its sibling half holds a
+        # contributor, and a run needs a live query, so the query and run
+        # buffers take those upper bounds.
+        folded = np.zeros(1 << levels, dtype=_INDEX_DTYPE)
+        folded[repeats] = 1
+        num_left = max_queries = max_runs = 0
+        for _ in range(levels):
+            left, right = folded[0::2], folded[1::2]
+            paired = left > 0
+            num_left += int(left.sum())
+            max_queries += int(right.sum(where=paired))
+            max_runs += int(np.count_nonzero(paired & (right > 0)))
+            folded = left + right
+        del folded, left, right, paired
+        segment = np.empty(num_left, dtype=_INDEX_DTYPE)
+        qpos = np.empty(max_queries, dtype=_INDEX_DTYPE)
+        starts = np.empty(max_queries, dtype=_INDEX_DTYPE)
+        run_hi = np.empty(max_runs, dtype=_INDEX_DTYPE)
+        run_length = np.empty(max_runs, dtype=_INDEX_DTYPE)
+
+        m = repeats.size
         by_prev = np.full(n, -1, dtype=_INDEX_DTYPE)
         by_prev[prev[repeats]] = repeats
         order = by_prev[by_prev >= 0]
         del by_prev, repeats
         rows = trace.astype(_INDEX_DTYPE)
-        m = order.size
-        ramp = np.arange(m, dtype=_INDEX_DTYPE)
         left_before = np.zeros(m + 1, dtype=_INDEX_DTYPE)
 
-        segments: List[np.ndarray] = []
-        queries: List[np.ndarray] = []
-        starts: List[np.ndarray] = []
-        run_ends: List[np.ndarray] = []
-        run_lengths: List[np.ndarray] = []
-        offset = 0
-        for level in range(self._levels, 0, -1):
+        # Each temporary is dropped once used: the loop's working set, on top
+        # of the buffers above, sets the build's memory peak.
+        offset = num_queries = num_runs = 0
+        for level in range(levels, 0, -1):
             # Level l has blocks pos >> l; bit l-1 picks the half.
             is_left = ((order >> (level - 1)) & 1) == 0
             np.cumsum(is_left, dtype=_INDEX_DTYPE, out=left_before[1:])
-            block_sizes = np.bincount(order >> level)
-            block_end = np.cumsum(block_sizes)
-            contributors = order[is_left]
-            segments.append(rows[contributors])
+            block_end = np.cumsum(np.bincount(order >> level), dtype=_INDEX_DTYPE)
+            contributors = order[np.flatnonzero(is_left)]
+            np.take(
+                rows,
+                contributors,
+                out=segment[offset : offset + contributors.size],
+                mode="clip",
+            )
 
-            # Right elements are the level's queries.  The k-th one, at
-            # ordering index right[k], has right[k] - k left elements before
-            # it (lo); its block's left elements end at left_before[block_end]
-            # (hi).
-            right = np.flatnonzero(~is_left)
+            # Right elements are the level's queries.  One at ordering index
+            # r has left_before[r] left elements before it (lo); its block's
+            # left elements end at left_before[block_end] (hi).
+            right = np.flatnonzero(np.logical_not(is_left, out=is_left))
+            del is_left
             right_pos = order[right]
+            lo = left_before[right]
+            del right
             block_hi = left_before[block_end]
             hi = block_hi[right_pos >> level]
-            lo = (right - ramp[: right.size]).astype(_INDEX_DTYPE)
-            live = hi > lo
-            q_pos = right_pos[live]
-            queries.append(q_pos)
-            starts.append(lo[live] + offset)
+            duplicates = hi - lo
+            live = np.flatnonzero(duplicates > 0)
+            end = num_queries + live.size
+            q_pos = np.take(right_pos, live, out=qpos[num_queries:end])
+            self._distinct[q_pos] -= duplicates[live]
+            np.take(lo, live, out=starts[num_queries:end])
+            starts[num_queries:end] += offset
+            num_queries = end
+            del lo, duplicates, live
             # Live queries come in block order: one run per block with any.
             per_block = np.bincount(q_pos >> level, minlength=block_hi.size)
             has_run = per_block > 0
-            run_ends.append(block_hi[has_run] + offset)
-            run_lengths.append(per_block[has_run].astype(_INDEX_DTYPE))
-            offset += int(left_before[m])
+            end = num_runs + int(np.count_nonzero(has_run))
+            np.add(block_hi[has_run], offset, out=run_hi[num_runs:end])
+            run_length[num_runs:end] = per_block[has_run]
+            num_runs = end
+            offset += contributors.size
+            del q_pos, per_block, has_run, block_hi
 
             if level > 1:
                 # Stable split of every block into its left then right half.
@@ -232,24 +304,28 @@ class ReplayEngine:
                 # blocks plus the left elements before it; a right element
                 # after every left element through its block plus the right
                 # elements before it.
-                block_start = block_end - block_sizes
+                block_start = np.zeros_like(block_end)
+                block_start[1:] = block_end[:-1]
                 right_ahead = block_start - left_before[block_start]
+                del block_start
                 left_dest = right_ahead[contributors >> level]
-                left_dest += ramp[: contributors.size]
+                left_dest += np.arange(contributors.size, dtype=_INDEX_DTYPE)
                 split = np.empty_like(order)
                 split[left_dest] = contributors
-                split[hi + ramp[: right.size]] = right_pos
+                del left_dest, contributors
+                hi += np.arange(right_pos.size, dtype=_INDEX_DTYPE)
+                split[hi] = right_pos
                 order = split
 
-        del rows, order
-        self._segment = np.concatenate(segments)
-        del segments
-        self._qpos = np.concatenate(queries)
-        del queries
-        self._lo = np.concatenate(starts)
+        del rows, order, left_before
+        # Copying out the used prefixes stays below that peak.
+        self._segment = segment
+        self._qpos = qpos[:num_queries].copy()
+        del qpos
+        self._lo = starts[:num_queries].copy()
         del starts
-        self._run_hi = np.concatenate(run_ends)
-        self._run_length = np.concatenate(run_lengths)
+        self._run_hi = run_hi[:num_runs].copy()
+        self._run_length = run_length[:num_runs].copy()
 
     def structure_bytes(self) -> int:
         """Memory footprint of the arrays the engine owns.
@@ -293,7 +369,8 @@ class ReplayEngine:
         digest)`` memo, so the sibling runs of a sweep class answer from
         cache.  Per table, the capacities are grouped by shared weight
         vector (:meth:`_evaluate_spectrum`), so a whole capacity vector
-        usually costs one footprint computation.
+        usually costs one bounds test per capacity and at most one exact
+        footprint computation.
 
         Args:
             size_tables: Per-row size lookup tables (indexed by row id), one
@@ -382,12 +459,17 @@ class ReplayEngine:
         return token
 
     def memo_stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters of the result memo."""
+        """Hit/miss/eviction counters of the result memo, and its routes.
+
+        Every memo miss is one computed result, counted under exactly one of
+        :data:`ROUTES`, so the route counters sum to ``misses``.
+        """
         return {
             "hits": self.memo_hits,
             "misses": self.memo_misses,
             "evictions": self.memo_evictions,
             "entries": len(self._memo),
+            **self.routes,
         }
 
     def _footprint(self, sizes: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
@@ -426,6 +508,33 @@ class ReplayEngine:
             footprint -= np.bincount(self._qpos, contributions, minlength=n)
         return footprint
 
+    def _window_sums(self, queries: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
+        """Distinct in-window weight of each query access, window by window.
+
+        For each access ``i`` in ``queries`` (repeat accesses with a
+        non-empty window), sums ``row_weights`` over the window positions
+        ``prev[i] < j < i`` that are the first in-window occurrence of their
+        row (``prev[j] <= prev[i]``), in exact integer arithmetic.  It costs
+        one step per window position, so it serves few or short windows;
+        :meth:`_footprint` serves the rest.
+        """
+        starts = self._prev_plus1[queries]
+        lengths = queries - starts
+        offsets = np.cumsum(lengths) - lengths
+        positions = np.repeat((starts - offsets).astype(_INDEX_DTYPE), lengths)
+        positions += np.arange(positions.size, dtype=_INDEX_DTYPE)
+        # Clipping maps a first occurrence's prev of -1 to 0, which keeps it
+        # first-in-window: every window starts after position 0.
+        first_in_window = self._prev_plus1[positions] <= np.repeat(starts, lengths)
+        # Each temporary is dropped once used: the peak bytes per window
+        # position enter the route choice in _evaluate_spectrum.
+        rows = self.trace[positions]
+        del positions
+        weights = row_weights[rows]
+        del rows
+        weights *= first_in_window
+        return np.add.reduceat(weights, offsets)
+
     def _evaluate_spectrum(
         self, table: np.ndarray, caps: List[int], pinned: Optional[np.ndarray]
     ) -> Dict[int, RowCacheStats]:
@@ -436,9 +545,19 @@ class ReplayEngine:
         capacities produce identical weight tables iff no accessed row's
         size lies strictly between them, so several capacities are grouped
         by ``searchsorted`` over the distinct sizes of the rows present in
-        the trace: one footprint computation per group, then one cheap hit
-        test per capacity.  In the common case — every row fits in every
-        queried capacity — that is a single group for the whole vector.
+        the trace: one weight table per group, then one hit test per
+        capacity.  In the common case — every row fits in every queried
+        capacity — that is a single group for the whole vector.
+
+        Per group, each repeat access is first decided from its distinct-row
+        count ``D``: its footprint lies between ``size + w_min * D`` and
+        ``size + w_max * D``, with the weight range taken over the rows
+        present in the trace, so it hits if the upper bound fits and misses
+        if the lower bound does not.  The accesses these bounds leave open
+        get their exact footprint from :meth:`_window_sums` when their
+        windows are shorter in total than the tree's segment, and from one
+        :meth:`_footprint` tree pass otherwise.  Each result counts once in
+        :attr:`routes`, under the last step its capacity needed.
 
         Pinned rows get weight 0 in the row table and a forced hit.
 
@@ -448,6 +567,7 @@ class ReplayEngine:
         """
         n = self.trace.size
         if n == 0:
+            self.routes["by_bounds"] += len(caps)
             return {capacity: RowCacheStats() for capacity in caps}
 
         sizes = table[self.trace]  # true per-access sizes
@@ -457,42 +577,95 @@ class ReplayEngine:
                 f"replay of {total_lines} lines over {self._levels} tree levels "
                 "exceeds the exact float64 range (levels x lines < 2**53)"
             )
+        # Repeat accesses whose outcome the footprint decides.
+        decided_by_footprint = self._seen_before
         pinned_hit: Optional[np.ndarray] = None
         if pinned is not None:
             pinned = pinned[(pinned >= 0) & (pinned < table.size)]
             is_pinned = np.zeros(table.size, dtype=bool)
             is_pinned[pinned] = True
             pinned_hit = is_pinned[self.trace]
+            decided_by_footprint = decided_by_footprint & ~pinned_hit
+        # First occurrences list every row present exactly once.
+        first = ~self._seen_before
+        present_sizes = sizes[first]
         caps_arr = np.asarray(caps, dtype=np.int64)
         group_of = np.zeros(caps_arr.size, dtype=np.int64)
         if caps_arr.size > 1:
-            # First occurrences list every row present exactly once.
-            present_sizes = np.unique(sizes[~self._seen_before])
-            group_of = np.searchsorted(present_sizes, caps_arr, side="right")
+            group_of = np.searchsorted(
+                np.unique(present_sizes), caps_arr, side="right"
+            )
         out: Dict[int, RowCacheStats] = {}
         for group in np.unique(group_of):
-            group_caps = caps_arr[group_of == group]
-            row_weights = np.where(table <= int(group_caps[0]), table, 0).astype(
-                np.float64
-            )
-            if pinned is not None:
-                row_weights[pinned] = 0.0
-            footprint = self._footprint(sizes, row_weights)
-            for capacity in group_caps.tolist():
-                hit = footprint <= capacity
-                hit &= self._seen_before
+            group_caps = caps_arr[group_of == group].tolist()
+            threshold = group_caps[0]
+            row_weights = np.where(table <= threshold, table, 0)
+            present_weights = np.where(present_sizes <= threshold, present_sizes, 0)
+            if pinned_hit is not None:
+                row_weights[pinned] = 0
+                present_weights[pinned_hit[first]] = 0
+            w_min = int(present_weights.min())
+            w_max = int(present_weights.max())
+
+            hits: List[np.ndarray] = []
+            open_counts: List[int] = []
+            open_any = np.zeros(n, dtype=bool)
+            for capacity in group_caps:
+                room = capacity - sizes
+                hit = _fits(self._distinct, room, w_max)
+                hit &= decided_by_footprint
+                undecided = _fits(self._distinct, room, w_min)
+                undecided &= decided_by_footprint
+                undecided &= ~hit
+                hits.append(hit)
+                open_counts.append(int(np.count_nonzero(undecided)))
+                open_any |= undecided
+            queries = np.flatnonzero(open_any)
+            route = "by_bounds"
+            if queries.size:
+                # The routes break even near one window position per segment
+                # entry: on the paper-8k traces a window position cost 8-15
+                # ns and up to 17 bytes at peak, a segment entry on a tree
+                # pass 14-17 ns and 17.5-19 bytes.
+                window_lines = int(queries.sum()) - int(
+                    self._prev_plus1[queries].sum(dtype=np.int64)
+                )
+                if window_lines < self._segment.size:
+                    route = "by_windows"
+                    footprint = sizes[queries] + self._window_sums(queries, row_weights)
+                else:
+                    route = "by_tree"
+                    footprint = self._footprint(sizes, row_weights.astype(np.float64))
+                    footprint = footprint[queries]
+
+            for capacity, hit, open_count in zip(group_caps, hits, open_counts):
+                self.routes[route if open_count else "by_bounds"] += 1
+                if queries.size:
+                    hit[queries] = footprint <= capacity
                 if pinned_hit is not None:
                     hit |= pinned_hit
-                hits = int(np.count_nonzero(hit))
+                hit_count = int(np.count_nonzero(hit))
                 hit_lines = int(sizes.sum(where=hit, initial=0))
                 out[capacity] = RowCacheStats(
                     accesses=n,
-                    hits=hits,
-                    misses=n - hits,
+                    hits=hit_count,
+                    misses=n - hit_count,
                     miss_lines=total_lines - hit_lines,
                     hit_lines=hit_lines,
                 )
         return out
+
+
+def _fits(distinct: np.ndarray, room: np.ndarray, weight: int) -> np.ndarray:
+    """Elementwise ``weight * distinct <= room``, without int64 overflow.
+
+    ``distinct`` is non-negative and ``weight`` a non-negative row weight;
+    for positive ``weight`` the test is ``distinct <= room // weight``
+    (floor division, exact for negative ``room`` too).
+    """
+    if weight == 0:
+        return room >= 0
+    return distinct <= room // weight
 
 
 def replay_trace(
@@ -610,6 +783,7 @@ def array_token(array: np.ndarray) -> str:
 
 
 __all__ = [
+    "ROUTES",
     "ReplayEngine",
     "TraceCache",
     "array_token",

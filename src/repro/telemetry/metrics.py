@@ -35,6 +35,9 @@ METRICS_SCHEMA_VERSION = 1
 #: ``kind`` values of a top-level metrics document.
 METRICS_KINDS = ("snapshot", "run-profile", "sweep-profile")
 
+#: Counters ``repro stats`` prints first in every cache block.
+_COMMON_COUNTERS = ("hits", "misses", "evictions", "entries", "bytes")
+
 
 # --------------------------------------------------------------------------- #
 # Records
@@ -209,11 +212,15 @@ def _render_counters(
     for name, block in sorted(caches.items()):
         ratio = hit_ratio(block)
         ratio_text = f"{100.0 * ratio:5.1f}% hit" if ratio is not None else "  (unused)"
-        detail = ", ".join(
-            f"{key}={block[key]}"
-            for key in ("hits", "misses", "evictions", "entries", "bytes")
-            if key in block
-        )
+        # The common counters first, then the block's own integer counters
+        # (e.g. the replay routes) in the order the block lists them.
+        keys = [key for key in _COMMON_COUNTERS if key in block]
+        keys += [
+            key
+            for key, value in block.items()
+            if key not in _COMMON_COUNTERS and type(value) is int
+        ]
+        detail = ", ".join(f"{key}={block[key]}" for key in keys)
         lines.append(f"{'  ' * indent}{name:<14}{ratio_text}  [{detail}]")
 
 

@@ -5,7 +5,14 @@ import pytest
 
 from oracles import RowCache, pinned_partition_replay, replay_structure_reference
 from repro.errors import ConfigurationError
-from repro.memory.replay import ReplayEngine, TraceCache, array_token, replay_trace
+from repro.memory.replay import (
+    ROUTES,
+    ReplayEngine,
+    TraceCache,
+    _previous_occurrences,
+    array_token,
+    replay_trace,
+)
 from repro.memory.rowcache import RowCacheStats
 
 
@@ -17,6 +24,24 @@ def reference_stats(trace, sizes, capacity):
     cache = RowCache(capacity)
     cache.access_trace(trace, sizes)
     return cache.stats
+
+
+def brute_force_previous(trace):
+    """Previous occurrence of each access's row, one access at a time."""
+    last, previous = {}, []
+    for position, row in enumerate(trace.tolist()):
+        previous.append(last.get(row, -1))
+        last[row] = position
+    return np.asarray(previous, dtype=np.int64)
+
+
+def brute_force_distinct(trace):
+    """Distinct rows strictly between each access and its previous occurrence."""
+    counts = np.zeros(trace.size, dtype=np.int64)
+    for position, previous in enumerate(brute_force_previous(trace).tolist()):
+        if previous >= 0:
+            counts[position] = len(set(trace[previous + 1 : position].tolist()))
+    return counts
 
 
 class TestReplayEquivalence:
@@ -61,6 +86,13 @@ class TestReplayEquivalence:
         got = replay_trace(trace, below, capacity)
         assert stats_tuple(got) == stats_tuple(reference_stats(trace, below, capacity))
         assert got.hits == 2
+        # A uniform table is settled by the distinct-row bounds alone, and the
+        # check still runs first.
+        engine = ReplayEngine(trace)
+        engine.evaluate([below], [capacity])
+        assert engine.routes["by_bounds"] == 1
+        with pytest.raises(ConfigurationError, match="2\\*\\*53"):
+            engine.evaluate([np.full(2, 2**50, dtype=np.int64)], [capacity])
         with pytest.raises(ConfigurationError, match="2\\*\\*53"):
             replay_trace(trace, np.full(2, 2**50, dtype=np.int64), capacity)
 
@@ -246,6 +278,37 @@ class TestStructureConstruction:
                 want = reference_stats(trace, sizes, capacity)
                 assert stats_tuple(stats) == stats_tuple(want), (trace.size, capacity)
 
+    def test_distinct_counts_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        cases = [trace for _, trace, _ in _adversarial_cases(rng)]
+        cases += list(_boundary_traces(rng))
+        for trace in cases:
+            engine = ReplayEngine(trace)
+            assert engine._distinct.dtype == np.int32
+            assert np.array_equal(engine._distinct, brute_force_distinct(trace)), (
+                trace.size
+            )
+
+    def test_row_ids_past_16_bits_take_the_general_sort(self):
+        # Row ids below 2**16 sort as uint16 keys (by radix); larger ids sort
+        # as they are.  Both give the same links, counts and statistics.
+        rng = np.random.default_rng(6)
+        for trace in _boundary_traces(rng):
+            wide = trace + 2**16 + 7
+            want = brute_force_previous(trace)
+            assert np.array_equal(_previous_occurrences(trace), want)
+            assert np.array_equal(_previous_occurrences(wide), want)
+            narrow_engine, wide_engine = ReplayEngine(trace), ReplayEngine(wide)
+            for name in ("_distinct", "_qpos", "_lo", "_run_hi", "_run_length"):
+                assert np.array_equal(
+                    getattr(narrow_engine, name), getattr(wide_engine, name)
+                ), (trace.size, name)
+            sizes = rng.integers(1, 9, size=int(wide.max()) + 1).astype(np.int64)
+            (got,) = wide_engine.evaluate([sizes], [4, 40])
+            for capacity, stats in zip([4, 40], got):
+                want_stats = reference_stats(wide, sizes, capacity)
+                assert stats_tuple(stats) == stats_tuple(want_stats), trace.size
+
     def test_structure_bytes_counts_every_array(self):
         # Every array the engine owns, and not the trace it borrows: the
         # trace cache holds that array as an entry of its own, so the cache's
@@ -267,8 +330,87 @@ class TestStructureConstruction:
         assert engine._prev_plus1.dtype == np.int32
 
 
+class TestResolutionRoutes:
+    """Every route an evaluation can take, against the per-access oracles.
+
+    The distinct-row bounds settle a uniform table outright; a lone open
+    access takes the window sums; many open accesses take the tree pass.
+    Each computed result counts under exactly one route.
+    """
+
+    @staticmethod
+    def routes_of(trace, table, capacities, pinned=None):
+        trace = np.asarray(trace, dtype=np.int64)
+        table = np.asarray(table, dtype=np.int64)
+        engine = ReplayEngine(trace)
+        (got,) = engine.evaluate([table], capacities, pinned)
+        for capacity, stats in zip(capacities, got):
+            if pinned is None:
+                want = reference_stats(trace, table, capacity)
+            else:
+                want = pinned_partition_replay(trace, table, capacity, pinned)
+            assert stats_tuple(stats) == stats_tuple(want), capacity
+        assert sum(engine.routes.values()) == engine.memo_misses
+        return engine.routes
+
+    def test_uniform_tables_are_settled_by_the_bounds(self):
+        trace = np.random.default_rng(8).integers(0, 40, size=1500)
+        routes = self.routes_of(trace, np.full(40, 3), [1, 3, 30, 60, 10_000])
+        assert routes == {"by_bounds": 5, "by_windows": 0, "by_tree": 0}
+
+    def test_a_lone_open_access_takes_the_window_sums(self):
+        # Row 0's second access has one distinct row (row 1, size 3) in its
+        # window, so its footprint lies between 2 + 1 and 2 + 3: open at
+        # capacity 4.  Every other repeat has an empty window, and the total
+        # window length (1) is far below the tree's segment.
+        routes = self.routes_of([0, 1, 0] + [2] * 40, [2, 3, 1], [4])
+        assert routes == {"by_bounds": 0, "by_windows": 1, "by_tree": 0}
+
+    def test_many_open_accesses_take_the_tree(self):
+        rng = np.random.default_rng(7)
+        trace = rng.integers(0, 40, size=1500)
+        sizes = rng.integers(1, 20, size=40)
+        routes = self.routes_of(trace, sizes, [60, 120, 200])
+        assert routes == {"by_bounds": 0, "by_windows": 0, "by_tree": 3}
+
+    def test_pinned_and_streaming_rows_on_every_route(self):
+        # Pinned rows and rows larger than the cache weigh 0, which only
+        # weakens the lower bound.  Rows 0-9 (size 1) fit every capacity and
+        # row 10 (size 1000) streams below capacity 1000, so the capacities
+        # form two groups; both are settled by the bounds.
+        rng = np.random.default_rng(9)
+        trace = rng.integers(0, 11, size=600)
+        table = np.ones(11, dtype=np.int64)
+        table[10] = 1000
+        for pinned in (None, np.asarray([3, 7])):
+            routes = self.routes_of(trace, table, [100, 500, 20_000], pinned)
+            assert routes == {"by_bounds": 3, "by_windows": 0, "by_tree": 0}
+        # Row 3 streams and row 4 is pinned at capacity 4: row 0's second
+        # access is the one open access.
+        routes = self.routes_of(
+            [0, 1, 0, 3, 4, 4] + [2] * 40, [2, 3, 1, 50, 1], [4], np.asarray([4])
+        )
+        assert routes == {"by_bounds": 0, "by_windows": 1, "by_tree": 0}
+        rng = np.random.default_rng(7)
+        trace = rng.integers(0, 40, size=1500)
+        sizes = rng.integers(1, 20, size=40)
+        sizes[5] = 10_000
+        routes = self.routes_of(
+            trace, sizes, [60, 120, 200, 20_000], np.asarray([1, 2, 3])
+        )
+        assert routes == {"by_bounds": 0, "by_windows": 0, "by_tree": 4}
+
+
 class TestMemoAccounting:
     """``memo_stats()`` feeds the ``replay_memo`` cache counters."""
+
+    @staticmethod
+    def memo_counters(engine):
+        """The memo's own counters; the route counters must sum to misses."""
+        stats = engine.memo_stats()
+        assert set(stats) == {"hits", "misses", "evictions", "entries", *ROUTES}
+        assert sum(stats[route] for route in ROUTES) == stats["misses"]
+        return {key: stats[key] for key in ("hits", "misses", "evictions", "entries")}
 
     def test_duplicates_and_pinned_sets_are_counted_exactly(self):
         rng = np.random.default_rng(6)
@@ -282,18 +424,18 @@ class TestMemoAccounting:
         # distinct capacities (one requested twice): 2 x 2 evaluations, and
         # the duplicate table answers both capacities from the memo.
         engine.evaluate([table_a, table_b, table_a.copy()], [30, 60, 30])
-        assert engine.memo_stats() == {
+        assert self.memo_counters(engine) == {
             "hits": 2, "misses": 4, "evictions": 0, "entries": 4
         }
         # The same table with a pinned set is a different replay.
         engine.evaluate([table_a], [30, 60], pinned)
-        assert engine.memo_stats() == {
+        assert self.memo_counters(engine) == {
             "hits": 2, "misses": 6, "evictions": 0, "entries": 6
         }
         # Repeating the pinned and the unpinned request only hits.
         engine.evaluate([table_a], [60, 30], pinned.copy())
         engine.evaluate([table_a], [30])
-        assert engine.memo_stats() == {
+        assert self.memo_counters(engine) == {
             "hits": 5, "misses": 6, "evictions": 0, "entries": 6
         }
 
@@ -301,7 +443,7 @@ class TestMemoAccounting:
         monkeypatch.setattr(ReplayEngine, "MEMO_ENTRIES", 2)
         engine = ReplayEngine(np.asarray([0, 1, 0, 1], dtype=np.int64))
         engine.evaluate([np.asarray([1, 2])], [4, 8, 16])
-        assert engine.memo_stats() == {
+        assert self.memo_counters(engine) == {
             "hits": 0, "misses": 3, "evictions": 1, "entries": 2
         }
 

@@ -13,7 +13,7 @@ from repro.experiments.cli import main
 from repro.experiments.runner import SweepRunner
 from repro.experiments.spec import Scenario
 from repro.experiments.store import export_summary_csv, summary_row
-from repro.memory.replay import TraceCache
+from repro.memory.replay import ROUTES, TraceCache
 from repro.telemetry.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsSnapshot,
@@ -327,18 +327,24 @@ class TestDigestInvariance:
             for accelerator in ("sgcn", "gcnax", "igcn")
             for variant in ("gcn", "gin")
         ]
+        plain = Session()
         baseline = [
             json.dumps(result.to_dict(), sort_keys=True)
-            for result in Session().run_many(specs, annotate=False)
+            for result in plain.run_many(specs, annotate=False)
         ]
         telemetry.set_enabled(True)
         telemetry.reset_spans()
+        traced = Session()
         instrumented = [
             json.dumps(result.to_dict(), sort_keys=True)
-            for result in Session().run_many(specs, annotate=False)
+            for result in traced.run_many(specs, annotate=False)
         ]
         assert instrumented == baseline
         assert telemetry.span_snapshot()  # the runs actually recorded spans
+        # The replay routes are decided by the data, never by telemetry.
+        memo = plain.metrics_snapshot().caches["replay_memo"]
+        assert traced.metrics_snapshot().caches["replay_memo"] == memo
+        assert sum(memo[route] for route in ROUTES) == memo["misses"] > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_outputs_byte_identical_with_profiling(self, tmp_path, workers):
@@ -365,7 +371,11 @@ class TestDigestInvariance:
                     ],
                 )
             )
-            assert len(report.metrics_document()["tasks"]) == 3
+            document = report.metrics_document()
+            assert len(document["tasks"]) == 3
+            if profile:
+                memo = document["caches"]["replay_memo"]
+                assert sum(memo[route] for route in ROUTES) == memo["misses"] > 0
         assert outputs[1] == outputs[0]
 
 
@@ -404,6 +414,9 @@ class TestCliObservability:
         assert "sweep-profile" in rendered
         assert "replay" in rendered
         assert "runs/s" in rendered
+        # Counters beyond the common ones are rendered too, the replay
+        # routes among them.
+        assert all(f"{key}=" in rendered for key in ("engines", *ROUTES))
 
     def test_profiled_run_writes_run_profile(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
