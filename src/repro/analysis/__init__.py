@@ -2,7 +2,7 @@
 
 The repo's conventions — seeded RNG everywhere, sorted iteration in
 identity paths, identity-neutral telemetry, a single CLI print funnel,
-setter-only module globals, un-keyed state kept off memoized paths — are
+setter-only module globals, no un-keyed state in the model modules — are
 promoted here from review lore to lint rules.  (The worker wire protocol
 needs no rule: its payloads are frozen records, see
 :mod:`repro.experiments.runner`.)  ``repro lint src`` runs the battery and exits
@@ -14,10 +14,7 @@ Layers:
   :class:`Finding` records, ``# repro: noqa[RULE]`` suppression;
 * :mod:`repro.analysis.rules` — the battery (D1/D2 determinism, N1/N2
   identity-neutrality, W1 worker safety, S1–S3 general safety, R1
-  resilience, F3 memo-key purity);
-* :mod:`repro.analysis.flow` — the interprocedural layer under F3: project
-  call graph plus each function's ambient (global, environment,
-  undeclared ``self``) reads;
+  resilience, F3 memo-key purity), every rule checked module by module;
 * :mod:`repro.analysis.report` — the versioned ``lint-findings`` JSON
   document (schema pinned by a golden test) and the text renderer.
 

@@ -7,12 +7,8 @@ comments.  Everything repo-specific lives in the rules
 (:mod:`repro.analysis.rules`); everything schema-facing lives in the
 reporters (:mod:`repro.analysis.report`).
 
-Two rule scopes:
-
-* :meth:`Rule.check_module` runs once per parsed file — the shape of almost
-  every rule (unseeded RNG, stray prints, bare excepts, ...);
-* :meth:`Rule.check_project` runs once over the whole module set, for
-  whole-program rules (F3's call graph).
+Every rule is module-local: :meth:`Rule.check_module` runs once per parsed
+file (unseeded RNG, stray prints, bare excepts, model-module purity, ...).
 
 Suppression: a finding is dropped when a ``# repro: noqa[RULE]`` comment
 naming the rule's id or name (comma separated for several rules) appears in
@@ -275,9 +271,9 @@ def parse_noqa(source: str) -> Dict[int, FrozenSet[str]]:
 class Rule:
     """Base class of every lint rule.
 
-    Subclasses set the three identity strings and override one (or both) of
-    the check hooks.  Hooks yield :class:`Finding` records; the engine owns
-    ordering and suppression.
+    Subclasses set the three identity strings and override the check hook.
+    It yields :class:`Finding` records; the engine owns ordering and
+    suppression.
     """
 
     rule_id: str = ""
@@ -286,10 +282,6 @@ class Rule:
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
         """Per-file findings (default: none)."""
-        return iter(())
-
-    def check_project(self, modules: Sequence[LintModule]) -> Iterator[Finding]:
-        """Whole-module-set findings (default: none)."""
         return iter(())
 
     # ------------------------------------------------------------------ #
@@ -469,7 +461,6 @@ def run_lint(
     for rule in rules:
         for module in modules:
             findings.extend(rule.check_module(module))
-        findings.extend(rule.check_project(modules))
     kept: List[Finding] = []
     for finding in findings:
         module = by_display.get(finding.path)

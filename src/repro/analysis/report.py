@@ -20,7 +20,8 @@ from repro.analysis.engine import LintReport
 #: v4: F1 and F2 left the battery (cache keys are records by construction;
 #: see INVARIANTS.md), leaving F3.
 #: v5: the worker-payload contract rule left the battery (sweep payloads are
-#: frozen records).
+#: frozen records).  F3 later became a module-local check of the model
+#: modules (same id and name, so no bump).
 LINT_SCHEMA_VERSION = 5
 
 #: ``kind`` value of the findings document.

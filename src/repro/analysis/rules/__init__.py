@@ -19,14 +19,13 @@ from repro.analysis.rules.neutrality import (
     PrintOutsideWriterRule,
     TimingOutsideTelemetryRule,
 )
-from repro.analysis.rules.purity import MemoKeyPurityRule
 from repro.analysis.rules.resilience import AdHocRetryRule
 from repro.analysis.rules.safety import (
     BareExceptRule,
     FrozenSetattrRule,
     MutableDefaultArgRule,
 )
-from repro.analysis.rules.workers import WorkerGlobalWriteRule
+from repro.analysis.rules.workers import MemoKeyPurityRule, WorkerGlobalWriteRule
 from repro.errors import AnalysisError
 
 #: Every active rule, in reporting order.

@@ -1,4 +1,4 @@
-"""Worker-safety rules: the SweepRunner pool protocol.
+"""Module-state rules: the SweepRunner pool protocol and the memo path.
 
 Pool workers are long-lived processes that execute many scenarios.  State
 they mutate outside the session object leaks into every later scenario on
@@ -15,12 +15,19 @@ explicit setter/reset functions, which callers use symmetrically
 * assigning attributes on an *imported* name (``session._DEFAULT_SESSION =
   None``) — cross-module monkeypatching that bypasses the setter and its
   validation entirely.
+
+**F3** ``memo-key-purity`` keeps the model modules — every module the five
+stages and the memo classes (``TraceCache``, ``ReplayEngine``, the row
+tables) are built from — free of un-keyed ambient state, module by module:
+no import of a ``repro`` module outside them (or the identity-neutral
+``repro.telemetry``/``repro.resilience``), no module-level state, and no
+environment read.  A memoized result can then depend only on its arguments.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.engine import ContextVisitor, Finding, LintModule, Rule
 
@@ -126,4 +133,192 @@ class WorkerGlobalWriteRule(Rule):
         return iter(visitor.findings)
 
 
-__all__ = ["WorkerGlobalWriteRule"]
+
+
+#: The model modules: together they hold every module the pipeline stages
+#: and the memo classes import.  F3 checks each of them on its own.
+MODEL_MODULES: Tuple[str, ...] = (
+    "repro.accelerator",
+    "repro.memory",
+    "repro.formats",
+    "repro.graphs",
+    "repro.gcn",
+    "repro.core.config",
+    "repro.core.results",
+    "repro.errors",
+)
+
+#: Modules a model module may import besides the model modules: their state
+#: is pinned identity-neutral by the N1/R1 contracts (spans, counters and
+#: fault points never change results).
+NEUTRAL_MODULES: Tuple[str, ...] = ("repro.telemetry", "repro.resilience")
+
+#: The process-environment entry points of the stdlib ``os`` module.
+_ENVIRONMENT = frozenset({"os.environ", "os.getenv"})
+
+#: Methods that change a list, dict or set in place.
+_MUTATORS = frozenset(
+    ("add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+     "remove", "reverse", "setdefault", "sort", "update")
+)
+
+
+def _within(dotted: str, prefixes: Tuple[str, ...]) -> bool:
+    return any(
+        dotted == prefix or dotted.startswith(prefix + ".") for prefix in prefixes
+    )
+
+
+def module_dotted_name(module: LintModule) -> str:
+    """Importable dotted name of ``module`` derived from its path.
+
+    ``src/repro/core/session.py`` maps to ``repro.core.session`` (everything
+    up to the last ``src`` component is stripped, matching the repo layout);
+    paths without a ``src`` component keep all their parts, so they never
+    collide with a ``repro`` module.
+    """
+    parts = list(module.path.with_suffix("").parts)
+    if "src" in parts:
+        parts = parts[len(parts) - parts[::-1].index("src"):]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    cleaned = [part for part in parts if part not in ("/", "\\", "..", ".")]
+    return ".".join(cleaned) if cleaned else module.path.stem
+
+
+def _imported_modules(module: LintModule, node: ast.AST) -> List[str]:
+    """Dotted names an import statement may bind, relative imports resolved."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        package = module_dotted_name(module).split(".")
+        if module.path.stem != "__init__":
+            package = package[:-1]
+        package = package[: len(package) - node.level + 1]
+        base = ".".join(package + ([base] if base else []))
+    # ``from pkg import name`` binds a submodule or an attribute of ``pkg``;
+    # ``pkg.name`` is inside a scope exactly when either of them is.
+    return [f"{base}.{alias.name}" for alias in node.names]
+
+
+def _mutated_names(module: LintModule) -> Set[str]:
+    """Names the module rebinds (``global``), stores into, or mutates in place."""
+    mutated: Set[str] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Global):
+            mutated.update(node.names)
+        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+            node.value, ast.Name
+        ):
+            if not isinstance(node.ctx, ast.Load) or (
+                isinstance(node, ast.Attribute) and node.attr in _MUTATORS
+            ):
+                mutated.add(node.value.id)
+    return mutated
+
+
+def _module_bindings(module: LintModule) -> Dict[str, ast.Name]:
+    """First binding of each name assigned at module level, in source order."""
+    bindings: Dict[str, ast.Name] = {}
+    for node in module.tree.body:
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    bindings.setdefault(name.id, name)
+    return bindings
+
+
+def _is_state(
+    module: LintModule, name: str, value: Optional[ast.expr], mutated: Set[str]
+) -> bool:
+    """Whether a module-level binding is state rather than a fixed value.
+
+    Fixed values are UPPER_CASE constants the module never mutates, loggers,
+    ``TypeVar``/``ContextVar``/``ParamSpec`` objects and dunders such as
+    ``__all__``.
+    """
+    if name.startswith("__") and name.endswith("__"):
+        return False
+    if name == name.upper():
+        return name in mutated
+    if isinstance(value, ast.Call):
+        dotted = module.resolve(value.func)
+        if dotted is not None and (
+            dotted == "logging.getLogger"
+            or dotted.rsplit(".", 1)[-1] in ("TypeVar", "ContextVar", "ParamSpec")
+        ):
+            return False
+    return True
+
+
+class MemoKeyPurityRule(Rule):
+    """F3: model modules hold no un-keyed ambient state and import no caller."""
+
+    rule_id = "F3"
+    name = "memo-key-purity"
+    summary = (
+        "model modules (the packages the memoized simulation path lives in) "
+        "import no repro module above them, hold no module-level state, and "
+        "read no environment variables"
+    )
+
+    def check_module(self, module: LintModule) -> Iterator[Finding]:
+        if not _within(module_dotted_name(module), MODEL_MODULES):
+            return iter(())
+        findings: List[Finding] = []
+        allowed = MODEL_MODULES + NEUTRAL_MODULES
+        for node in ast.walk(module.tree):
+            for target in _imported_modules(module, node):
+                if _within(target, ("repro",)) and not _within(target, allowed):
+                    findings.append(
+                        self.finding(
+                            module,
+                            node,
+                            f"imports {target}, which is outside the model "
+                            "modules; a memoized path must not reach the "
+                            "session, the sweep layer or the CLI",
+                        )
+                    )
+                    break
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load
+            ):
+                resolved = module.resolve(node)
+                if resolved in _ENVIRONMENT:
+                    findings.append(
+                        self.finding(
+                            module,
+                            node,
+                            f"reads the process environment ({resolved}); "
+                            "key it or suppress it with "
+                            "'# repro: noqa[F3] reason'",
+                        )
+                    )
+        mutated = _mutated_names(module)
+        imported = module.imports()
+        for name, target in _module_bindings(module).items():
+            parent = module.parent(target)
+            value = getattr(parent, "value", None)
+            if name in imported or not _is_state(module, name, value, mutated):
+                continue
+            kind = "table this module mutates" if name == name.upper() else "state"
+            findings.append(
+                self.finding(
+                    module,
+                    target,
+                    f"module-level {kind} {name!r} in a model module; "
+                    "key it or suppress it with '# repro: noqa[F3] reason'",
+                )
+            )
+        return iter(findings)
+
+
+__all__ = ["MODEL_MODULES", "MemoKeyPurityRule", "WorkerGlobalWriteRule"]

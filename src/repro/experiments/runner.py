@@ -466,6 +466,11 @@ class SweepReport:
         run counts, throughput, and the per-task cost check
         (:meth:`task_costs`).  Feed a list of these to
         :func:`repro.telemetry.metrics.sweep_metrics_document`.
+
+        Only a serial sweep's ``caches`` counters are reproducible.  Pool
+        workers each count their own cache traffic, and which worker runs
+        which task varies from run to run, so pooled hit, miss, eviction
+        and route counts vary with it.
         """
         caches = self.cache_totals()
         if self.store_stats is not None:

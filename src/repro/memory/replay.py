@@ -645,7 +645,7 @@ class ReplayEngine:
                 if pinned_hit is not None:
                     hit |= pinned_hit
                 hit_count = int(np.count_nonzero(hit))
-                hit_lines = int(sizes.sum(where=hit, initial=0))
+                hit_lines = int(np.dot(sizes, hit))
                 out[capacity] = RowCacheStats(
                     accesses=n,
                     hits=hit_count,

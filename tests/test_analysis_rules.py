@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import get_rules, run_lint
 
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: rule id -> (flag fixture, pass fixture, expected finding count on flag)
 PAIRS = {
@@ -21,7 +22,7 @@ PAIRS = {
     "S2": ("s2_flag.py", "s2_pass.py", 2),
     "S3": ("s3_flag.py", "s3_pass.py", 1),
     "R1": ("r1_flag.py", "r1_pass.py", 2),
-    "F3": ("f3_flag.py", "f3_pass.py", 3),
+    "F3": ("src/repro/memory/f3_flag.py", "src/repro/memory/f3_pass.py", 4),
 }
 
 
@@ -53,11 +54,77 @@ def test_d1_names_the_unseeded_calls():
 
 
 def test_f3_reports_each_ambient_read_once():
-    report = run_lint([FIXTURES / "f3_flag.py"], get_rules(["F3"]))
+    report = run_lint([FIXTURES / "src/repro/memory/f3_flag.py"], get_rules(["F3"]))
     messages = [finding.message for finding in report.findings]
     assert sum("'_active_mode'" in message for message in messages) == 1
     assert sum("'_KNOBS'" in message for message in messages) == 1
     assert sum("process environment" in message for message in messages) == 1
+    assert sum("repro.core.session" in message for message in messages) == 1
+
+
+def test_f3_checks_model_modules_only(tmp_path):
+    # The same source outside the model modules is none of F3's business.
+    source = (FIXTURES / "src/repro/memory/f3_flag.py").read_text()
+    (tmp_path / "f3_flag.py").write_text(source)
+    (tmp_path / "src" / "repro" / "experiments").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "experiments" / "f3_flag.py").write_text(source)
+    assert run_lint([tmp_path], get_rules(["F3"])).ok
+
+
+def test_f3_resolves_relative_imports(tmp_path):
+    package = tmp_path / "src" / "repro" / "memory"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from . import replay\n")
+    (package / "leak.py").write_text(
+        "from . import replay\nfrom ..core import session\n"
+    )
+    findings = run_lint([tmp_path], get_rules(["F3"])).findings
+    assert [(Path(f.path).name, f.line) for f in findings] == [("leak.py", 2)]
+    assert "repro.core.session" in findings[0].message
+
+
+#: Real model modules, each copied into its package under a scratch ``src``.
+F3_MUTANTS = ("accelerator/pipeline.py", "formats/beicsr.py", "gcn/providers.py")
+
+#: Three injected leaks: setter-rebound module state, an environment read and
+#: a lazy import of the process-wide session.
+F3_INJECTION = """
+
+_mode = "fast"
+
+
+def set_mode(name):
+    global _mode
+    _mode = name
+
+
+def _injected_shortcut():
+    import os
+
+    if os.environ.get("REPRO_SHORTCUT"):
+        from repro.core.session import default_session
+
+        return default_session(), _mode
+    return None
+"""
+
+
+@pytest.mark.parametrize("relative", F3_MUTANTS)
+def test_f3_flags_leaks_injected_into_real_model_modules(tmp_path, relative):
+    source = (REPO_SRC / "repro" / relative).read_text()
+    package = tmp_path / "src" / "repro" / Path(relative).parent
+    package.mkdir(parents=True)
+    clean = package / "clean.py"
+    clean.write_text(source)
+    mutant = package / "mutant.py"
+    mutant.write_text(source + F3_INJECTION)
+    assert run_lint([clean], get_rules(["F3"])).ok
+    findings = run_lint([mutant], get_rules(["F3"])).findings
+    assert len(findings) == 3, [finding.message for finding in findings]
+    messages = " ".join(finding.message for finding in findings)
+    assert "'_mode'" in messages
+    assert "process environment" in messages
+    assert "repro.core.session" in messages
 
 
 def test_noqa_fixture_suppresses_the_n1_finding():
