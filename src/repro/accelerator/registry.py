@@ -6,7 +6,9 @@ declared in :mod:`repro.accelerator.design` (:data:`BUILTIN_DESIGNS`, paper
 Table I).  This module maps names to them.  Lookups fold case, dashes and
 spaces (``"AWB-GCN"`` is ``awb_gcn``) and accept the aliases ``awbgcn`` and
 ``i_gcn``.  The table is read-only: a custom design is not registered but
-run directly, as ``simulate(dataset, point)`` or through the
+run directly by :func:`repro.accelerator.pipeline.simulate_design`.  One
+derived from a table entry by design knobs also runs as
+``simulate(dataset, point)`` or through the
 :class:`~repro.core.runspec.RunSpec` ``design`` axis.
 """
 

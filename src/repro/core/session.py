@@ -25,10 +25,9 @@ it memoizes the expensive spec-independent work across runs:
   normalised :class:`~repro.core.results.ComparisonResult`.
 
 The classic helpers :func:`repro.core.api.simulate` and
-:func:`repro.core.api.compare_accelerators` are thin shims over a shared
-default session (:func:`default_session`); they behave exactly as they did
-before sessions existed (including seeding the topology with 0 when the
-dataset is given by name — see :func:`~repro.core.api.simulate`).
+:func:`repro.core.api.compare_accelerators` are thin shims that build
+``RunSpec`` objects and run them on a shared default session
+(:func:`default_session`), so every result comes from :meth:`Session.run`.
 
 Example::
 
@@ -49,7 +48,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.accelerator.design import DESIGN_KNOBS, DesignPoint
-from repro.accelerator.pipeline import GCN_VARIANTS, simulate_design
+from repro.accelerator.pipeline import simulate_design
 from repro.accelerator.registry import canonical_accelerator, get_design
 from repro.core.config import ScheduleConfig, SystemConfig
 from repro.core.results import ComparisonResult, SimulationResult
@@ -348,8 +347,8 @@ class Session:
             # Only simulation knobs may be overridden: identity/presentation
             # fields (name, display_name, ...) reaching derive() would make
             # the result document disagree with the spec that produced it.
-            # RunSpec.validate() enforces the same bound, but pre-resolved
-            # runs (and direct accelerator() calls) skip full validation.
+            # RunSpec.validate() enforces the same bound for runs; this public
+            # method is also called directly, without a spec.
             unknown = sorted(set(design) - set(DESIGN_KNOBS))
             if unknown:
                 raise ConfigurationError(
@@ -391,15 +390,9 @@ class Session:
         ``None`` (meaning "model defaults", i.e. ``SystemConfig()``) when the
         session has no base config and the spec carries no overrides.
         """
-        return self._effective_config(spec, self.base_config)
-
-    @staticmethod
-    def _effective_config(
-        spec: RunSpec, base: Optional[SystemConfig]
-    ) -> Optional[SystemConfig]:
         if spec.overrides:
-            return build_config(spec.overrides, base=base)
-        return base
+            return build_config(spec.overrides, base=self.base_config)
+        return self.base_config
 
     @property
     def trace_cache(self) -> TraceCache:
@@ -500,13 +493,15 @@ class Session:
         self,
         spec: RunSpec,
         *,
-        dataset: Optional[Dataset] = None,
-        accelerator: Optional[DesignPoint] = None,
-        config: Optional[SystemConfig] = None,
         annotate: bool = False,
         capacity_spectrum: Sequence[int] = (),
     ) -> SimulationResult:
-        """Execute one :class:`RunSpec` and return its result.
+        """Validate and execute one :class:`RunSpec` and return its result.
+
+        Every result in :mod:`repro.core` is produced here: sweeps,
+        :meth:`run_many`, :meth:`compare` and the classic ``simulate()``
+        shims all pass a spec.  The spec is checked with
+        :meth:`RunSpec.validate` first, so a bad field raises before any work.
 
         Every trace-cache key carries its graph's fingerprint, so no entry
         serves two graphs.  When this run's graph differs from the previous
@@ -518,13 +513,6 @@ class Session:
 
         Args:
             spec: The run description.
-            dataset: Pre-resolved dataset; bypasses the spec's dataset
-                reference and scale cap (used by the classic API shims when
-                the caller already holds a :class:`Dataset`).
-            accelerator: Pre-resolved design point; bypasses the spec's
-                accelerator reference.
-            config: Base config overriding the session's ``base_config`` for
-                this run (spec overrides still apply on top).
             annotate: Record ``scenario_id``/``scenario`` in the result's
                 metadata (the experiment harness convention).
             capacity_spectrum: Cache capacities (bytes) the replay should be
@@ -534,49 +522,17 @@ class Session:
                 extra capacities only pre-seed the replay memo shared through
                 the session's trace cache.
         """
-        if accelerator is not None and spec.feature_format is not None:
-            raise ConfigurationError(
-                f"feature_format={spec.feature_format!r} conflicts with a "
-                "pre-resolved design point; apply the override via "
-                "Session.accelerator(name, feature_format=...) instead"
-            )
-        if accelerator is not None and spec.design:
-            raise ConfigurationError(
-                f"design overrides {dict(spec.design)!r} conflict with a "
-                "pre-resolved design point; apply them via "
-                "Session.accelerator(name, design=...) instead"
-            )
-        if dataset is None and accelerator is None:
-            spec.validate()
-        elif spec.variant not in GCN_VARIANTS:
-            # Pre-resolved components skip full validation, but the variant
-            # still reaches the simulator and must be checked here.
-            raise ConfigurationError(
-                f"unknown GCN variant {spec.variant!r}; supported variants: "
-                f"{', '.join(GCN_VARIANTS)}"
-            )
-        dataset_obj = (
-            dataset
-            if dataset is not None
-            else self.load_dataset(
-                spec.dataset,
-                max_vertices=spec.max_vertices,
-                num_layers=spec.num_layers,
-                seed=spec.seed,
-            )
+        spec.validate()
+        dataset_obj = self.load_dataset(
+            spec.dataset,
+            max_vertices=spec.max_vertices,
+            num_layers=spec.num_layers,
+            seed=spec.seed,
         )
-        point = (
-            accelerator
-            if accelerator is not None
-            else self.accelerator(
-                spec.accelerator,
-                feature_format=spec.feature_format,
-                design=spec.design,
-            )
+        point = self.accelerator(
+            spec.accelerator, feature_format=spec.feature_format, design=spec.design
         )
-        effective = self._effective_config(
-            spec, config if config is not None else self.base_config
-        )
+        effective = self.config_for(spec)
         graph = dataset_obj.graph.fingerprint()
         if graph != self._graph:
             self._drop_traces()
@@ -675,11 +631,12 @@ class Session:
     ) -> ComparisonResult:
         """Run one spec per accelerator and collect a comparison.
 
-        The baseline is checked against the specs' accelerators *before* any
-        simulation runs, so a typo fails in milliseconds instead of after the
-        whole batch.
+        Every spec is validated and the baseline is checked against the
+        specs' accelerators *before* any simulation runs, so a typo fails in
+        milliseconds instead of after the whole batch.
 
         Raises:
+            ConfigurationError: If a spec fails :meth:`RunSpec.validate`.
             SimulationError: If ``specs`` is empty, repeats an accelerator
                 (the comparison is keyed by accelerator, so a duplicate would
                 silently drop a run), spans more than one topology
@@ -687,7 +644,7 @@ class Session:
                 compare different graphs), or ``baseline`` is not among the
                 specs' accelerators.
         """
-        specs = list(specs)
+        specs = [spec.validate() for spec in specs]
         if not specs:
             raise SimulationError("compare() needs at least one run spec")
         names = [spec.accelerator for spec in specs]

@@ -225,7 +225,7 @@ class CSRGraph:
         permutation = np.asarray(permutation, dtype=np.int64)
         if permutation.shape != (self.num_vertices,):
             raise GraphError("permutation must have one entry per vertex")
-        if np.sort(permutation).tolist() != list(range(self.num_vertices)):
+        if not np.array_equal(np.sort(permutation), np.arange(self.num_vertices)):
             raise GraphError("permutation must be a bijection over the vertex ids")
 
         # One stable sort of all edges by (new source, new destination)

@@ -53,7 +53,6 @@ def gcn_normalize(graph: CSRGraph, add_loops: bool = True) -> CSRGraph:
     degrees = np.zeros(work.num_vertices, dtype=np.float64)
     sources = np.repeat(np.arange(work.num_vertices, dtype=np.int64), work.degrees)
     np.add.at(degrees, sources, work.weights)
-    np.add.at(degrees, work.indices, 0.0)  # ensure shape; in-degree handled below
 
     in_degrees = np.zeros(work.num_vertices, dtype=np.float64)
     np.add.at(in_degrees, work.indices, work.weights)

@@ -84,3 +84,65 @@ def test_compare_baseline_checked_before_any_simulation(tiny_dataset, monkeypatc
     monkeypatch.setattr(session_module, "simulate_design", explode)
     with pytest.raises(SimulationError, match="baseline 'gcnax' was not among"):
         compare_accelerators(tiny_dataset, ["sgcn", "hygcn"], baseline="gcnax")
+
+
+def test_shims_pass_one_runspec_per_run(tiny_dataset, monkeypatch):
+    from repro import RunSpec, Session
+    from repro.accelerator.registry import get_design
+
+    seen = []
+    run = Session.run
+
+    def spy(self, spec, **kwargs):
+        assert set(kwargs) <= {"annotate", "capacity_spectrum"}, kwargs
+        seen.append(spec)
+        return run(self, spec, **kwargs)
+
+    monkeypatch.setattr(Session, "run", spy)
+    derived = get_design("gcnax").derive(tiling_fill_fraction=0.5,
+                                         feature_format="beicsr")
+    tiny = dict(max_vertices=64, num_layers=4)
+    cases = [
+        (lambda: simulate("cora", "sgcn", max_vertices=64, seed=1),
+         [RunSpec(dataset="cora", accelerator="sgcn", max_vertices=64, seed=1)]),
+        (lambda: simulate(tiny_dataset, "sgcn"),
+         [RunSpec(dataset="cora", accelerator="sgcn", **tiny)]),
+        (lambda: simulate(tiny_dataset, derived),
+         [RunSpec(dataset="cora", accelerator="gcnax", **tiny,
+                  design={"tiling_fill_fraction": 0.5,
+                          "feature_format": "beicsr"})]),
+        (lambda: compare_accelerators(tiny_dataset, [derived, "sgcn"]),
+         [RunSpec(dataset="cora", accelerator="gcnax", **tiny,
+                  design={"tiling_fill_fraction": 0.5,
+                          "feature_format": "beicsr"}),
+          RunSpec(dataset="cora", accelerator="sgcn", **tiny)]),
+    ]
+    for call, expected in cases:
+        seen.clear()
+        call()
+        assert [spec.scenario_id for spec in seen] == [
+            spec.scenario_id for spec in expected
+        ]
+
+
+def test_shims_reject_what_no_runspec_describes(tiny_dataset, monkeypatch):
+    import repro.core.session as session_module
+    from repro.accelerator.design import SGCN_DESIGN, DesignPoint
+
+    def explode(*args, **kwargs):
+        raise AssertionError("simulated an input no RunSpec describes")
+
+    monkeypatch.setattr(session_module, "simulate_design", explode)
+    profile = [0.5] * tiny_dataset.num_layers
+    unregistered = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "mine"})
+    cases = [
+        (load_dataset("cora", max_vertices=64, num_layers=4, hidden_width=128), "sgcn"),
+        (load_dataset("cora", max_vertices=64, num_layers=4, normalize=False), "sgcn"),
+        (tiny_dataset.with_sparsity_profile(profile), "sgcn"),
+        (tiny_dataset, unregistered),
+    ]
+    for dataset, accelerator in cases:
+        with pytest.raises(ConfigurationError, match="simulate_design"):
+            simulate(dataset, accelerator)
+        with pytest.raises(ConfigurationError, match="simulate_design"):
+            compare_accelerators(dataset, [accelerator, "gcnax"])

@@ -192,8 +192,15 @@ def test_session_rejects_design_with_preresolved_accelerator():
         design={"tiling_fill_fraction": 0.5},
         **TINY,
     )
-    with pytest.raises(ConfigurationError, match="design overrides"):
+    # Session.run takes no pre-resolved design point that could drop the
+    # spec's design overrides.
+    with pytest.raises(TypeError, match="accelerator"):
         session.run(spec, accelerator=session.accelerator("gcnax"))
+    # A pre-resolved point reaches a run only as its design-axis spec, and
+    # one whose overrides no design axis describes is rejected.
+    half = get_design("gcnax").derive(tiling_fill_fraction=0.5)
+    with pytest.raises(ConfigurationError, match="not design knobs"):
+        simulate("cora", half.derive(display_name="Half"), max_vertices=64)
 
 
 # --------------------------------------------------------------------------- #
@@ -255,14 +262,11 @@ def test_session_rejects_non_knob_design_keys():
     session = Session()
     with pytest.raises(ConfigurationError, match="unknown design knob"):
         session.accelerator("gcnax", design={"name": "not-gcnax"})
-    # The pre-resolved-dataset path must not bypass the check either.
-    from repro.graphs.datasets import load_dataset
-
-    dataset = load_dataset("cora", max_vertices=64, num_layers=4)
+    # A deserialised spec cannot smuggle a non-knob field into a run either.
     spec = RunSpec(dataset="cora", accelerator="gcnax", **TINY)
     spec = RunSpec.from_dict({**spec.to_dict(), "design": {"name": "evil"}})
     with pytest.raises(ConfigurationError, match="unknown design knob"):
-        session.run(spec, dataset=dataset)
+        session.run(spec)
 
 
 def test_design_axis_canonicalises_values_and_drops_noops():

@@ -179,11 +179,18 @@ def test_session_compare_rejects_mixed_datasets_and_duplicates():
         session.compare(seeds, baseline="gcnax")
 
 
-def test_run_rejects_format_override_with_preresolved_accelerator():
-    session = Session()
-    spec = RunSpec(dataset="cora", accelerator="gcnax", feature_format="csr", **TINY)
-    with pytest.raises(ConfigurationError, match="feature_format"):
-        session.run(spec, accelerator=session.accelerator("gcnax"))
+def test_simulate_derived_format_point_matches_design_axis():
+    # The derived point's format reaches the run: it is the spec's design
+    # override, not dropped in favour of the registered point's format.
+    point = Session().accelerator("gcnax").with_format("csr")
+    via_shim = simulate(load_dataset("cora", **TINY), point)
+    via_axis = Session().run(
+        RunSpec(dataset="cora", accelerator="gcnax", design={"feature_format": "csr"},
+                **TINY)
+    )
+    assert _as_bytes(via_shim) == _as_bytes(via_axis)
+    native = Session().run(RunSpec(dataset="cora", accelerator="gcnax", **TINY))
+    assert _as_bytes(via_shim) != _as_bytes(native)
 
 
 def test_config_for_layers_overrides_on_session_base():
@@ -206,25 +213,32 @@ def test_config_for_layers_overrides_on_session_base():
     assert layered.cache == base.cache
 
 
-def test_compare_shim_accepts_custom_instance_baseline():
+def test_compare_shim_rejects_unregistered_design_point(monkeypatch):
     from repro.accelerator.design import SGCN_DESIGN, DesignPoint
 
+    def explode(*args, **kwargs):
+        raise AssertionError("simulated an inexpressible design point")
+
+    monkeypatch.setattr(session_module, "simulate_design", explode)
     my_accel = DesignPoint.from_dict({**SGCN_DESIGN.to_dict(), "name": "My-Accel"})
+    renamed = SGCN_DESIGN.derive(display_name="Mine")
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
-    comparison = compare_accelerators(
-        dataset, [my_accel, "gcnax"], baseline="My-Accel"
-    )
-    assert comparison.baseline == "My-Accel"
-    assert comparison.speedups("My-Accel")["My-Accel"] == pytest.approx(1.0)
+    for point in (my_accel, renamed):
+        with pytest.raises(ConfigurationError, match="simulate_design"):
+            compare_accelerators(dataset, [point, "gcnax"], baseline="gcnax")
 
 
-def test_compare_shim_rejects_repeated_design_names():
+def test_compare_shim_rejects_repeated_design_names(monkeypatch):
     from repro.accelerator.registry import get_design
 
+    def explode(*args, **kwargs):
+        raise AssertionError("simulated before the duplicate check")
+
+    monkeypatch.setattr(session_module, "simulate_design", explode)
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
     half = get_design("gcnax").derive(tiling_fill_fraction=0.5)
     for entries in ([half, "gcnax"], ["sgcn", "SGCN"]):
-        with pytest.raises(SimulationError, match="one entry per design name"):
+        with pytest.raises(SimulationError, match="one spec per accelerator"):
             compare_accelerators(dataset, entries, baseline="gcnax")
 
 
@@ -268,16 +282,16 @@ def _as_bytes(result) -> str:
 
 def test_simulate_shim_is_byte_identical_to_session_run():
     dataset = load_dataset("cora", max_vertices=64, num_layers=4)
-    via_shim = simulate(dataset, "sgcn", seed=1)
+    # A Dataset instance carries its seed: a different one cannot apply.
+    with pytest.raises(ConfigurationError, match="seed"):
+        simulate(dataset, "sgcn", seed=1)
     via_session = Session().run(
         RunSpec(dataset="cora", accelerator="sgcn", seed=1, **TINY)
     )
-    # The spec path loads the dataset itself; seed drives both topology and
-    # sparsity there, so compare against an identically-loaded instance.
     spec_dataset = load_dataset("cora", max_vertices=64, num_layers=4, seed=1)
     via_shim_seeded = simulate(spec_dataset, "sgcn", seed=1)
     assert _as_bytes(via_shim_seeded) == _as_bytes(via_session)
-    assert via_shim.total_cycles > 0  # seed-0 topology variant still runs
+    assert _as_bytes(simulate(spec_dataset, "sgcn")) == _as_bytes(via_session)
 
 
 def test_simulate_shim_is_byte_identical_for_named_dataset():

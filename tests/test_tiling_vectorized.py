@@ -139,6 +139,14 @@ class TestGraphReorderAndFingerprint:
                 np.concatenate(weights) if weights else np.zeros(0, dtype=np.float32),
             )
 
+    @pytest.mark.parametrize(
+        "permutation", [[0, 1, 1, 3], [0, 1, 2, 4], [0, 1, 2, -1]]
+    )
+    def test_reorder_rejects_non_bijections(self, permutation):
+        graph = CSRGraph.from_dense(np.ones((4, 4), dtype=np.float32))
+        with pytest.raises(GraphError, match="bijection"):
+            graph.reorder(np.array(permutation))
+
     def test_fingerprint_stable_and_topology_sensitive(self):
         rng = np.random.default_rng(6)
         graph = random_graph(rng, max_vertices=60)
