@@ -378,8 +378,7 @@ def _select_pinned_vertices(
     design: DesignPoint, graph: CSRGraph, cache_lines: int, row_lines: float
 ) -> np.ndarray:
     """Highest in-degree vertices whose rows fit the pinned cache share."""
-    in_degrees = np.zeros(graph.num_vertices, dtype=np.int64)
-    np.add.at(in_degrees, graph.indices, 1)
+    in_degrees = np.bincount(graph.indices, minlength=graph.num_vertices)
     budget_rows = int(cache_lines * design.pinned_cache_fraction / max(row_lines, 1.0))
     if budget_rows <= 0:
         return np.zeros(0, dtype=np.int64)

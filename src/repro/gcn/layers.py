@@ -5,6 +5,17 @@ normalised adjacency's edge weights.  It supports forward *and* backward
 passes so the small-graph trainer (:mod:`repro.gcn.training`) can produce
 genuinely-trained sparse features on tiny datasets, which the measured
 sparsity mode and the tests use to validate the sparsity claims.
+
+Both aggregation directions are float32 scatter-adds
+(:meth:`~repro.graphs.graph.CSRGraph.matmul`), and float32 addition is not
+associative, so the order of summation is part of the result: every output
+row starts from ``0.0`` and adds its terms one at a time in edge order (for
+``A_hat^T``, in the order of the edges pointing at the row).  That is the
+order of numpy's unbuffered scatter-add (``ufunc.at`` on ``np.add``), with
+which the trained sparsity masks, and through them the recorded
+measured-sparsity digests, were produced.  Another order
+(``np.add.reduceat``, a BLAS product) flips low bits, and a flipped bit can
+move a ReLU zero or a calibration quantile.
 """
 
 from __future__ import annotations
@@ -35,21 +46,13 @@ def aggregate(graph: CSRGraph, features: np.ndarray) -> np.ndarray:
             "features must be (num_vertices, width); got "
             f"{features.shape} for {graph.num_vertices} vertices"
         )
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    gathered = features[graph.indices] * graph.weights[:, None]
-    out = np.zeros_like(features)
-    np.add.at(out, sources, gathered)
-    return out
+    return graph.matmul(features)
 
 
 def aggregate_transpose(graph: CSRGraph, grad: np.ndarray) -> np.ndarray:
     """Backward pass of :func:`aggregate`: compute ``A_hat^T @ grad``."""
     grad = np.asarray(grad, dtype=np.float32)
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
-    scattered = grad[sources] * graph.weights[:, None]
-    out = np.zeros_like(grad)
-    np.add.at(out, graph.indices, scattered)
-    return out
+    return graph.matmul(grad, transpose=True)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -78,6 +81,10 @@ class _Linear:
         self.grad_bias += grad_out.sum(axis=0)
         return grad_out @ self.weight.T
 
+    def release(self) -> None:
+        """Drop the input saved for :meth:`backward`."""
+        self._input = None
+
     def step(self, lr: float) -> None:
         self.weight -= lr * self.grad_weight
         self.bias -= lr * self.grad_bias
@@ -103,11 +110,9 @@ class GCNLayer:
         self.in_features = in_features
         self.out_features = out_features
         self.linear = _Linear(in_features, out_features, rng)
-        self._aggregated: Optional[np.ndarray] = None
 
     def forward(self, graph: CSRGraph, x: np.ndarray) -> np.ndarray:
-        self._aggregated = aggregate(graph, x)
-        return self.linear.forward(self._aggregated)
+        return self.linear.forward(aggregate(graph, x))
 
     def backward(self, graph: CSRGraph, grad_out: np.ndarray) -> np.ndarray:
         grad_agg = self.linear.backward(grad_out)

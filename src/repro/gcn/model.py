@@ -90,6 +90,7 @@ class DeepGCN:
         self.output_projection = _Linear(hidden_features, self.out_features, rng)
 
         self._forward_cache: Optional[dict] = None
+        self._traces: List[LayerTrace] = []
 
     # ------------------------------------------------------------------ #
     # Inference
@@ -146,7 +147,21 @@ class DeepGCN:
 
     def traces(self) -> List[LayerTrace]:
         """Layer traces collected by the last ``forward(collect_traces=True)``."""
-        return list(getattr(self, "_traces", []))
+        return list(self._traces)
+
+    def release_activations(self) -> None:
+        """Drop every activation the last forward pass kept.
+
+        That is the layer traces, the backward cache and each layer's saved
+        input, so a kept model holds its weights only.  :meth:`backward`
+        needs a fresh :meth:`forward` afterwards.
+        """
+        self._traces = []
+        self._forward_cache = None
+        self.input_projection.release()
+        self.output_projection.release()
+        for layer in self.layers:
+            layer.linear.release()
 
     # ------------------------------------------------------------------ #
     # Training support (used by repro.gcn.training on tiny graphs)

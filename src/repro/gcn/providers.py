@@ -420,11 +420,9 @@ class MeasuredSparsityProvider(SparsityProvider):
             masks = [trace.features != 0 for trace in traces]
         profile = [float(1.0 - mask.mean()) for mask in masks]
         # Only the boolean masks are consumed from here on; drop the
-        # harvest's float layer traces and backward cache so a memoized
-        # entry holds the trained weights + masks, not 2 x num_layers dense
-        # activation matrices.
-        model._traces = []
-        model._forward_cache = None
+        # harvest's activations so a memoized entry holds the trained
+        # weights + masks, not several dense matrices per layer.
+        model.release_activations()
         return MeasuredSparsity(
             model=model,
             masks=masks,

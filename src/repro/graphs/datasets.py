@@ -329,7 +329,8 @@ def load_dataset(
     Args:
         name: Dataset key (``"cora"``, ``"citeseer"``, ``"pubmed"``,
             ``"nell"``, ``"reddit"``, ``"flickr"``, ``"yelp"``, ``"dblp"``,
-            ``"github"``), case-insensitive; two-letter codes also accepted.
+            ``"github"``), case-insensitive.  The paper's two-letter codes
+            (:attr:`Dataset.code`) are labels only, not accepted names.
         max_vertices: Upper bound on the simulated vertex count.  Datasets
             smaller than this are generated at full size; larger datasets are
             scaled down preserving average degree.
@@ -389,9 +390,6 @@ def _resolve_name(name: str) -> str:
     key = name.strip().lower()
     if key in DATASET_SPECS:
         return key
-    for candidate, spec in DATASET_SPECS.items():
-        if spec.code.lower() == key:
-            return candidate
     raise DatasetError(
         f"unknown dataset {name!r}; available: {', '.join(sorted(DATASET_SPECS))}"
     )

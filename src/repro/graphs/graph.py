@@ -11,11 +11,82 @@ simulators and the numpy GCN layers need.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
+
+
+@dataclass(frozen=True)
+class _EdgeRounds:
+    """Edges regrouped into degree rounds, for an in-order scatter-add.
+
+    Rows are ranked by degree, descending (ties keep vertex order); round
+    ``k`` holds the ``k``-th edge of every row whose degree exceeds ``k``,
+    in rank order.  Those rows are always a prefix of the ranking, so adding
+    round after round into a rank-indexed accumulator sums every row's
+    terms in its own edge order.
+
+    Attributes:
+        order: Vertex id of each rank.
+        edges: Edge ids (positions in ``indices``/``weights``), round by round.
+        reads: The vertex whose value row each entry of ``edges`` reads.
+        spans: ``(start, stop)`` of each round within ``edges``.
+    """
+
+    order: np.ndarray
+    edges: np.ndarray
+    reads: np.ndarray
+    spans: Tuple[Tuple[int, int], ...]
+
+    def scatter_add(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum ``values[reads] * weights`` into each row, round by round."""
+        gathered = values[self.reads] * weights[self.edges][:, None]
+        ranked = np.zeros_like(values)
+        for start, stop in self.spans:
+            ranked[: stop - start] += gathered[start:stop]
+        out = np.empty_like(values)
+        out[self.order] = ranked
+        return out
+
+
+def _degree_rounds(
+    starts: np.ndarray, edges: np.ndarray, reads: np.ndarray
+) -> _EdgeRounds:
+    """Regroup ``edges``, grouped by row (row ``v`` at ``starts[v]:starts[v+1]``)."""
+    degrees = np.diff(starts)
+    order = np.argsort(-degrees, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    slot_row = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
+    slot_round = np.arange(edges.size, dtype=np.int64) - starts[slot_row]
+    grouped = edges[np.lexsort((rank[slot_row], slot_round))]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(slot_round)))).tolist()
+    return _EdgeRounds(
+        order=order,
+        edges=grouped,
+        reads=reads[grouped],
+        spans=tuple(zip(bounds[:-1], bounds[1:])),
+    )
+
+
+def _aggregation_rounds(graph: "CSRGraph") -> Tuple[_EdgeRounds, _EdgeRounds]:
+    """Degree rounds of the rows and of the columns of ``graph``."""
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    by_column = np.argsort(graph.indices, kind="stable")
+    column_starts = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(graph.indices, minlength=graph.num_vertices),
+        out=column_starts[1:],
+    )
+    return (
+        _degree_rounds(
+            graph.indptr, np.arange(graph.num_edges, dtype=np.int64), graph.indices
+        ),
+        _degree_rounds(column_starts, by_column, sources),
+    )
 
 
 class CSRGraph:
@@ -69,6 +140,7 @@ class CSRGraph:
         self.weights = weights
         self.name = name
         self._fingerprint: Optional[str] = None
+        self._aggregation_rounds: Optional[Tuple[_EdgeRounds, _EdgeRounds]] = None
 
     def fingerprint(self) -> str:
         """Stable content digest of the topology (indptr + indices).
@@ -87,6 +159,26 @@ class CSRGraph:
             digest.update(np.ascontiguousarray(self.indices).tobytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
+
+    def matmul(self, values: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``A @ values`` (``A^T @ values`` if ``transpose``), ``A`` the weights.
+
+        Each output row starts from ``0.0`` and adds its terms one at a time
+        in edge order (for ``A^T``, in the order of the edges pointing at the
+        row), the order of numpy's unbuffered scatter-add (``ufunc.at`` on
+        ``np.add``), so float32 results match it bit for bit.  The terms are
+        added a whole degree round at a time; the rounds depend only on the
+        topology, so they are planned lazily, once per graph, and memoized
+        under the same no-mutation contract as :meth:`fingerprint`.
+
+        Args:
+            values: ``(num_vertices, width)`` float32 matrix.
+            transpose: Multiply by the transposed adjacency.
+        """
+        if self._aggregation_rounds is None:
+            self._aggregation_rounds = _aggregation_rounds(self)
+        rounds = self._aggregation_rounds[1 if transpose else 0]
+        return rounds.scatter_add(values, self.weights)
 
     # ------------------------------------------------------------------ #
     # Basic properties

@@ -50,12 +50,12 @@ def gcn_normalize(graph: CSRGraph, add_loops: bool = True) -> CSRGraph:
             formulation).  Set to ``False`` to normalise the raw adjacency.
     """
     work = add_self_loops(graph) if add_loops else graph
-    degrees = np.zeros(work.num_vertices, dtype=np.float64)
+    # bincount sums the float64 weights in edge order, as a scatter-add does.
     sources = np.repeat(np.arange(work.num_vertices, dtype=np.int64), work.degrees)
-    np.add.at(degrees, sources, work.weights)
-
-    in_degrees = np.zeros(work.num_vertices, dtype=np.float64)
-    np.add.at(in_degrees, work.indices, work.weights)
+    degrees = np.bincount(sources, weights=work.weights, minlength=work.num_vertices)
+    in_degrees = np.bincount(
+        work.indices, weights=work.weights, minlength=work.num_vertices
+    )
 
     # Symmetric normalisation uses the degree of both endpoints; for a
     # symmetric adjacency in-degree equals out-degree, and for a directed one

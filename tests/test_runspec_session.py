@@ -8,7 +8,12 @@ import pytest
 
 import repro.core.session as session_module
 from repro import RunSpec, Session, compare_accelerators, simulate
-from repro.errors import ConfigurationError, FormatError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    DatasetError,
+    FormatError,
+    SimulationError,
+)
 from repro.graphs.datasets import load_dataset
 
 TINY = dict(max_vertices=64, num_layers=4)
@@ -139,6 +144,16 @@ def test_session_dataset_cache_is_bounded_lru():
     session.load_dataset("pubmed", max_vertices=64)  # evicts citeseer
     assert len(session._datasets) == 2
     assert session.load_dataset("cora", max_vertices=64) is a  # survived
+
+
+def test_session_rejects_dataset_codes_and_shares_one_entry_per_name():
+    session = Session()
+    with pytest.raises(DatasetError, match="available: citeseer, cora"):
+        session.load_dataset("cr", max_vertices=64)
+    padded = session.load_dataset(" Cora ", max_vertices=64)
+    assert session.load_dataset("cora", max_vertices=64) is padded
+    counters = session.metrics_snapshot().caches["dataset"]
+    assert (counters["hits"], counters["entries"]) == (1, 1)
 
 
 def test_session_memoizes_accelerator_instances():

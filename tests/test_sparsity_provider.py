@@ -342,9 +342,14 @@ class TestPipelineIntegration:
 
     def test_harvest_drops_float_traces(self):
         provider = MeasuredSparsityProvider()
-        measured = provider.measure(load_dataset("cora", **TINY))
+        dataset = load_dataset("cora", **TINY)
+        measured = provider.measure(dataset)
         assert measured.model.traces() == []
         assert measured.model._forward_cache is None
+        # The layers' saved inputs are activations too.
+        assert all(layer.linear._input is None for layer in measured.model.layers)
+        with pytest.raises(SimulationError, match="before forward"):
+            measured.model.backward(dataset.graph, np.zeros((1, 1), dtype=np.float32))
 
     def test_first_layer_never_queries_measured_tables(self):
         provider = MeasuredSparsityProvider()
