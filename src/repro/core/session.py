@@ -71,7 +71,9 @@ from repro.telemetry.spans import is_enabled, span_snapshot
 logger = logging.getLogger(__name__)
 
 #: Counters of the ``replay_memo`` block of :meth:`Session.metrics_snapshot`.
-_REPLAY_MEMO_COUNTERS = ("hits", "misses", "evictions", "entries", "engines", *ROUTES)
+_REPLAY_MEMO_COUNTERS = (
+    "hits", "misses", "evictions", "entries", "engines", *ROUTES, "trees"
+)
 
 #: ``on_error`` callback signature of :meth:`Session.run_many`:
 #: ``(index, spec, exception)``.
@@ -313,10 +315,10 @@ class Session:
             self._datasets.move_to_end(key)
             self._dataset_hits += 1
             return cached
-        self._dataset_misses += 1
         dataset = _load_dataset(
             key[0], max_vertices=key[1], num_layers=key[2], seed=key[3]
         )
+        self._dataset_misses += 1
         self._datasets[key] = dataset
         while len(self._datasets) > self.max_cached_datasets:
             self._datasets.popitem(last=False)

@@ -50,11 +50,17 @@ evaluates them offline: for every access ``i`` with previous occurrence
 previous occurrence lies at or before ``p`` (i.e. the first in-window
 occurrence of each distinct row).  The tree's permutations and query
 positions depend only on the *trace*, not on the sizes, so the structure
-— and ``D``, counted from it — is built once per trace
+— and ``D``, counted from it — is built at most once per trace
 (:class:`ReplayEngine`): top down, one stable left/right split per level
 starting from the repeat accesses in previous-occurrence order, with the
 query entries kept in that level order, so no composite-key sort, search
-or grouping pass is needed.  A tree pass — per feature pass, per layer,
+or grouping pass is needed.  The engine walks those levels on its first
+computed evaluation.  The walk always counts ``D``, but writes the tree
+arrays only if that evaluation can leave an access open: a pinned set is
+given, or some capacity group's present rows do not all weigh the same.
+An engine that only ever sees uniform, unpinned tables never holds a tree.
+An engine holding ``D`` alone that later takes a tree pass walks again,
+with the tree.  A tree pass — per feature pass, per layer,
 per capacity group, per pinned set — is a handful of gathers from the
 per-row weight table, cumulative sums and one ``np.bincount``.  Those sums
 run in float64, exact while ``levels x total lines < 2**53`` (checked
@@ -116,11 +122,12 @@ def _previous_occurrences(trace: np.ndarray) -> np.ndarray:
 class ReplayEngine:
     """Array-based replay of one access trace through the LRU row cache.
 
-    The engine precomputes everything that depends only on the trace — the
-    previous-occurrence links and the mergesort-tree used for the
-    distinct-footprint sums — so that :meth:`evaluate` replays new per-row
-    size tables (a new feature pass or layer), capacities, and pinned sets
-    without touching a Python loop.
+    The engine precomputes what depends only on the trace — the
+    previous-occurrence links at construction; the distinct-row counts and,
+    where an evaluation needs it, the mergesort tree for the
+    distinct-footprint sums on the first computed evaluation — so that
+    :meth:`evaluate` replays new per-row size tables (a new feature pass or
+    layer), capacities, and pinned sets without touching a Python loop.
 
     Args:
         trace: ``int64`` row ids in access order (one entry per feature-row
@@ -143,7 +150,17 @@ class ReplayEngine:
             # the exclusive prefix-sum lookup) and the repeat-access mask.
             self._prev_plus1 = (np.where(prev >= 0, prev, 0) + 1).astype(_INDEX_DTYPE)
             self._seen_before = prev >= 0
-            self._build_structure(trace, prev)
+            self._levels = max(1, int(np.ceil(np.log2(max(trace.size, 1)))))
+        # The level walk (_build_structure) runs on the first computed
+        # evaluation: ``_distinct`` and ``_segment_size`` always, the tree
+        # arrays only once an evaluation can leave an access open.
+        self._distinct: Optional[np.ndarray] = None
+        self._segment_size = 0
+        self._segment: Optional[np.ndarray] = None
+        self._qpos: Optional[np.ndarray] = None
+        self._lo: Optional[np.ndarray] = None
+        self._run_hi: Optional[np.ndarray] = None
+        self._run_length: Optional[np.ndarray] = None
         # Result memo keyed by (size-table digest, capacity, pinned-set
         # digest).  Dense-style formats feed the same constant table for
         # every layer and pass of a run, so most evaluations of an engine
@@ -165,8 +182,17 @@ class ReplayEngine:
     # ------------------------------------------------------------------ #
     # Structure construction (trace-only, size-independent)
     # ------------------------------------------------------------------ #
-    def _build_structure(self, trace: np.ndarray, prev: np.ndarray) -> None:
-        """Flattened mergesort tree for the windowed distinct-footprint sums.
+    def _build_structure(self, tree: bool) -> None:
+        """Walk the mergesort-tree levels: count ``D``, and write the tree if asked.
+
+        :meth:`evaluate` runs the walk before the engine's first computed
+        evaluation, with ``tree`` set if that evaluation can leave an access
+        open (:meth:`_can_leave_open`).  ``D`` and the segment length, which
+        the route choice reads, are recorded either way.  An engine holding
+        ``D`` alone walks again, with ``tree``, when an evaluation takes the
+        tree pass; that walk runs inside the evaluation's ``replay_evaluate``
+        span, the first one beside it.  Both record an ``engine_build``
+        span.
 
         Every (contributor ``j``, query ``i``) pair with ``j < i`` is
         separated at exactly one level: the one where they fall in sibling
@@ -211,125 +237,128 @@ class ReplayEngine:
         contributions of each query together.  Everything here depends only
         on the trace, never on the size tables.
         """
-        n = trace.size
-        repeats = np.flatnonzero(prev >= 0)
-        levels = self._levels = max(1, int(np.ceil(np.log2(max(n, 1)))))
-        self._distinct = np.zeros(n, dtype=_INDEX_DTYPE)
-        if not repeats.size:
-            for name in ("_segment", "_qpos", "_lo", "_run_hi", "_run_length"):
-                setattr(self, name, np.zeros(0, dtype=_INDEX_DTYPE))
-            return
-        self._distinct[repeats] = repeats - prev[repeats] - 1
+        with span("engine_build"):
+            n = self.trace.size
+            repeats = np.flatnonzero(self._seen_before)
+            prev = self._prev_plus1[repeats] - 1
+            levels = self._levels
+            self._distinct = np.zeros(n, dtype=_INDEX_DTYPE)
+            self._distinct[repeats] = repeats - prev - 1
 
-        # Every level holds each repeat once, split by bit (level - 1) of its
-        # position into a left (contributor) and a right (query) half.
-        # Folding the repeat mask pairwise counts both halves of every block
-        # of every level, which sizes the workspace before the first level is
-        # written.  A query can only be live if its sibling half holds a
-        # contributor, and a run needs a live query, so the query and run
-        # buffers take those upper bounds.
-        folded = np.zeros(1 << levels, dtype=_INDEX_DTYPE)
-        folded[repeats] = 1
-        num_left = max_queries = max_runs = 0
-        for _ in range(levels):
-            left, right = folded[0::2], folded[1::2]
-            paired = left > 0
-            num_left += int(left.sum())
-            max_queries += int(right.sum(where=paired))
-            max_runs += int(np.count_nonzero(paired & (right > 0)))
-            folded = left + right
-        del folded, left, right, paired
-        segment = np.empty(num_left, dtype=_INDEX_DTYPE)
-        qpos = np.empty(max_queries, dtype=_INDEX_DTYPE)
-        starts = np.empty(max_queries, dtype=_INDEX_DTYPE)
-        run_hi = np.empty(max_runs, dtype=_INDEX_DTYPE)
-        run_length = np.empty(max_runs, dtype=_INDEX_DTYPE)
+            # Every level holds each repeat once, split by bit (level - 1) of
+            # its position into a left (contributor) and a right (query) half.
+            # Folding the repeat mask pairwise counts both halves of every
+            # block of every level, which sizes the workspace before the first
+            # level is written.  A query can only be live if its sibling half
+            # holds a contributor, and a run needs a live query, so the query
+            # and run buffers take those upper bounds.
+            folded = np.zeros(1 << levels, dtype=_INDEX_DTYPE)
+            folded[repeats] = 1
+            num_left = max_queries = max_runs = 0
+            for _ in range(levels):
+                left, right = folded[0::2], folded[1::2]
+                paired = left > 0
+                num_left += int(left.sum())
+                max_queries += int(right.sum(where=paired))
+                max_runs += int(np.count_nonzero(paired & (right > 0)))
+                folded = left + right
+            del folded, left, right, paired
+            self._segment_size = num_left
+            if tree:
+                segment = np.empty(num_left, dtype=_INDEX_DTYPE)
+                qpos = np.empty(max_queries, dtype=_INDEX_DTYPE)
+                starts = np.empty(max_queries, dtype=_INDEX_DTYPE)
+                run_hi = np.empty(max_runs, dtype=_INDEX_DTYPE)
+                run_length = np.empty(max_runs, dtype=_INDEX_DTYPE)
+                rows = self.trace.astype(_INDEX_DTYPE)
 
-        m = repeats.size
-        by_prev = np.full(n, -1, dtype=_INDEX_DTYPE)
-        by_prev[prev[repeats]] = repeats
-        order = by_prev[by_prev >= 0]
-        del by_prev, repeats
-        rows = trace.astype(_INDEX_DTYPE)
-        left_before = np.zeros(m + 1, dtype=_INDEX_DTYPE)
+            m = repeats.size
+            by_prev = np.full(n, -1, dtype=_INDEX_DTYPE)
+            by_prev[prev] = repeats
+            order = by_prev[by_prev >= 0]
+            del by_prev, repeats, prev
+            left_before = np.zeros(m + 1, dtype=_INDEX_DTYPE)
 
-        # Each temporary is dropped once used: the loop's working set, on top
-        # of the buffers above, sets the build's memory peak.
-        offset = num_queries = num_runs = 0
-        for level in range(levels, 0, -1):
-            # Level l has blocks pos >> l; bit l-1 picks the half.
-            is_left = ((order >> (level - 1)) & 1) == 0
-            np.cumsum(is_left, dtype=_INDEX_DTYPE, out=left_before[1:])
-            block_end = np.cumsum(np.bincount(order >> level), dtype=_INDEX_DTYPE)
-            contributors = order[np.flatnonzero(is_left)]
-            np.take(
-                rows,
-                contributors,
-                out=segment[offset : offset + contributors.size],
-                mode="clip",
-            )
+            # Each temporary is dropped once used: the loop's working set, on
+            # top of the buffers above, sets the walk's memory peak.
+            offset = num_queries = num_runs = 0
+            for level in range(levels, 0, -1):
+                # Level l has blocks pos >> l; bit l-1 picks the half.
+                is_left = ((order >> (level - 1)) & 1) == 0
+                np.cumsum(is_left, dtype=_INDEX_DTYPE, out=left_before[1:])
+                block_end = np.cumsum(np.bincount(order >> level), dtype=_INDEX_DTYPE)
+                contributors = order[np.flatnonzero(is_left)]
 
-            # Right elements are the level's queries.  One at ordering index
-            # r has left_before[r] left elements before it (lo); its block's
-            # left elements end at left_before[block_end] (hi).
-            right = np.flatnonzero(np.logical_not(is_left, out=is_left))
-            del is_left
-            right_pos = order[right]
-            lo = left_before[right]
-            del right
-            block_hi = left_before[block_end]
-            hi = block_hi[right_pos >> level]
-            duplicates = hi - lo
-            live = np.flatnonzero(duplicates > 0)
-            end = num_queries + live.size
-            q_pos = np.take(right_pos, live, out=qpos[num_queries:end])
-            self._distinct[q_pos] -= duplicates[live]
-            np.take(lo, live, out=starts[num_queries:end])
-            starts[num_queries:end] += offset
-            num_queries = end
-            del lo, duplicates, live
-            # Live queries come in block order: one run per block with any.
-            per_block = np.bincount(q_pos >> level, minlength=block_hi.size)
-            has_run = per_block > 0
-            end = num_runs + int(np.count_nonzero(has_run))
-            np.add(block_hi[has_run], offset, out=run_hi[num_runs:end])
-            run_length[num_runs:end] = per_block[has_run]
-            num_runs = end
-            offset += contributors.size
-            del q_pos, per_block, has_run, block_hi
+                # Right elements are the level's queries.  One at ordering
+                # index r has left_before[r] left elements before it (lo); its
+                # block's left elements end at left_before[block_end] (hi).
+                right = np.flatnonzero(np.logical_not(is_left, out=is_left))
+                del is_left
+                right_pos = order[right]
+                lo = left_before[right]
+                del right
+                block_hi = left_before[block_end]
+                hi = block_hi[right_pos >> level]
+                duplicates = hi - lo
+                live = np.flatnonzero(duplicates > 0)
+                q_pos = right_pos[live]
+                self._distinct[q_pos] -= duplicates[live]
+                del duplicates
+                if tree:
+                    end = offset + contributors.size
+                    np.take(rows, contributors, out=segment[offset:end], mode="clip")
+                    end = num_queries + live.size
+                    qpos[num_queries:end] = q_pos
+                    np.take(lo, live, out=starts[num_queries:end])
+                    starts[num_queries:end] += offset
+                    num_queries = end
+                    # Live queries come in block order: one run per block
+                    # with any.
+                    per_block = np.bincount(q_pos >> level, minlength=block_hi.size)
+                    has_run = per_block > 0
+                    end = num_runs + int(np.count_nonzero(has_run))
+                    np.add(block_hi[has_run], offset, out=run_hi[num_runs:end])
+                    run_length[num_runs:end] = per_block[has_run]
+                    num_runs = end
+                    offset += contributors.size
+                    del per_block, has_run
+                del lo, live, q_pos, block_hi
 
-            if level > 1:
-                # Stable split of every block into its left then right half.
-                # A left element lands after the right elements of earlier
-                # blocks plus the left elements before it; a right element
-                # after every left element through its block plus the right
-                # elements before it.
-                block_start = np.zeros_like(block_end)
-                block_start[1:] = block_end[:-1]
-                right_ahead = block_start - left_before[block_start]
-                del block_start
-                left_dest = right_ahead[contributors >> level]
-                left_dest += np.arange(contributors.size, dtype=_INDEX_DTYPE)
-                split = np.empty_like(order)
-                split[left_dest] = contributors
-                del left_dest, contributors
-                hi += np.arange(right_pos.size, dtype=_INDEX_DTYPE)
-                split[hi] = right_pos
-                order = split
+                if level > 1:
+                    # Stable split of every block into its left then right
+                    # half.  A left element lands after the right elements of
+                    # earlier blocks plus the left elements before it; a right
+                    # element after every left element through its block plus
+                    # the right elements before it.
+                    block_start = np.zeros_like(block_end)
+                    block_start[1:] = block_end[:-1]
+                    right_ahead = block_start - left_before[block_start]
+                    del block_start
+                    left_dest = right_ahead[contributors >> level]
+                    left_dest += np.arange(contributors.size, dtype=_INDEX_DTYPE)
+                    split = np.empty_like(order)
+                    split[left_dest] = contributors
+                    del left_dest, contributors
+                    hi += np.arange(right_pos.size, dtype=_INDEX_DTYPE)
+                    split[hi] = right_pos
+                    order = split
 
-        del rows, order, left_before
-        # Copying out the used prefixes stays below that peak.
-        self._segment = segment
-        self._qpos = qpos[:num_queries].copy()
-        del qpos
-        self._lo = starts[:num_queries].copy()
-        del starts
-        self._run_hi = run_hi[:num_runs].copy()
-        self._run_length = run_length[:num_runs].copy()
+            del order, left_before
+            if tree:
+                del rows
+                # Copying out the used prefixes stays below that peak.
+                self._segment = segment
+                self._qpos = qpos[:num_queries].copy()
+                del qpos
+                self._lo = starts[:num_queries].copy()
+                del starts
+                self._run_hi = run_hi[:num_runs].copy()
+                self._run_length = run_length[:num_runs].copy()
 
     def structure_bytes(self) -> int:
-        """Memory footprint of the arrays the engine owns.
+        """Memory footprint of the arrays the engine holds now.
 
+        It grows when the level walk runs (see :meth:`_build_structure`).
         The trace itself is borrowed — it is the caller's array, which the
         session's trace cache holds as its own entry — so it is not counted
         here and the cache's bytes gauge counts each buffer once.
@@ -370,7 +399,8 @@ class ReplayEngine:
         cache.  Per table, the capacities are grouped by shared weight
         vector (:meth:`_evaluate_spectrum`), so a whole capacity vector
         usually costs one bounds test per capacity and at most one exact
-        footprint computation.
+        footprint computation.  The first table computed walks the tree
+        levels (:meth:`_build_structure`).
 
         Args:
             size_tables: Per-row size lookup tables (indexed by row id), one
@@ -422,10 +452,11 @@ class ReplayEngine:
                     results[capacity] = cached
             if len(results) == len(unique_caps):
                 continue
+            missing = sorted(set(unique_caps) - set(results))
+            if self._distinct is None:
+                self._build_structure(self._can_leave_open(table, missing, pinned))
             with span("replay_evaluate"):
-                computed = self._evaluate_spectrum(
-                    table, sorted(set(unique_caps) - set(results)), pinned
-                )
+                computed = self._evaluate_spectrum(table, missing, pinned)
             for capacity, stats in computed.items():
                 self.memo_misses += 1
                 self._memo[(token, capacity, pinned_token)] = replace(stats)
@@ -462,7 +493,8 @@ class ReplayEngine:
         """Hit/miss/eviction counters of the result memo, and its routes.
 
         Every memo miss is one computed result, counted under exactly one of
-        :data:`ROUTES`, so the route counters sum to ``misses``.
+        :data:`ROUTES`, so the route counters sum to ``misses``.  ``trees``
+        is 1 if the engine holds its tree arrays, else 0.
         """
         return {
             "hits": self.memo_hits,
@@ -470,7 +502,26 @@ class ReplayEngine:
             "evictions": self.memo_evictions,
             "entries": len(self._memo),
             **self.routes,
+            "trees": int(self._segment is not None),
         }
+
+    def _can_leave_open(
+        self, table: np.ndarray, caps: List[int], pinned: Optional[np.ndarray]
+    ) -> bool:
+        """Whether evaluating ``table`` at ``caps`` may leave an access open.
+
+        The distinct-row bounds settle every access when a capacity group's
+        present rows all weigh the same (``w_min == w_max``), so only a
+        pinned set or an uneven weight range can need the tree.
+        """
+        if not self._seen_before.any():
+            return False
+        if pinned is not None:
+            return True
+        present_sizes = table[self.trace[~self._seen_before]]
+        return any(
+            w_min != w_max for _, w_min, w_max in _weight_ranges(present_sizes, caps)
+        )
 
     def _footprint(self, sizes: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
         """Distinct in-window footprint per access for one weight table.
@@ -588,24 +639,14 @@ class ReplayEngine:
             decided_by_footprint = decided_by_footprint & ~pinned_hit
         # First occurrences list every row present exactly once.
         first = ~self._seen_before
-        present_sizes = sizes[first]
-        caps_arr = np.asarray(caps, dtype=np.int64)
-        group_of = np.zeros(caps_arr.size, dtype=np.int64)
-        if caps_arr.size > 1:
-            group_of = np.searchsorted(
-                np.unique(present_sizes), caps_arr, side="right"
-            )
+        groups = _weight_ranges(
+            sizes[first], caps, None if pinned_hit is None else pinned_hit[first]
+        )
         out: Dict[int, RowCacheStats] = {}
-        for group in np.unique(group_of):
-            group_caps = caps_arr[group_of == group].tolist()
-            threshold = group_caps[0]
-            row_weights = np.where(table <= threshold, table, 0)
-            present_weights = np.where(present_sizes <= threshold, present_sizes, 0)
-            if pinned_hit is not None:
+        for group_caps, w_min, w_max in groups:
+            row_weights = np.where(table <= group_caps[0], table, 0)
+            if pinned is not None:
                 row_weights[pinned] = 0
-                present_weights[pinned_hit[first]] = 0
-            w_min = int(present_weights.min())
-            w_max = int(present_weights.max())
 
             hits: List[np.ndarray] = []
             open_counts: List[int] = []
@@ -630,11 +671,13 @@ class ReplayEngine:
                 window_lines = int(queries.sum()) - int(
                     self._prev_plus1[queries].sum(dtype=np.int64)
                 )
-                if window_lines < self._segment.size:
+                if window_lines < self._segment_size:
                     route = "by_windows"
                     footprint = sizes[queries] + self._window_sums(queries, row_weights)
                 else:
                     route = "by_tree"
+                    if self._segment is None:
+                        self._build_structure(tree=True)
                     footprint = self._footprint(sizes, row_weights.astype(np.float64))
                     footprint = footprint[queries]
 
@@ -654,6 +697,34 @@ class ReplayEngine:
                     hit_lines=hit_lines,
                 )
         return out
+
+
+def _weight_ranges(
+    present_sizes: np.ndarray,
+    caps: List[int],
+    present_pinned: Optional[np.ndarray] = None,
+) -> List[Tuple[List[int], int, int]]:
+    """Group ``caps`` by shared weight table, with each group's weight range.
+
+    ``present_sizes`` holds the size of every row present in the trace,
+    once each, and ``present_pinned`` flags the pinned ones.  A row weighs
+    its size if it fits the group's capacities and is not pinned, else 0.
+    Two capacities share a weight table iff no present row's size lies
+    strictly between them.  Returns ``(capacities, w_min, w_max)`` per group,
+    in capacity order.
+    """
+    caps_arr = np.asarray(caps, dtype=np.int64)
+    group_of = np.zeros(caps_arr.size, dtype=np.int64)
+    if caps_arr.size > 1:
+        group_of = np.searchsorted(np.unique(present_sizes), caps_arr, side="right")
+    groups = []
+    for group in np.unique(group_of):
+        group_caps = caps_arr[group_of == group].tolist()
+        weights = np.where(present_sizes <= group_caps[0], present_sizes, 0)
+        if present_pinned is not None:
+            weights[present_pinned] = 0
+        groups.append((group_caps, int(weights.min()), int(weights.max())))
+    return groups
 
 
 def _fits(distinct: np.ndarray, room: np.ndarray, weight: int) -> np.ndarray:
@@ -708,8 +779,10 @@ class TraceCache:
     run's (:meth:`repro.core.session.Session.run`).
 
     Besides the hit/miss counters the cache tracks evictions and an
-    approximate resident-bytes gauge (:func:`_entry_bytes` per entry), all
-    reported by :meth:`stats` and surfaced through
+    approximate resident-bytes gauge (:func:`_entry_bytes` summed over the
+    resident entries when it is read, so an engine whose level walk runs
+    after insertion is counted at its current size), all reported by
+    :meth:`stats` and surfaced through
     :meth:`repro.core.session.Session.metrics_snapshot`.
     """
 
@@ -721,7 +794,6 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.current_bytes = 0
 
     def get(self, key: Hashable, builder: Callable[[], object]) -> object:
         """Return the cached value for ``key``, building and storing on miss."""
@@ -733,11 +805,9 @@ class TraceCache:
         value = builder()
         self.misses += 1
         self._entries[key] = value
-        self.current_bytes += _entry_bytes(value)
         while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            self.current_bytes -= _entry_bytes(evicted)
         return value
 
     def clear(self) -> None:
@@ -749,7 +819,6 @@ class TraceCache:
         """
         self.evictions += len(self._entries)
         self._entries.clear()
-        self.current_bytes = 0
 
     def values(self):
         """Iterate over the cached values (LRU to MRU order)."""
@@ -762,7 +831,7 @@ class TraceCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "entries": len(self._entries),
-            "bytes": max(0, int(self.current_bytes)),
+            "bytes": sum(_entry_bytes(value) for value in self._entries.values()),
         }
 
     def __len__(self) -> int:

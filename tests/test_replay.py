@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import RowCache, pinned_partition_replay, replay_structure_reference
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.memory.replay import (
     ROUTES,
@@ -235,6 +236,14 @@ class TestOracleFuzz:
         assert [stats_tuple(s) for s in plain] == [stats_tuple(s) for s in absent]
 
 
+def pinned_engine(trace):
+    """An engine whose first evaluation is pinned, so its walk keeps the tree."""
+    engine = ReplayEngine(trace)
+    rows = int(trace.max()) + 1 if trace.size else 1
+    engine.evaluate([np.ones(rows, dtype=np.int64)], [1], np.asarray([0]))
+    return engine
+
+
 def _boundary_traces(rng):
     """Random traces of length 2**k - 1, 2**k and 2**k + 1 for k = 1..11."""
     for k in range(1, 12):
@@ -249,8 +258,14 @@ class TestStructureConstruction:
     STRUCTURE = ("_segment", "_qpos", "_lo", "_run_hi", "_run_length")
 
     def assert_same_structure(self, trace):
-        engine = ReplayEngine(trace)
+        engine = pinned_engine(trace)
         want = replay_structure_reference(trace)
+        if not np.any(_previous_occurrences(trace) >= 0):
+            # No repeat access can be open, so no tree is written.
+            assert engine.memo_stats()["trees"] == 0, trace.size
+            assert all(not want[name].size for name in self.STRUCTURE)
+            return
+        assert engine.memo_stats()["trees"] == 1, trace.size
         for name in self.STRUCTURE:
             got = getattr(engine, name)
             assert got.dtype == want[name].dtype, (trace.size, name)
@@ -283,11 +298,14 @@ class TestStructureConstruction:
         cases = [trace for _, trace, _ in _adversarial_cases(rng)]
         cases += list(_boundary_traces(rng))
         for trace in cases:
-            engine = ReplayEngine(trace)
-            assert engine._distinct.dtype == np.int32
-            assert np.array_equal(engine._distinct, brute_force_distinct(trace)), (
-                trace.size
-            )
+            # A uniform table walks for D alone; a pinned one writes the tree
+            # too.  Both count the same D.
+            uniform = ReplayEngine(trace)
+            uniform.evaluate([np.ones(int(trace.max(initial=0)) + 1)], [1])
+            want = brute_force_distinct(trace)
+            for engine in (uniform, pinned_engine(trace)):
+                assert engine._distinct.dtype == np.int32
+                assert np.array_equal(engine._distinct, want), trace.size
 
     def test_row_ids_past_16_bits_take_the_general_sort(self):
         # Row ids below 2**16 sort as uint16 keys (by radix); larger ids sort
@@ -298,8 +316,11 @@ class TestStructureConstruction:
             want = brute_force_previous(trace)
             assert np.array_equal(_previous_occurrences(trace), want)
             assert np.array_equal(_previous_occurrences(wide), want)
-            narrow_engine, wide_engine = ReplayEngine(trace), ReplayEngine(wide)
-            for name in ("_distinct", "_qpos", "_lo", "_run_hi", "_run_length"):
+            narrow_engine, wide_engine = pinned_engine(trace), pinned_engine(wide)
+            trees = narrow_engine.memo_stats()["trees"]
+            assert wide_engine.memo_stats()["trees"] == trees
+            names = ("_distinct", "_qpos", "_lo", "_run_hi", "_run_length")
+            for name in names if trees else names[:1]:
                 assert np.array_equal(
                     getattr(narrow_engine, name), getattr(wide_engine, name)
                 ), (trace.size, name)
@@ -328,6 +349,82 @@ class TestStructureConstruction:
         assert cache.stats()["bytes"] == trace.nbytes + engine.structure_bytes()
         assert not hasattr(engine, "prev")
         assert engine._prev_plus1.dtype == np.int32
+
+    def test_uniform_tables_leave_the_tree_unbuilt(self):
+        # Uniform, unpinned tables are settled by the bounds, so the walk
+        # keeps D and writes no tree array; structure_bytes() counts what
+        # the engine holds.
+        trace = np.random.default_rng(7).integers(0, 40, size=1500)
+        engine = ReplayEngine(trace)
+        fresh_bytes = engine.structure_bytes()
+        for table in (np.full(40, 3), np.full(40, 5)):
+            engine.evaluate([table], [1, 30, 200])
+        assert engine.memo_stats()["trees"] == 0
+        assert engine.routes == {"by_bounds": 6, "by_windows": 0, "by_tree": 0}
+        for name in self.STRUCTURE:
+            assert getattr(engine, name) is None, name
+        assert engine.structure_bytes() == fresh_bytes + engine._distinct.nbytes
+        assert engine.structure_bytes() == sum(
+            value.nbytes
+            for name, value in vars(engine).items()
+            if isinstance(value, np.ndarray) and name != "trace"
+        )
+
+    def test_a_later_uneven_table_walks_again_with_the_tree(self):
+        rng = np.random.default_rng(7)
+        trace = rng.integers(0, 40, size=1500)
+        sizes = rng.integers(1, 20, size=40)
+        engine = ReplayEngine(trace)
+        engine.evaluate([np.full(40, 3)], [60])
+        d_only_bytes = engine.structure_bytes()
+        capacities = [60, 120, 200]
+        (got,) = engine.evaluate([sizes], capacities)
+        for capacity, stats in zip(capacities, got):
+            want = reference_stats(trace, sizes, capacity)
+            assert stats_tuple(stats) == stats_tuple(want), capacity
+        assert engine.routes == {"by_bounds": 1, "by_windows": 0, "by_tree": 3}
+        assert sum(engine.routes.values()) == engine.memo_misses
+        assert engine.memo_stats()["trees"] == 1
+        assert engine.structure_bytes() > d_only_bytes
+        want_structure = replay_structure_reference(trace)
+        for name in self.STRUCTURE:
+            assert np.array_equal(getattr(engine, name), want_structure[name]), name
+        assert np.array_equal(engine._distinct, brute_force_distinct(trace))
+
+    def test_a_pinned_first_evaluation_walks_once(self, monkeypatch):
+        walks = []
+        walk = ReplayEngine._build_structure
+
+        def counted(engine, tree):
+            walks.append(tree)
+            walk(engine, tree)
+
+        monkeypatch.setattr(ReplayEngine, "_build_structure", counted)
+        rng = np.random.default_rng(7)
+        trace = rng.integers(0, 40, size=1500)
+        sizes = rng.integers(1, 20, size=40)
+        engine = ReplayEngine(trace)
+        assert engine.memo_stats()["trees"] == 0
+        engine.evaluate([sizes], [60, 120], np.asarray([1, 2, 3]))
+        engine.evaluate([sizes, np.full(40, 3)], [60, 120, 200])
+        assert walks == [True]
+        assert engine.memo_stats()["trees"] == 1
+        assert engine.routes["by_tree"] > 0
+
+    def test_the_walk_is_timed_beside_the_evaluation(self):
+        # The walk records its own engine_build span next to the evaluation's,
+        # so replay_evaluate times the evaluation alone.
+        telemetry.reset_spans()
+        telemetry.set_enabled(True)
+        try:
+            pinned_engine(np.asarray([0, 1, 0, 1], dtype=np.int64))
+            spans = telemetry.span_snapshot()
+        finally:
+            telemetry.set_enabled(False)
+            telemetry.reset_spans()
+        assert spans["engine_build"]["count"] == 2
+        assert spans["replay_evaluate"]["count"] == 1
+        assert "children" not in spans["replay_evaluate"]
 
 
 class TestResolutionRoutes:
@@ -408,7 +505,7 @@ class TestMemoAccounting:
     def memo_counters(engine):
         """The memo's own counters; the route counters must sum to misses."""
         stats = engine.memo_stats()
-        assert set(stats) == {"hits", "misses", "evictions", "entries", *ROUTES}
+        assert set(stats) == {"hits", "misses", "evictions", "entries", "trees", *ROUTES}
         assert sum(stats[route] for route in ROUTES) == stats["misses"]
         return {key: stats[key] for key in ("hits", "misses", "evictions", "entries")}
 
@@ -465,6 +562,20 @@ class TestTraceCache:
         cache.get("a", lambda: 0)  # refresh a
         cache.get("c", lambda: 3)  # evicts b
         assert "a" in cache and "c" in cache and "b" not in cache
+
+    def test_bytes_gauge_counts_what_the_entries_hold_now(self):
+        # The gauge is summed when read, so an engine's later walk raises it,
+        # and clearing the cache returns it to 0.
+        trace = np.random.default_rng(7).integers(0, 40, size=1500)
+        cache = TraceCache()
+        engine = cache.get(("engine",), lambda: ReplayEngine(trace))
+        before = cache.stats()["bytes"]
+        assert before == engine.structure_bytes() > 0
+        engine.evaluate([np.full(40, 2)], [50], np.asarray([3]))
+        assert engine.memo_stats()["trees"] == 1
+        assert cache.stats()["bytes"] == engine.structure_bytes() > before
+        cache.clear()
+        assert cache.stats()["bytes"] == 0
 
     def test_clear_keeps_counters(self):
         cache = TraceCache()

@@ -152,8 +152,9 @@ def test_session_rejects_dataset_codes_and_shares_one_entry_per_name():
         session.load_dataset("cr", max_vertices=64)
     padded = session.load_dataset(" Cora ", max_vertices=64)
     assert session.load_dataset("cora", max_vertices=64) is padded
+    # The rejected name built nothing, so it is no miss.
     counters = session.metrics_snapshot().caches["dataset"]
-    assert (counters["hits"], counters["entries"]) == (1, 1)
+    assert (counters["misses"], counters["hits"], counters["entries"]) == (1, 1, 1)
 
 
 def test_session_memoizes_accelerator_instances():
