@@ -66,7 +66,7 @@ from repro.graphs.datasets import load_dataset as _load_dataset
 from repro.memory.replay import ROUTES, ReplayEngine, TraceCache
 from repro.resilience.policy import active_policy
 from repro.telemetry.metrics import MetricsSnapshot
-from repro.telemetry.spans import is_enabled, span_snapshot
+from repro.telemetry.spans import is_enabled, span, span_snapshot
 
 logger = logging.getLogger(__name__)
 
@@ -308,6 +308,7 @@ class Session:
         Dataset generation is deterministic in ``(name, max_vertices,
         num_layers, seed)``, so the cached instance is interchangeable with a
         fresh load; repeated runs over the same dataset reuse one topology.
+        A miss is timed as the ``dataset_load`` span.
         """
         key = (name.strip().lower(), int(max_vertices), int(num_layers), int(seed))
         cached = self._datasets.get(key)
@@ -315,9 +316,10 @@ class Session:
             self._datasets.move_to_end(key)
             self._dataset_hits += 1
             return cached
-        dataset = _load_dataset(
-            key[0], max_vertices=key[1], num_layers=key[2], seed=key[3]
-        )
+        with span("dataset_load"):
+            dataset = _load_dataset(
+                key[0], max_vertices=key[1], num_layers=key[2], seed=key[3]
+            )
         self._dataset_misses += 1
         self._datasets[key] = dataset
         while len(self._datasets) > self.max_cached_datasets:

@@ -74,7 +74,7 @@ def _degree_rounds(
 
 def _aggregation_rounds(graph: "CSRGraph") -> Tuple[_EdgeRounds, _EdgeRounds]:
     """Degree rounds of the rows and of the columns of ``graph``."""
-    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    sources = graph._sources()
     by_column = np.argsort(graph.indices, kind="stable")
     column_starts = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.cumsum(
@@ -89,6 +89,29 @@ def _aggregation_rounds(graph: "CSRGraph") -> Tuple[_EdgeRounds, _EdgeRounds]:
     )
 
 
+def _csr_from_keys(
+    num_vertices: int, keys: np.ndarray, weights: np.ndarray, name: str,
+    deduplicate: bool = False,
+) -> "CSRGraph":
+    """Graph of the edges ``keys = source * num_vertices + destination``.
+
+    One stable sort of the keys orders the rows by source with ascending
+    destinations; equal keys keep their input order, and ``deduplicate``
+    keeps only the first of each run (with its weight).
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if deduplicate and keys.size:
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        order, keys = order[first], keys[first]
+    sources, destinations = np.divmod(keys, num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_vertices), out=indptr[1:])
+    return CSRGraph(indptr, destinations, weights[order], name=name)
+
+
 class CSRGraph:
     """A directed graph stored in compressed sparse row form.
 
@@ -96,7 +119,7 @@ class CSRGraph:
         num_vertices: Number of vertices.
         indptr: ``int64`` array of length ``num_vertices + 1``; row ``v``'s
             neighbours are ``indices[indptr[v]:indptr[v + 1]]``.
-        indices: ``int32`` array of destination vertex ids, one per edge.
+        indices: ``int64`` array of destination vertex ids, one per edge.
         weights: ``float32`` array of edge weights, one per edge.  For a GCN
             this holds the normalised adjacency values.
         name: Optional human-readable name (dataset name).
@@ -136,7 +159,7 @@ class CSRGraph:
                 raise GraphError("weights must have one entry per edge")
 
         self.indptr = indptr
-        self.indices = indices.astype(np.int64)
+        self.indices = indices
         self.weights = weights
         self.name = name
         self._fingerprint: Optional[str] = None
@@ -150,8 +173,8 @@ class CSRGraph:
         graph objects with the same fingerprint produce identical access
         traces for any schedule.  Weights are excluded — they never affect
         trace construction.  Computed lazily and memoized; callers must not
-        mutate ``indptr``/``indices`` after construction (nothing in the
-        library does).
+        mutate ``indptr``/``indices``, nor the arrays they passed to the
+        constructor, which keeps them uncopied (nothing in the library does).
         """
         if self._fingerprint is None:
             digest = hashlib.sha1()
@@ -255,6 +278,11 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build a graph from an edge list.
 
+        Rows come out ordered by source with their destinations ascending.
+        With ``deduplicate`` a repeated ``(source, destination)`` pair keeps
+        its first occurrence's weight; without it, equal pairs keep their
+        input order.
+
         Args:
             num_vertices: Number of vertices.
             edges: ``(E, 2)`` array or iterable of ``(source, destination)``
@@ -283,21 +311,8 @@ class CSRGraph:
             if weight_array.shape[0] != edge_array.shape[0]:
                 raise GraphError("weights must align with edges")
 
-        if deduplicate:
-            keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
-            _, unique_idx = np.unique(keys, return_index=True)
-            unique_idx = np.sort(unique_idx)
-            edge_array = edge_array[unique_idx]
-            weight_array = weight_array[unique_idx]
-
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
-        edge_array = edge_array[order]
-        weight_array = weight_array[order]
-
-        counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, edge_array[:, 1], weight_array, name=name)
+        keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+        return _csr_from_keys(num_vertices, keys, weight_array, name, deduplicate)
 
     # ------------------------------------------------------------------ #
     # Transformations
@@ -321,45 +336,27 @@ class CSRGraph:
             raise GraphError("permutation must be a bijection over the vertex ids")
 
         # One stable sort of all edges by (new source, new destination)
-        # reproduces the per-row relabel-and-sort exactly: row blocks stay
-        # contiguous and within each row the destinations come out sorted
-        # (ties keep their original CSR order, as a per-row stable argsort
-        # would).
-        num_vertices = self.num_vertices
-        new_src = permutation[
-            np.repeat(np.arange(num_vertices, dtype=np.int64), self.degrees)
-        ]
-        new_dst = permutation[self.indices]
-        order = np.argsort(new_src * num_vertices + new_dst, kind="stable")
+        # reproduces the per-row relabel-and-sort exactly (ties keep their
+        # original CSR order, as a per-row stable argsort would).
+        n = self.num_vertices
+        keys = permutation[self._sources()] * n + permutation[self.indices]
+        return _csr_from_keys(n, keys, self.weights, self.name)
 
-        new_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_src, minlength=num_vertices), out=new_indptr[1:])
-        return CSRGraph(
-            new_indptr, new_dst[order], self.weights[order], name=self.name
-        )
+    def _sources(self) -> np.ndarray:
+        """Source vertex of every edge."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
 
     def transpose(self) -> "CSRGraph":
         """Return the transposed graph (edges reversed)."""
-        sources = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
-        pairs = np.stack([self.indices, sources], axis=1)
-        return CSRGraph.from_edge_list(
-            self.num_vertices,
-            pairs,
-            weights=self.weights,
-            name=self.name,
-            deduplicate=False,
-        )
+        keys = self.indices * self.num_vertices + self._sources()
+        return _csr_from_keys(self.num_vertices, keys, self.weights, self.name)
 
     def symmetrized(self) -> "CSRGraph":
         """Return the graph with every edge mirrored (undirected view)."""
-        sources = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
-        forward = np.stack([sources, self.indices], axis=1)
-        backward = np.stack([self.indices, sources], axis=1)
-        pairs = np.concatenate([forward, backward], axis=0)
+        n, sources = self.num_vertices, self._sources()
+        keys = np.concatenate([sources * n + self.indices, self.indices * n + sources])
         weights = np.concatenate([self.weights, self.weights])
-        return CSRGraph.from_edge_list(
-            self.num_vertices, pairs, weights=weights, name=self.name, deduplicate=True
-        )
+        return _csr_from_keys(n, keys, weights, self.name, deduplicate=True)
 
     # ------------------------------------------------------------------ #
     # Size accounting (Table II "Topology" column)

@@ -18,19 +18,24 @@ inputs.
   :func:`locality_reordering_reference` — oracles of the schedule builders
   in :mod:`repro.accelerator.tiling`;
 * :func:`per_slice_nonzeros_reference` — oracle of
-  :func:`repro.gcn.sparsity.per_slice_nonzeros`.
+  :func:`repro.gcn.sparsity.per_slice_nonzeros`;
+* :func:`csr_from_edge_list_reference`, :func:`transpose_reference`,
+  :func:`symmetrized_reference` — CSR construction as three sorts
+  (``np.unique``, ``np.sort``, ``np.lexsort``), oracles of
+  :meth:`repro.graphs.graph.CSRGraph.from_edge_list` and of the
+  transformations built on its single stable sort.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from math import ceil
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerator.tiling import TilingPlan
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, GraphError, SimulationError
 from repro.graphs.graph import CSRGraph
 from repro.memory.rowcache import RowCacheStats
 
@@ -375,3 +380,76 @@ def per_slice_nonzeros_reference(matrix: np.ndarray, slice_size: int) -> np.ndar
         stop = min(width, start + slice_size)
         counts[:, index] = np.count_nonzero(matrix[:, start:stop], axis=1)
     return counts
+
+
+# --------------------------------------------------------------------------- #
+# Graph construction
+# --------------------------------------------------------------------------- #
+def csr_from_edge_list_reference(
+    num_vertices: int,
+    edges: Iterable[Tuple[int, int]],
+    weights: Optional[Sequence[float]] = None,
+    name: str = "graph",
+    deduplicate: bool = True,
+) -> CSRGraph:
+    """Three-sort reference of :meth:`CSRGraph.from_edge_list`.
+
+    Deduplicates with ``np.unique`` (first occurrence) re-sorted into input
+    order, then orders the edges with a ``np.lexsort`` by (source,
+    destination).
+    """
+    edge_array = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+    )
+    if edge_array.size == 0:
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        return CSRGraph(indptr, np.zeros(0, dtype=np.int64), name=name)
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise GraphError("edges must be (source, destination) pairs")
+    if edge_array.min() < 0 or edge_array.max() >= num_vertices:
+        raise GraphError("edge endpoints must lie in [0, num_vertices)")
+
+    if weights is None:
+        weight_array = np.ones(edge_array.shape[0], dtype=np.float32)
+    else:
+        weight_array = np.asarray(weights, dtype=np.float32)
+        if weight_array.shape[0] != edge_array.shape[0]:
+            raise GraphError("weights must align with edges")
+
+    if deduplicate:
+        keys = edge_array[:, 0] * num_vertices + edge_array[:, 1]
+        _, unique_idx = np.unique(keys, return_index=True)
+        unique_idx = np.sort(unique_idx)
+        edge_array = edge_array[unique_idx]
+        weight_array = weight_array[unique_idx]
+
+    order = np.lexsort((edge_array[:, 1], edge_array[:, 0]))
+    edge_array = edge_array[order]
+    weight_array = weight_array[order]
+
+    counts = np.bincount(edge_array[:, 0], minlength=num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRGraph(indptr, edge_array[:, 1], weight_array, name=name)
+
+
+def transpose_reference(graph: CSRGraph) -> CSRGraph:
+    """Reference of :meth:`CSRGraph.transpose` through the three-sort build."""
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    pairs = np.stack([graph.indices, sources], axis=1)
+    return csr_from_edge_list_reference(
+        graph.num_vertices, pairs, weights=graph.weights, name=graph.name,
+        deduplicate=False,
+    )
+
+
+def symmetrized_reference(graph: CSRGraph) -> CSRGraph:
+    """Reference of :meth:`CSRGraph.symmetrized` through the three-sort build."""
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees)
+    forward = np.stack([sources, graph.indices], axis=1)
+    backward = np.stack([graph.indices, sources], axis=1)
+    pairs = np.concatenate([forward, backward], axis=0)
+    weights = np.concatenate([graph.weights, graph.weights])
+    return csr_from_edge_list_reference(
+        graph.num_vertices, pairs, weights=weights, name=graph.name, deduplicate=True
+    )

@@ -418,6 +418,38 @@ class TestCliObservability:
         # routes among them.
         assert all(f"{key}=" in rendered for key in ("engines", *ROUTES))
 
+    def test_profiled_sweep_attributes_dataset_loads_and_reorders(
+        self, tmp_path, capsys
+    ):
+        """paper-comparison loads datasets and runs I-GCN's reorder: both are
+        spans of the sweep, and recording them leaves every result as is."""
+        results = {}
+        for profile in (False, True):
+            out_dir = tmp_path / f"profile-{profile}"
+            assert main(
+                [
+                    "sweep", "paper-comparison", "--quick", "--no-cache",
+                    "--out", str(out_dir), "--max-vertices", "64",
+                ]
+                + (["--profile"] if profile else [])
+            ) == 0
+            results[profile] = {
+                path.name: path.read_bytes()
+                for path in (out_dir / "paper-comparison").glob("*-*.json")
+            }
+        capsys.readouterr()
+        assert len(results[True]) == 54
+        assert results[True] == results[False]
+
+        metrics = json.loads((tmp_path / "profile-True" / "metrics.json").read_text())
+        spans = metrics["sweeps"][0]["spans"]
+        # One load and one reorder per dataset; the reorder runs while the
+        # I-GCN run builds its context.
+        datasets = {name.split("-")[0] for name in results[True]}
+        assert spans["dataset_load"]["count"] == len(datasets)
+        reorder = spans["build_context"]["children"]["reorder"]
+        assert reorder["count"] == len(datasets) and reorder["total_s"] > 0
+
     def test_profiled_run_writes_run_profile(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         assert main(
